@@ -1,0 +1,80 @@
+"""Frozen answers the benchmark checks every output against.
+
+GAPSET_COUNTS[g] is the number of gapsets of genus g (OEIS A007323).
+CELLS[g][k] counts the genus-g gapsets whose maximum gap is exactly k; rows
+0-19 are copied from tests/expected_counts.py, rows 20-22 were recorded from
+`gapsets table --max-genus 22` at the first benchmarked commit and agree
+with the A007323 row sums.  DIAGONAL_* are the A348619 terms and their
+published three-decimal renderings.
+
+STREAM_DIGESTS and VERIFY_CHECKS were recorded from the CLI at the first
+benchmarked commit: (line count, sha256 of stdout) for each `enumerate`
+command the benchmark runs, and the `checks=` total of `verify --suite all`.
+"""
+
+GAPSET_COUNTS = [
+    1, 1, 2, 4, 7, 12, 23, 39, 67, 118,
+    204, 343, 592, 1001, 1693, 2857, 4806, 8045, 13467, 22464,
+    37396, 62194, 103246, 170963, 282828,
+]
+
+_ROWS = {
+    0: [1],
+    1: [1],
+    2: [1, 1],
+    3: [1, 2, 1],
+    4: [1, 3, 2, 1],
+    5: [1, 5, 3, 2, 1],
+    6: [1, 7, 7, 5, 2, 1],
+    7: [1, 10, 12, 8, 5, 2, 1],
+    8: [1, 15, 18, 17, 8, 5, 2, 1],
+    9: [1, 20, 31, 28, 18, 12, 5, 2, 1],
+    10: [1, 27, 51, 49, 34, 22, 12, 5, 2, 1],
+    11: [1, 38, 78, 87, 57, 40, 22, 12, 5, 2, 1],
+    12: [1, 51, 125, 147, 100, 76, 42, 30, 12, 5, 2, 1],
+    13: [1, 70, 195, 237, 177, 134, 83, 54, 30, 12, 5, 2, 1],
+    14: [1, 95, 297, 399, 309, 239, 150, 99, 54, 30, 12, 5, 2, 1],
+    15: [1, 128, 457, 654, 530, 422, 259, 183, 103, 70, 30, 12, 5, 2, 1],
+    16: [1, 172, 705, 1061, 902, 723, 452, 336, 199, 135, 70, 30, 12, 5, 2, 1],
+    17: [1, 230, 1074, 1717, 1513, 1248, 811, 590, 363, 243, 135, 70, 30, 12, 5, 2, 1],
+    18: [1, 309, 1621, 2777, 2535, 2148, 1411, 1037, 646, 444, 251, 167, 70, 30, 12, 5, 2, 1],
+    19: [1, 413, 2448, 4464, 4232, 3636, 2434, 1810, 1124, 804, 480, 331, 167, 70, 30, 12, 5, 2, 1],
+    20: [1, 554, 3688, 7139, 7027, 6142, 4192, 3145, 1975, 1444, 871, 600, 331, 167, 70, 30,
+         12, 5, 2, 1],
+    21: [1, 741, 5541, 11350, 11639, 10359, 7208, 5436, 3446, 2544, 1555, 1076, 616, 395, 167,
+         70, 30, 12, 5, 2, 1],
+    22: [1, 990, 8302, 18050, 19228, 17364, 12281, 9310, 5990, 4394, 2745, 1945, 1156, 808, 395,
+         167, 70, 30, 12, 5, 2, 1],
+}
+
+CELLS = {
+    g: {(0 if g == 0 else k + 1): v for k, v in enumerate(row)}
+    for g, row in _ROWS.items()
+}
+
+DIAGONAL_TERMS = [1, 2, 5, 12, 30, 70, 167, 395, 936, 2212]
+DIAGONAL_RATIOS = [
+    "-", "2.000", "2.500", "2.400", "2.500",
+    "2.333", "2.386", "2.365", "2.370", "2.363",
+]
+DIAGONAL_CUMULATIVE = [
+    "1", "1.5", "1.6", "1.667", "1.667",
+    "1.714", "1.719", "1.727", "1.729", "1.731",
+]
+
+# argv after `gapsets` -> (stdout line count, stdout sha256)
+STREAM_DIGESTS = {
+    ("enumerate", "--genus", "16", "--format", "json"):
+        (4806, "aca4eb0872c5e17c7c4b3bcd51d8599758d59396a48f63f78b3561444d127783"),
+    ("enumerate", "--genus", "21", "--format", "json"):
+        (62194, "992960d09891b1771213ceb38b996414020b7f39b82887bc4e99327ccd85fd16"),
+    ("enumerate", "--genus", "22", "--kappa", "11", "--pure", "--format", "csv"):
+        (2746, "53ff1654e2e95675ddd7bd66908a3e879ada599e82225a0fe48f0f284a5c44e9"),
+    ("enumerate", "--genus", "22", "--kappa", "12", "--pure", "--format", "csv"):
+        (1946, "dd5fa91cb7473167b9467f6d2923bf0b1aee9ae6df67b4a503df338108271d5d"),
+    ("enumerate", "--genus", "22", "--kappa", "13", "--pure", "--format", "csv"):
+        (1157, "f0a04c69d55b3cbbeb6ab6a748f8edf4dacefd1cdd9ae56cb54c9066e1d887a8"),
+}
+
+# max genus of `verify --suite all` -> total checks
+VERIFY_CHECKS = {12: 35893, 16: 287001}

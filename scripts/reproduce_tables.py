@@ -6,7 +6,6 @@ the diagonal sequence through w = 7.  Pushing --max-w to 9 enumerates
 genus 27 (~1.3M gapsets) and takes a few extra seconds.
 
 Usage: python3 scripts/reproduce_tables.py [--max-genus 19] [--max-w 7]
-           [--workers N] [--cache-dir DIR]
 """
 
 import argparse
@@ -22,14 +21,10 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-genus", type=int, default=19)
     parser.add_argument("--max-w", type=int, default=7)
-    parser.add_argument("--workers", type=int, default=1)
-    parser.add_argument("--cache-dir", default=None)
     args = parser.parse_args()
 
     t0 = perf_counter()
-    grid = build_count_grid(
-        args.max_genus, cache_dir=args.cache_dir, workers=args.workers
-    )
+    grid = build_count_grid(args.max_genus)
     grid_time = perf_counter() - t0
     print(f"# counts by genus and maximum gap (genus <= {args.max_genus}, "
           f"{grid_time:.2f}s); * marks 2g = 3k")
@@ -43,9 +38,7 @@ def main() -> int:
         print(f"  {cell}: {a} != {b}")
 
     t0 = perf_counter()
-    seq = diagonal_sequence(
-        args.max_w, cache_dir=args.cache_dir, workers=args.workers
-    )
+    seq = diagonal_sequence(args.max_w)
     seq_time = perf_counter() - t0
     print(f"\n# diagonal sequence through w = {args.max_w} ({seq_time:.2f}s)")
     print("w,g_w,ratio,cumulative")

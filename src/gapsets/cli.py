@@ -24,6 +24,7 @@ from .core import (
 from .enumeration import (
     CacheError,
     ResourceLimitError,
+    count_by_kappa,
     filter_gapsets,
     gapsets_for_genus,
 )
@@ -50,6 +51,8 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_BAD_GAPSET = 4
+
+LOWER_BOUNDS = {"genus": 0, "max_genus": 0, "max_w": 0, "workers": 1}
 
 
 def _record_dict(rec: InvariantRecord, elements) -> dict:
@@ -78,9 +81,7 @@ def _record_csv(rec: InvariantRecord, elements) -> str:
 
 
 def _cache_dir(args) -> Optional[str]:
-    if getattr(args, "cache_dir", None):
-        return args.cache_dir
-    return os.environ.get(CACHE_ENV_VAR) or None
+    return args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
 
 
 def cmd_enumerate(args, out) -> int:
@@ -130,9 +131,7 @@ def render_grid(grid: CountGrid, markdown: bool = True) -> list[str]:
 
 
 def cmd_table(args, out) -> int:
-    grid = build_count_grid(
-        args.max_genus, cache_dir=_cache_dir(args), workers=args.workers
-    )
+    grid = build_count_grid(args.max_genus)
     for line in render_grid(grid, markdown=args.format == "markdown"):
         print(line, file=out)
     return EXIT_OK
@@ -140,15 +139,10 @@ def cmd_table(args, out) -> int:
 
 def cmd_sequence(args, out) -> int:
     if args.which == "ng":
-        counts = [
-            sum(1 for _ in gapsets_for_genus(g, cache_dir=_cache_dir(args), workers=args.workers))
-            for g in range(args.max_genus + 1)
-        ]
+        counts = [sum(row.values()) for row in count_by_kappa(args.max_genus)]
         print(",".join(map(str, counts)), file=out)
         return EXIT_OK
-    seq = diagonal_sequence(
-        args.max_w, cache_dir=_cache_dir(args), workers=args.workers
-    )
+    seq = diagonal_sequence(args.max_w)
     print("w,g_w,ratio,cumulative", file=out)
     for w, term in enumerate(seq.terms):
         print(
@@ -274,15 +268,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("table", help="counts by genus and maximum gap")
     p.add_argument("--max-genus", type=int, required=True)
     p.add_argument("--format", choices=["markdown", "csv"], default="markdown")
-    p.add_argument("--cache-dir")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("sequence", help="count sequences")
     p.add_argument("which", choices=["ng", "gw"])
     p.add_argument("--max-genus", type=int, help="for ng")
     p.add_argument("--max-w", type=int, help="for gw")
-    p.add_argument("--cache-dir")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("map", help="apply a genus-raising map to one gapset")
     p.add_argument("--gapset", required=True, help="comma-separated elements")
@@ -307,11 +297,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "enumerate":
-        if args.pure and args.kappa is None:
-            parser.error("--pure requires --kappa")
-        if args.genus < 0:
-            parser.error("--genus must be >= 0")
+    if args.command == "enumerate" and args.pure and args.kappa is None:
+        parser.error("--pure requires --kappa")
+    for name, low in LOWER_BOUNDS.items():
+        value = getattr(args, name, None)
+        if value is not None and value < low:
+            parser.error(f"--{name.replace('_', '-')} must be >= {low}")
     if args.command == "sequence":
         if args.which == "ng" and args.max_genus is None:
             parser.error("sequence ng requires --max-genus")

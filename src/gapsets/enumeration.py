@@ -12,6 +12,10 @@ lexicographic order on element sequences.
 Membership bookkeeping uses two bit masks over [1, 2g+1]: the complement
 of the node (the positive semigroup elements) and its mirror image, so the
 split check for a candidate x is a single shift-and-AND.
+
+Aggregates come from one count-only walk (`count_by_kappa`, after Fromentin
+& Hivert, Exploring the tree of numerical semigroups, 2016): one pass to the
+largest genus counts every smaller genus by maximum gap, building no tuples.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from __future__ import annotations
 import multiprocessing
 import tempfile
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -50,6 +55,14 @@ class CorruptCacheError(CacheError):
     """Cache file failed its checksum, header or shape verification."""
 
 
+def _check_genus(genus: int, genus_ceiling: Optional[int]) -> None:
+    ceiling = DEFAULT_GENUS_CEILING if genus_ceiling is None else genus_ceiling
+    if genus < 0:
+        raise ValueError("genus must be >= 0")
+    if genus > ceiling:
+        raise ResourceLimitError(f"genus {genus} exceeds the ceiling {ceiling}")
+
+
 def _iter_tuples(root: Elements, target: int, cap: int) -> Iterator[Elements]:
     """Depth-first walk from `root` emitting element tuples at genus `target`.
 
@@ -79,6 +92,43 @@ def _iter_tuples(root: Elements, target: int, cap: int) -> Iterator[Elements]:
             stack.append((elems + (x,), sm & ~(1 << x), sr & ~(1 << (cap - x))))
 
 
+def _count_cells(max_genus: int) -> list[list[int]]:
+    """cells[g][k] = #{genus-g gapsets with maximum gap k}, from one walk.
+
+    Stack entries are (level, last, max_gap, smask, srev), with the masks and
+    split test of `_iter_tuples`; a child is counted where it is found and
+    pushed only below the last level.  Root child 1 gets max_gap 1 - 0 = 1.
+    """
+    cap = 2 * max_genus + 1
+    cells = [[0] * (g + 1) for g in range(max_genus + 1)]
+    cells[0][0] = 1
+    stack = [(0, 0, 0, ((1 << (cap + 1)) - 1) & ~1, (1 << cap) - 1)] if max_genus else []
+    while stack:
+        j, last, mg, sm, sr = stack.pop()
+        row = cells[j + 1]
+        inner = j + 1 < max_genus
+        for x in range(last + 1, 2 * j + 2):
+            if sm & (sr >> (cap - x)) == 0:
+                d = x - last
+                k = d if d > mg else mg
+                row[k] += 1
+                if inner:
+                    stack.append((j + 1, x, k, sm & ~(1 << x), sr & ~(1 << (cap - x))))
+    return cells
+
+
+def count_by_kappa(
+    max_genus: int, *, genus_ceiling: Optional[int] = None
+) -> list[Counter[int]]:
+    """Row g maps each maximum gap k to the number of genus-g gapsets with
+    kappa k, for every g <= max_genus; the bounds are checked before the walk."""
+    _check_genus(max_genus, genus_ceiling)
+    return [
+        Counter({k: n for k, n in enumerate(row) if n})
+        for row in _count_cells(max_genus)
+    ]
+
+
 def _subtree_tuples(root: Elements, target: int, cap: int) -> list[Elements]:
     return list(_iter_tuples(root, target, cap))
 
@@ -95,11 +145,7 @@ def enumerate_gapsets(
     subtrees run in a process pool; ordered merging keeps the output
     identical to the single-worker stream.
     """
-    ceiling = DEFAULT_GENUS_CEILING if genus_ceiling is None else genus_ceiling
-    if genus < 0:
-        raise ValueError("genus must be >= 0")
-    if genus > ceiling:
-        raise ResourceLimitError(f"genus {genus} exceeds the ceiling {ceiling}")
+    _check_genus(genus, genus_ceiling)
     cap = 2 * genus + 1 if genus else 1
     split = min(genus, SPLIT_DEPTH)
     if workers <= 1 or split == genus:

@@ -5,18 +5,19 @@ The grid holds #{gapsets of genus g with maximum gap k} for 1 <= k <= g
 Cells with k > g are impossible and stay absent.  Below the 2g = 3k
 diagonal, counts are invariant along (g, k) -> (g+1, k+1); the diagonal
 itself gives the sequence #{pure 2w-sparse gapsets of genus 3w}.
+
+Every aggregate here reads its cells from one count-only tree walk
+(`enumeration.count_by_kappa`) to the largest genus it needs; no `Gapset`
+objects are built.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 from typing import Optional
 
-from .core import kappa_and_alpha
-from .enumeration import gapsets_for_genus
+from .enumeration import count_by_kappa
 
 RATIO_PLACEHOLDER = "-"
 
@@ -51,50 +52,23 @@ class StabilizationReport:
 
 
 def build_count_grid(
-    max_genus: int,
-    *,
-    cache_dir: Optional[str | Path] = None,
-    workers: int = 1,
-    genus_ceiling: Optional[int] = None,
+    max_genus: int, *, genus_ceiling: Optional[int] = None
 ) -> CountGrid:
-    """Exact counts for every genus up to max_genus, one enumeration per row."""
-    cells: dict[tuple[int, int], int] = {}
-    row_sums: dict[int, int] = {}
-    for g in range(max_genus + 1):
-        counts: Counter[int] = Counter()
-        total = 0
-        for gapset in gapsets_for_genus(
-            g, cache_dir=cache_dir, workers=workers, genus_ceiling=genus_ceiling
-        ):
-            k, _ = kappa_and_alpha(gapset)
-            counts[k] += 1
-            total += 1
-        row_sums[g] = total
-        for k, n in counts.items():
-            cells[(g, k)] = n
+    """Exact counts for every genus up to max_genus, from one walk."""
+    rows = count_by_kappa(max_genus, genus_ceiling=genus_ceiling)
+    cells = {(g, k): n for g, row in enumerate(rows) for k, n in row.items()}
+    row_sums = {g: sum(row.values()) for g, row in enumerate(rows)}
     marks = frozenset(cell for cell in cells if 2 * cell[0] == 3 * cell[1])
     return CountGrid(max_genus, cells, row_sums, marks)
 
 
 def diagonal_sequence(
-    max_w: int,
-    *,
-    cache_dir: Optional[str | Path] = None,
-    workers: int = 1,
-    genus_ceiling: Optional[int] = None,
+    max_w: int, *, genus_ceiling: Optional[int] = None
 ) -> DiagonalSequence:
-    """Diagonal terms for w = 0..max_w by enumerating genus 3w and keeping
-    the pure 2w-sparse gapsets."""
-    terms = []
-    for w in range(max_w + 1):
-        count = 0
-        for gapset in gapsets_for_genus(
-            3 * w, cache_dir=cache_dir, workers=workers, genus_ceiling=genus_ceiling
-        ):
-            k, _ = kappa_and_alpha(gapset)
-            if k == 2 * w:
-                count += 1
-        terms.append(count)
+    """Diagonal terms for w = 0..max_w: the cells (3w, 2w) of one walk to
+    genus 3 * max_w."""
+    rows = count_by_kappa(3 * max_w, genus_ceiling=genus_ceiling)
+    terms = [rows[3 * w][2 * w] for w in range(max_w + 1)]
     ratios: list[Optional[Fraction]] = [None]
     ratios += [Fraction(terms[w], terms[w - 1]) for w in range(1, len(terms))]
     running = 0

@@ -10,7 +10,6 @@ and the widening bijection with its count stabilization.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import combinations
 from pathlib import Path
@@ -28,7 +27,7 @@ from .core import (
 )
 from .enumeration import gapsets_for_genus
 from .maps import classify_widest_pair, verify_bijection, widen_max_gap
-from .tally import CountGrid, stabilization_check
+from .tally import build_count_grid, stabilization_check
 
 SUITE_NAMES = ("core", "sparse", "phi", "bijection")
 
@@ -63,18 +62,6 @@ class SuiteReport:
 
 def _m_set_depth(elements: Elements, m: int) -> int:
     return -(-elements[-1] // m) if elements else 0
-
-
-def _grid_from_provider(max_genus: int, by_genus: Provider) -> CountGrid:
-    cells: dict[tuple[int, int], int] = {}
-    row_sums: dict[int, int] = {}
-    for g in range(max_genus + 1):
-        counter = Counter(kappa_and_alpha(x)[0] for x in by_genus(g))
-        row_sums[g] = sum(counter.values())
-        for k, n in counter.items():
-            cells[(g, k)] = n
-    marks = frozenset(cell for cell in cells if 2 * cell[0] == 3 * cell[1])
-    return CountGrid(max_genus, cells, row_sums, marks)
 
 
 def memoized_provider(
@@ -366,8 +353,7 @@ def bijection_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
             report.check(
                 "image-membership", all(result.image_membership), (), pair
             )
-    grid = _grid_from_provider(max_genus, by_genus)
-    stab = stabilization_check(grid)
+    stab = stabilization_check(build_count_grid(max_genus))
     report.check(
         "grid-stabilization",
         stab.ok,

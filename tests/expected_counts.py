@@ -1,6 +1,7 @@
 """Frozen expected values for the count tables.
 
-GAPSET_COUNTS is the number of gapsets per genus (OEIS A007323).
+GAPSET_COUNTS is the number of gapsets per genus (OEIS A007323);
+LARGE_GAPSET_COUNTS continues it through genus 24.
 COUNTS_BY_KAPPA[g][k] is the number of genus-g gapsets whose maximum
 consecutive gap is exactly k; row keys cover 1 <= k <= g (genus 0 has the
 single entry k=0).  DIAGONAL_TERMS[w] counts the pure 2w-sparse gapsets of
@@ -12,6 +13,8 @@ GAPSET_COUNTS = [
     1, 1, 2, 4, 7, 12, 23, 39, 67, 118,
     204, 343, 592, 1001, 1693, 2857, 4806, 8045, 13467, 22464,
 ]
+
+LARGE_GAPSET_COUNTS = {20: 37396, 21: 62194, 22: 103246, 23: 170963, 24: 282828}
 
 _ROWS = {
     0: [1],

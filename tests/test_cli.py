@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from gapsets import invariants, validate_gapset
+from gapsets import enumeration, invariants, validate_gapset
 from gapsets.cli import main
 
 GOLDEN = Path(__file__).parent / "golden" / "table3_g19.md"
@@ -154,6 +154,43 @@ class TestSequence:
         with pytest.raises(SystemExit) as err:
             main(["sequence", "gw"])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--max-genus", "-1"],
+        ["sequence", "ng", "--max-genus", "-1"],
+        ["sequence", "gw", "--max-w", "-1"],
+        ["verify", "--max-genus", "-2"],
+        ["enumerate", "--genus", "3", "--workers", "0"],
+        ["verify", "--max-genus", "3", "--workers", "-3"],
+        ["table", "--max-genus", "3", "--workers", "2"],
+        ["sequence", "gw", "--max-w", "3", "--workers", "1"],
+    ],
+)
+def test_bad_bounds_exit_2(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--max-genus", "31"],
+        ["sequence", "ng", "--max-genus", "40"],
+        ["sequence", "gw", "--max-w", "11"],
+    ],
+)
+def test_resource_limit_exit_3_before_searching(argv, monkeypatch, capsys):
+    def entered(*_args):
+        raise AssertionError("the tree search started")
+
+    monkeypatch.setattr(enumeration, "_iter_tuples", entered)
+    monkeypatch.setattr(enumeration, "_count_cells", entered, raising=False)
+    assert main(argv) == 3
+    assert capsys.readouterr().out == ""
 
 
 class TestMap:

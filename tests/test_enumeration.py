@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from gapsets import (
@@ -8,18 +10,21 @@ from gapsets import (
     enumerate_gapsets,
     filter_pure_sparse,
     invariants,
+    kappa_and_alpha,
     run_enumeration,
     validate_gapset,
 )
+from gapsets import enumeration
 from gapsets.enumeration import (
     CorruptCacheError,
     FilterSpec,
     MissingCacheError,
     ResourceLimitError,
     cache_path,
+    count_by_kappa,
 )
 
-from expected_counts import GAPSET_COUNTS
+from expected_counts import COUNTS_BY_KAPPA, GAPSET_COUNTS, LARGE_GAPSET_COUNTS
 
 
 def test_counts_match_published_sequence():
@@ -75,6 +80,43 @@ def test_workers_do_not_change_the_stream():
     sequential = [g.elements for g in enumerate_gapsets(11, workers=1)]
     parallel = [g.elements for g in enumerate_gapsets(11, workers=3)]
     assert sequential == parallel
+
+
+def kappa_counter(stream):
+    return Counter(kappa_and_alpha(x)[0] for x in stream)
+
+
+class TestCountWalk:
+    def test_rows_match_the_tuple_search(self):
+        rows = count_by_kappa(16)
+        assert len(rows) == 17
+        for g, row in enumerate(rows):
+            assert row == kappa_counter(enumerate_gapsets(g)), g
+
+    def test_rows_match_brute_force(self):
+        for g, row in enumerate(count_by_kappa(10)):
+            assert row == kappa_counter(brute_force_gapsets(g)), g
+
+    def test_rows_match_frozen_grid(self):
+        rows = count_by_kappa(19)
+        assert rows == [Counter(COUNTS_BY_KAPPA[g]) for g in range(20)]
+        assert rows[0] == {0: 1} and rows[1] == {1: 1}
+
+    def test_row_sums_to_genus_24(self):
+        rows = count_by_kappa(24)
+        assert {g: sum(rows[g].values()) for g in range(20, 25)} == LARGE_GAPSET_COUNTS
+
+    def test_bounds_checked_before_the_walk(self, monkeypatch):
+        def entered(*_args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(enumeration, "_count_cells", entered)
+        with pytest.raises(ResourceLimitError):
+            count_by_kappa(31)
+        with pytest.raises(ResourceLimitError):
+            count_by_kappa(5, genus_ceiling=4)
+        with pytest.raises(ValueError):
+            count_by_kappa(-1)
 
 
 class TestFilters:

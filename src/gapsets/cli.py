@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 property violation (verify), 2 bad flags,
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional
@@ -15,9 +14,7 @@ from typing import Optional
 from .core import (
     Gapset,
     GapsetRejection,
-    InvariantRecord,
     as_candidate,
-    depth,
     invariants,
     validate_gapset,
 )
@@ -25,8 +22,7 @@ from .enumeration import (
     CacheError,
     ResourceLimitError,
     count_by_kappa,
-    filter_gapsets,
-    gapsets_for_genus,
+    enumerate_records,
 )
 from .maps import (
     PreconditionError,
@@ -52,32 +48,41 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_BAD_GAPSET = 4
 
-LOWER_BOUNDS = {"genus": 0, "max_genus": 0, "max_w": 0, "workers": 1}
-
-
-def _record_dict(rec: InvariantRecord, elements) -> dict:
-    return {
-        "gaps": list(elements),
-        "genus": rec.genus,
-        "multiplicity": rec.multiplicity,
-        "conductor": rec.conductor,
-        "frobenius": rec.frobenius,
-        "depth": rec.depth,
-        "kappa": rec.kappa,
-        "alpha": rec.alpha,
-    }
+LOWER_BOUNDS = {
+    "genus": 0, "max_genus": 0, "max_w": 0, "workers": 1, "kappa": 0, "depth": 0,
+}
 
 
 CSV_HEADER = "gaps,genus,multiplicity,conductor,frobenius,depth,kappa,alpha"
 
 
-def _record_csv(rec: InvariantRecord, elements) -> str:
-    gaps = " ".join(map(str, elements))
-    alpha = "" if rec.alpha is None else str(rec.alpha)
+def _depth(elems, m: int) -> int:
+    return -(-(elems[-1] + 1) // m) if elems else 0
+
+
+def _text_line(elems, m, k, a) -> str:
+    return ",".join(map(str, elems)) + "\n"
+
+
+def _json_line(elems, m, k, a) -> str:
+    """The bytes `json.dumps` gives for the record's dict (keys in this order)."""
+    c = elems[-1] + 1 if elems else 0
     return (
-        f"{gaps},{rec.genus},{rec.multiplicity},{rec.conductor},"
-        f"{rec.frobenius},{rec.depth},{rec.kappa},{alpha}"
+        f'{{"gaps": [{", ".join(map(str, elems))}], "genus": {len(elems)}, '
+        f'"multiplicity": {m}, "conductor": {c}, "frobenius": {c - 1}, '
+        f'"depth": {-(-c // m)}, "kappa": {k}, "alpha": {"null" if a is None else a}}}\n'
     )
+
+
+def _csv_line(elems, m, k, a) -> str:
+    c = elems[-1] + 1 if elems else 0
+    return (
+        f'{" ".join(map(str, elems))},{len(elems)},{m},{c},{c - 1},'
+        f'{-(-c // m)},{k},{"" if a is None else a}\n'
+    )
+
+
+LINE_FORMATS = {"text": _text_line, "json": _json_line, "csv": _csv_line}
 
 
 def _cache_dir(args) -> Optional[str]:
@@ -85,22 +90,18 @@ def _cache_dir(args) -> Optional[str]:
 
 
 def cmd_enumerate(args, out) -> int:
-    stream = gapsets_for_genus(
-        args.genus, cache_dir=_cache_dir(args), workers=args.workers
-    )
-    if args.kappa is not None or args.depth is not None:
-        stream = filter_gapsets(
-            stream, kappa=args.kappa, pure=args.pure, depth_q=args.depth
-        )
+    records = enumerate_records(args.genus)
+    kappa, depth_q = args.kappa, args.depth
+    line = LINE_FORMATS[args.format]
+    write = out.write
     if args.format == "csv":
-        print(CSV_HEADER, file=out)
-    for g in stream:
-        if args.format == "text":
-            print(",".join(map(str, g.elements)), file=out)
-        elif args.format == "json":
-            print(json.dumps(_record_dict(invariants(g), g.elements)), file=out)
-        else:
-            print(_record_csv(invariants(g), g.elements), file=out)
+        write(CSV_HEADER + "\n")
+    for elems, m, k, a in records:
+        if kappa is not None and (k != kappa if args.pure else k > kappa):
+            continue
+        if depth_q is not None and _depth(elems, m) != depth_q:
+            continue
+        write(line(elems, m, k, a))
     return EXIT_OK
 
 
@@ -262,8 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--depth", type=int, help="filter by depth")
     p.add_argument("--format", choices=["json", "csv", "text"], default="text")
-    p.add_argument("--cache-dir")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("table", help="counts by genus and maximum gap")
     p.add_argument("--max-genus", type=int, required=True)

@@ -13,7 +13,12 @@ Membership bookkeeping uses two bit masks over [1, 2g+1]: the complement
 of the node (the positive semigroup elements) and its mirror image, so the
 split check for a candidate x is a single shift-and-AND.
 
-Aggregates come from one count-only walk (`count_by_kappa`, after Fromentin
+Listings come from one record walk (`enumerate_records`): each stack entry
+carries its node's multiplicity (once a value is skipped), running maximum
+gap and the index of its last widest pair, so every leaf is yielded as a
+record (elements, multiplicity, kappa, alpha) with no Gapset built and no
+second pass over its elements; `enumerate_gapsets` wraps the same walk's
+elements in Gapset values.  Aggregates come from one count-only walk (`count_by_kappa`, after Fromentin
 & Hivert, Exploring the tree of numerical semigroups, 2016): one pass to the
 largest genus counts every smaller genus by maximum gap, building no tuples.
 """
@@ -30,13 +35,16 @@ from pathlib import Path
 from time import perf_counter
 from typing import Iterable, Iterator, Optional
 
-from .core import Elements, Gapset, depth, kappa_and_alpha, validate_gapset
+from .core import Elements, Gapset, depth, kappa_and_alpha, multiplicity, validate_gapset
 
 DEFAULT_GENUS_CEILING = 30
 BRUTE_FORCE_MAX_GENUS = 12
 SPLIT_DEPTH = 8
 
 CACHE_FILE_TEMPLATE = "gapsets-g{genus}.txt"
+
+# (elements, multiplicity, kappa, alpha) of one gapset
+Record = tuple[Elements, int, int, Optional[int]]
 
 
 class ResourceLimitError(RuntimeError):
@@ -63,40 +71,77 @@ def _check_genus(genus: int, genus_ceiling: Optional[int]) -> None:
         raise ResourceLimitError(f"genus {genus} exceeds the ceiling {ceiling}")
 
 
-def _iter_tuples(root: Elements, target: int, cap: int) -> Iterator[Elements]:
-    """Depth-first walk from `root` emitting element tuples at genus `target`.
+def _iter_records(genus: int, root: Elements = ()) -> Iterator[Record]:
+    """Depth-first walk from `root` yielding the records of its genus-`genus`
+    descendants in lexicographic order.
 
-    `cap` bounds every value ever touched; masks are plain ints with bit i
-    tracking membership of i in the node's semigroup (srev mirrors smask at
-    position cap - i, which turns the split test for x into one AND).
+    Masks are plain ints over [1, cap] with cap = 2 * genus + 1: bit i of
+    smask tracks membership of i in the node's semigroup, and srev mirrors
+    smask at position cap - i, which turns the split test for x into one AND.
+    Stack entries are (elements, last, m, kappa, alpha, smask, srev); m stays
+    0 until the first skipped value, and the root's child 1 counts as a gap
+    of 1 - 0 = 1 at index 0, which gives the genus-1 conventions (kappa 1,
+    alpha None) and never survives into a longer gapset.  Children of the
+    last inner level are yielded where they are found instead of pushed.
     """
+    cap = 2 * genus + 1
     smask = ((1 << (cap + 1)) - 1) & ~1  # bits 1..cap
     srev = (1 << cap) - 1  # bits cap-1..0, i.e. cap - i for i in 1..cap
     for v in root:
         smask &= ~(1 << v)
         srev &= ~(1 << (cap - v))
-    stack = [(root, smask, srev)]
+    head = Gapset(root)
+    kappa, alpha = kappa_and_alpha(head)
+    m = multiplicity(head)
+    if len(root) == genus:
+        yield root, m, kappa, alpha
+        return
+    stack = [
+        (root, root[-1] if root else 0, m if m <= len(root) else 0, kappa, alpha or 0, smask, srev)
+    ]
     while stack:
-        elems, sm, sr = stack.pop()
+        elems, last, m, k, a, sm, sr = stack.pop()
         j = len(elems)
-        if j == target:
-            yield elems
+        if j + 1 == genus:
+            for x in range(last + 1, 2 * j + 2):
+                if sm & (sr >> (cap - x)) == 0:
+                    d = x - last
+                    yield (
+                        elems + (x,),
+                        m or (j + 1 if d > 1 else genus + 1),
+                        d if d >= k else k,
+                        (j or None) if d >= k else a,
+                    )
             continue
-        last = elems[-1] if elems else 0
-        hi = 2 * (j + 1) - 1
-        kids = []
-        for x in range(last + 1, hi + 1):
+        for x in range(2 * j + 1, last, -1):
             if sm & (sr >> (cap - x)) == 0:
-                kids.append(x)
-        for x in reversed(kids):
-            stack.append((elems + (x,), sm & ~(1 << x), sr & ~(1 << (cap - x))))
+                d = x - last
+                stack.append((
+                    elems + (x,),
+                    x,
+                    m or (j + 1 if d > 1 else 0),
+                    d if d >= k else k,
+                    j if d >= k else a,
+                    sm & ~(1 << x),
+                    sr & ~(1 << (cap - x)),
+                ))
+
+
+def enumerate_records(genus: int, *, genus_ceiling: Optional[int] = None) -> Iterator[Record]:
+    """Every genus-`genus` gapset as a record (elements, multiplicity, kappa,
+    alpha), in lexicographic order, with no Gapset built; the bounds are
+    checked before the walk starts.  Conductor, Frobenius number and depth
+    follow: c = elements[-1] + 1 (0 for genus 0), F = c - 1, depth = ceil(c / m).
+    """
+    _check_genus(genus, genus_ceiling)
+    return _iter_records(genus)
 
 
 def _count_cells(max_genus: int) -> list[list[int]]:
     """cells[g][k] = #{genus-g gapsets with maximum gap k}, from one walk.
 
     Stack entries are (level, last, max_gap, smask, srev), with the masks and
-    split test of `_iter_tuples`; a child is counted where it is found and
+    split test of `_iter_records`; a child is counted where it is found and
     pushed only below the last level.  Root child 1 gets max_gap 1 - 0 = 1.
     """
     cap = 2 * max_genus + 1
@@ -129,8 +174,8 @@ def count_by_kappa(
     ]
 
 
-def _subtree_tuples(root: Elements, target: int, cap: int) -> list[Elements]:
-    return list(_iter_tuples(root, target, cap))
+def _subtree_elements(genus: int, root: Elements) -> list[Elements]:
+    return [rec[0] for rec in _iter_records(genus, root)]
 
 
 def enumerate_gapsets(
@@ -146,16 +191,15 @@ def enumerate_gapsets(
     identical to the single-worker stream.
     """
     _check_genus(genus, genus_ceiling)
-    cap = 2 * genus + 1 if genus else 1
     split = min(genus, SPLIT_DEPTH)
     if workers <= 1 or split == genus:
-        for elems in _iter_tuples((), genus, cap):
-            yield Gapset(elems)
+        for rec in _iter_records(genus):
+            yield Gapset(rec[0])
         return
-    roots = list(_iter_tuples((), split, cap))
+    roots = [rec[0] for rec in _iter_records(split)]
     with multiprocessing.Pool(workers) as pool:
-        args = [(root, genus, cap) for root in roots]
-        for chunk in pool.starmap(_subtree_tuples, args):
+        args = [(genus, root) for root in roots]
+        for chunk in pool.starmap(_subtree_elements, args):
             for elems in chunk:
                 yield Gapset(elems)
 

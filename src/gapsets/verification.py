@@ -25,7 +25,7 @@ from .core import (
     kappa_and_alpha,
     validate_gapset,
 )
-from .enumeration import gapsets_for_genus
+from .enumeration import _check_genus, gapsets_for_genus
 from .maps import classify_widest_pair, verify_bijection, widen_max_gap
 from .tally import build_count_grid, stabilization_check
 
@@ -370,6 +370,11 @@ def run_suites(
     cache_dir: Optional[str | Path] = None,
     workers: int = 1,
 ) -> list[SuiteReport]:
+    """Run the named suites over one shared provider.  The largest genus they
+    read (max_genus + 1 for the bijection suite) is checked against the
+    ceiling before any suite runs."""
+    suites = list(suites)
+    _check_genus(max_genus + ("bijection" in suites), None)
     by_genus = memoized_provider(cache_dir, workers)
     runners = {
         "core": core_suite,

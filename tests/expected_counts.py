@@ -7,6 +7,8 @@ consecutive gap is exactly k; row keys cover 1 <= k <= g (genus 0 has the
 single entry k=0).  DIAGONAL_TERMS[w] counts the pure 2w-sparse gapsets of
 genus 3w (OEIS A348619); DIAGONAL_RATIOS / DIAGONAL_CUMULATIVE are the
 published three-decimal renderings of the step and cumulative ratios.
+GENUS_16_JSON is the (line count, sha256) of `gapsets enumerate --genus 16
+--format json` stdout, the digest perfbench/expected.py records for it.
 """
 
 GAPSET_COUNTS = [
@@ -55,3 +57,5 @@ DIAGONAL_CUMULATIVE = [
     "1", "1.5", "1.6", "1.667", "1.667",
     "1.714", "1.719", "1.727", "1.729", "1.731",
 ]
+
+GENUS_16_JSON = (4806, "aca4eb0872c5e17c7c4b3bcd51d8599758d59396a48f63f78b3561444d127783")

@@ -1,10 +1,14 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
-from gapsets import enumeration, invariants, validate_gapset
+from gapsets import enumerate_gapsets, enumeration, invariants, validate_gapset
 from gapsets.cli import main
+from gapsets.enumeration import filter_gapsets
+
+from expected_counts import GENUS_16_JSON
 
 GOLDEN = Path(__file__).parent / "golden" / "table3_g19.md"
 
@@ -79,22 +83,6 @@ class TestEnumerate:
     def test_resource_limit_exit_3(self, capsys):
         assert main(["enumerate", "--genus", "99"]) == 3
 
-    def test_cache_dir_flag_and_env(self, capsys, tmp_path, monkeypatch):
-        env_dir = tmp_path / "env"
-        flag_dir = tmp_path / "flag"
-        monkeypatch.setenv("GAPSET_CACHE_DIR", str(env_dir))
-        run(capsys, "enumerate", "--genus", "3")
-        assert (env_dir / "gapsets-g3.txt").exists()
-        run(capsys, "enumerate", "--genus", "3", "--cache-dir", str(flag_dir))
-        assert (flag_dir / "gapsets-g3.txt").exists()
-
-    def test_corrupt_cache_fails_loudly(self, capsys, tmp_path):
-        run(capsys, "enumerate", "--genus", "3", "--cache-dir", str(tmp_path))
-        path = tmp_path / "gapsets-g3.txt"
-        path.write_bytes(path.read_bytes().replace(b"1,2,3", b"1,2,9", 1))
-        code, _ = run(capsys, "enumerate", "--genus", "3", "--cache-dir", str(tmp_path))
-        assert code == 1
-
     def test_depth_filter(self, capsys):
         from gapsets import enumerate_gapsets, invariants
 
@@ -102,6 +90,68 @@ class TestEnumerate:
         expected = sum(1 for g in enumerate_gapsets(6) if invariants(g).depth == 2)
         assert code == 0
         assert len(out.splitlines()) == expected > 0
+
+
+def reference_stdout(genus, fmt, kappa=None, pure=False, depth=None):
+    """`enumerate` stdout built the long way: Gapset objects, filter_gapsets,
+    invariants and json.dumps."""
+    stream = enumerate_gapsets(genus)
+    if kappa is not None or depth is not None:
+        stream = filter_gapsets(stream, kappa=kappa, pure=pure, depth_q=depth)
+    lines = ["gaps,genus,multiplicity,conductor,frobenius,depth,kappa,alpha"] if fmt == "csv" else []
+    for g in stream:
+        rec = invariants(g)
+        fields = {
+            "gaps": list(g.elements),
+            "genus": rec.genus,
+            "multiplicity": rec.multiplicity,
+            "conductor": rec.conductor,
+            "frobenius": rec.frobenius,
+            "depth": rec.depth,
+            "kappa": rec.kappa,
+            "alpha": rec.alpha,
+        }
+        if fmt == "text":
+            lines.append(",".join(map(str, g.elements)))
+        elif fmt == "json":
+            lines.append(json.dumps(fields))
+        else:
+            fields["gaps"] = " ".join(map(str, g.elements))
+            fields["alpha"] = "" if rec.alpha is None else rec.alpha
+            lines.append(",".join(map(str, fields.values())))
+    return "".join(line + "\n" for line in lines)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("which", ["none", "kappa", "pure", "depth"])
+def test_stdout_matches_the_gapset_path(fmt, which, capsys):
+    for genus in range(13):
+        values = {0, 1, 2, -(-2 * genus // 3), genus}
+        for v in sorted(values) if which != "none" else [None]:
+            flags = {
+                "none": (),
+                "kappa": ("--kappa", str(v)),
+                "pure": ("--kappa", str(v), "--pure"),
+                "depth": ("--depth", str(v)),
+            }[which]
+            code, out = run(capsys, "enumerate", "--genus", str(genus), "--format", fmt, *flags)
+            assert code == 0
+            expected = reference_stdout(
+                genus,
+                fmt,
+                kappa=v if which in ("kappa", "pure") else None,
+                pure=which == "pure",
+                depth=v if which == "depth" else None,
+            )
+            assert out == expected, (genus, flags)
+
+
+def test_genus_16_json_digest(capsys):
+    code, out = run(capsys, "enumerate", "--genus", "16", "--format", "json")
+    assert code == 0
+    lines, digest = GENUS_16_JSON
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTable:
@@ -167,6 +217,9 @@ class TestSequence:
         ["verify", "--max-genus", "3", "--workers", "-3"],
         ["table", "--max-genus", "3", "--workers", "2"],
         ["sequence", "gw", "--max-w", "3", "--workers", "1"],
+        ["enumerate", "--genus", "4", "--kappa", "-1"],
+        ["enumerate", "--genus", "4", "--depth", "-1"],
+        ["map", "--gapset", "1,2,4,7", "--op", "phi-inverse", "--kappa", "-1"],
     ],
 )
 def test_bad_bounds_exit_2(argv):
@@ -181,14 +234,17 @@ def test_bad_bounds_exit_2(argv):
         ["table", "--max-genus", "31"],
         ["sequence", "ng", "--max-genus", "40"],
         ["sequence", "gw", "--max-w", "11"],
+        ["enumerate", "--genus", "31", "--format", "csv"],
+        ["verify", "--max-genus", "31"],
+        ["verify", "--max-genus", "30", "--suite", "bijection"],
     ],
 )
 def test_resource_limit_exit_3_before_searching(argv, monkeypatch, capsys):
     def entered(*_args):
         raise AssertionError("the tree search started")
 
-    monkeypatch.setattr(enumeration, "_iter_tuples", entered)
-    monkeypatch.setattr(enumeration, "_count_cells", entered, raising=False)
+    monkeypatch.setattr(enumeration, "_iter_records", entered)
+    monkeypatch.setattr(enumeration, "_count_cells", entered)
     assert main(argv) == 3
     assert capsys.readouterr().out == ""
 
@@ -233,6 +289,26 @@ class TestMap:
 
 
 class TestVerify:
+    def test_cache_dir_flag_and_env(self, capsys, tmp_path, monkeypatch):
+        env_dir = tmp_path / "env"
+        flag_dir = tmp_path / "flag"
+        monkeypatch.setenv("GAPSET_CACHE_DIR", str(env_dir))
+        run(capsys, "verify", "--max-genus", "3", "--suite", "core")
+        assert (env_dir / "gapsets-g3.txt").exists()
+        run(
+            capsys, "verify", "--max-genus", "3", "--suite", "core",
+            "--cache-dir", str(flag_dir),
+        )
+        assert (flag_dir / "gapsets-g3.txt").exists()
+
+    def test_corrupt_cache_fails_loudly(self, capsys, tmp_path):
+        argv = ("verify", "--max-genus", "3", "--suite", "core", "--cache-dir", str(tmp_path))
+        assert run(capsys, *argv)[0] == 0
+        path = tmp_path / "gapsets-g3.txt"
+        path.write_bytes(path.read_bytes().replace(b"1,2,3", b"1,2,9", 1))
+        code, _ = run(capsys, *argv)
+        assert code == 1
+
     def test_core_suite_coverage(self, capsys):
         code, out = run(capsys, "verify", "--max-genus", "3", "--suite", "core")
         assert code == 0

@@ -22,6 +22,7 @@ from gapsets.enumeration import (
     ResourceLimitError,
     cache_path,
     count_by_kappa,
+    enumerate_records,
 )
 
 from expected_counts import COUNTS_BY_KAPPA, GAPSET_COUNTS, LARGE_GAPSET_COUNTS
@@ -117,6 +118,44 @@ class TestCountWalk:
             count_by_kappa(5, genus_ceiling=4)
         with pytest.raises(ValueError):
             count_by_kappa(-1)
+
+
+class TestRecordWalk:
+    def test_records_match_invariants(self):
+        for g in range(17):
+            for elems, m, k, a in enumerate_records(g):
+                rec = invariants(Gapset(elems))
+                c = elems[-1] + 1 if elems else 0
+                assert (m, c, -(-c // m), k, a) == (
+                    rec.multiplicity, rec.conductor, rec.depth, rec.kappa, rec.alpha
+                ), elems
+
+    def test_elements_match_brute_force(self):
+        for g in range(11):
+            walk = [rec[0] for rec in enumerate_records(g)]
+            assert walk == [x.elements for x in brute_force_gapsets(g)], g
+
+    def test_small_genus_conventions(self):
+        assert list(enumerate_records(0)) == [((), 1, 0, None)]
+        assert list(enumerate_records(1)) == [((1,), 2, 1, None)]
+
+    @pytest.mark.parametrize("depth", [0, 1, 2, 5, 9])
+    def test_subtrees_concatenate_to_the_full_walk(self, depth):
+        roots = [rec[0] for rec in enumeration._iter_records(depth)]
+        joined = [rec for root in roots for rec in enumeration._iter_records(12, root)]
+        assert joined == list(enumerate_records(12))
+
+    def test_bounds_checked_before_the_walk(self, monkeypatch):
+        def entered(*_args):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(enumeration, "_iter_records", entered)
+        with pytest.raises(ResourceLimitError):
+            enumerate_records(31)
+        with pytest.raises(ResourceLimitError):
+            enumerate_records(5, genus_ceiling=4)
+        with pytest.raises(ValueError):
+            enumerate_records(-1)
 
 
 class TestFilters:

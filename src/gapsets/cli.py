@@ -12,7 +12,6 @@ import sys
 from typing import Optional
 
 from .core import (
-    Gapset,
     GapsetRejection,
     as_candidate,
     invariants,
@@ -27,6 +26,7 @@ from .enumeration import (
 from .maps import (
     PreconditionError,
     UnsupportedDepthError,
+    classify_image,
     narrow_max_gap,
     shift_blocks,
     widen_max_gap,
@@ -154,16 +154,6 @@ def cmd_sequence(args, out) -> int:
     return EXIT_OK
 
 
-def _classify(elements, claimed_m: int) -> str:
-    from .core import is_m_set
-
-    if isinstance(validate_gapset(elements), Gapset):
-        return "gapset"
-    if is_m_set(elements, claimed_m):
-        return "m-set-not-gapset"
-    return "not-m-set"
-
-
 def cmd_map(args, out) -> int:
     try:
         values = [int(tok) for tok in args.gapset.split(",") if tok.strip()]
@@ -200,7 +190,7 @@ def cmd_map(args, out) -> int:
             shifted = shift_blocks(g)
             print("sigma: " + ",".join(map(str, shifted)), file=out)
             print(
-                f"classification: {_classify(shifted, rec.multiplicity + 1)}",
+                f"classification: {classify_image(shifted, rec.multiplicity + 1)}",
                 file=out,
             )
         else:  # phi-inverse

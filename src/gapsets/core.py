@@ -60,10 +60,7 @@ class Gapset:
 
     @cached_property
     def _mask(self) -> int:
-        m = 0
-        for v in self.elements:
-            m |= 1 << v
-        return m
+        return element_mask(self.elements)
 
     def __contains__(self, value: int) -> bool:
         return value > 0 and (self._mask >> value) & 1 == 1
@@ -89,17 +86,42 @@ class GapsetRejection:
         return (self.value, self.left, self.right)
 
 
+def element_mask(elements: Iterable[int]) -> int:
+    """The set as an int with bit v set for every member v."""
+    mask = 0
+    for v in elements:
+        mask |= 1 << v
+    return mask
+
+
 def validate_gapset(values: Iterable[int]) -> Union[Gapset, GapsetRejection]:
     """Check the gapset property and return a Gapset, or the smallest failing split.
 
     A candidate passes iff for every member z and every split z = x + y with
     1 <= x <= y, at least one of x, y is a member.  The empty set passes
     vacuously.
+
+    The check runs on bit masks first: with `holes` the non-members below
+    the largest member, the candidate passes iff no sum of two holes is a
+    member, i.e. (holes << s) & mask == 0 for every hole s (the smaller part
+    of a split is at most half the largest member, so only those s are
+    tried).  Only a candidate that fails this test goes through the
+    member-by-member split loop, which finds the witness.
     """
     elems = as_candidate(values)
-    mask = 0
-    for v in elems:
-        mask |= 1 << v
+    if not elems:
+        return Gapset(elems)
+    mask = element_mask(elems)
+    top = elems[-1]
+    holes = ((1 << top) - 2) & ~mask
+    small = holes & ((2 << (top // 2)) - 1)
+    while small:
+        low = small & -small
+        if (holes << (low.bit_length() - 1)) & mask:
+            break
+        small ^= low
+    else:
+        return Gapset(elems)
     for z in elems:
         for x in range(1, z // 2 + 1):
             if not (mask >> x) & 1 and not (mask >> (z - x)) & 1:
@@ -235,8 +257,8 @@ def is_m_set(candidate: Iterable[int], m: int) -> bool:
     if m < 1:
         raise ValueError("m must be >= 1")
     elems = as_candidate(candidate)
-    present = set(elems)
-    if not all(i in present for i in range(1, m)):
+    low = (1 << m) - 2
+    if element_mask(elems) & low != low:
         return False
     return all(v % m != 0 for v in elems)
 
@@ -252,16 +274,17 @@ def is_m_extension(candidate: Iterable[int], m: int) -> bool:
     if m < 1:
         raise ValueError("m must be >= 1")
     elems = as_candidate(candidate)
-    present = set(elems)
-    if not all(i in present for i in range(1, m)):
+    mask = element_mask(elems)
+    low = (1 << m) - 2
+    if mask & low != low:
         return False
     if any(v % m == 0 for v in elems):
         return False
     top = elems[-1] // m if elems else 0
-    prev = set(range(1, m))
+    prev = low
     for i in range(1, top + 1):
-        block = {v for v in elems if i * m < v < (i + 1) * m}
-        if not block <= {v + m for v in prev}:
+        block = mask & (low << (i * m))
+        if block & ~(prev << m):
             return False
         prev = block
     return True

@@ -77,13 +77,17 @@ def widen_max_gap(g: Gapset) -> WidenImage:
         + tuple(v + 2 for v in elems[cut:])
     )
     claimed_m = multiplicity(g) + 1
-    if isinstance(validate_gapset(image), Gapset):
-        classification = CLASS_GAPSET
-    elif is_m_set(image, claimed_m):
-        classification = CLASS_M_SET_NOT_GAPSET
-    else:
-        classification = CLASS_NOT_M_SET
-    return WidenImage(image, claimed_m, classification)
+    return WidenImage(image, claimed_m, classify_image(image, claimed_m))
+
+
+def classify_image(elements: Iterable[int], claimed_m: int) -> str:
+    """Classify a map's raw image: CLASS_GAPSET if it is a gapset, else
+    CLASS_M_SET_NOT_GAPSET if it is a claimed_m-set, else CLASS_NOT_M_SET."""
+    if isinstance(validate_gapset(elements), Gapset):
+        return CLASS_GAPSET
+    if is_m_set(elements, claimed_m):
+        return CLASS_M_SET_NOT_GAPSET
+    return CLASS_NOT_M_SET
 
 
 def narrow_max_gap(h: Gapset, max_gap: int) -> Gapset:
@@ -220,6 +224,15 @@ def verify_bijection(
     provider = by_genus if by_genus is not None else enumerate_gapsets
     source = list(filter_pure_sparse(provider(genus), kappa))
     target = list(filter_pure_sparse(provider(genus + 1), kappa + 1))
+    return _bijection_report(genus, kappa, source, target)
+
+
+def _bijection_report(
+    genus: int, kappa: int, source: list[Gapset], target: list[Gapset]
+) -> BijectionReport:
+    """Check the widening bijection between the pure kappa-sparse gapsets
+    `source` of genus g and the pure (kappa+1)-sparse gapsets `target` of
+    genus g+1, both in enumeration order."""
     target_set = {h.elements for h in target}
     source_set = {g.elements for g in source}
 

@@ -6,6 +6,12 @@ failures in enumeration (lexicographic) order.  The suites encode the
 structural facts the rest of the package relies on: invariant bounds and
 consistency, pure-sparse inequalities, behaviour of the gap-widening map,
 and the widening bijection with its count stabilization.
+
+Set tests run on bit masks of the elements (bit v set for member v):
+re-validation, m-set and m-extension membership, and the shifted-gap
+window test.  The bijection suite splits each genus into its kappa
+families once and checks every (g, k) pair from that split.  Each check
+still computes its own answer; none reads another check's result.
 """
 
 from __future__ import annotations
@@ -19,6 +25,8 @@ from .core import (
     Elements,
     Gapset,
     canonical_partition,
+    depth,
+    element_mask,
     invariants,
     is_m_extension,
     is_m_set,
@@ -26,7 +34,7 @@ from .core import (
     validate_gapset,
 )
 from .enumeration import _check_genus, gapsets_for_genus
-from .maps import classify_widest_pair, verify_bijection, widen_max_gap
+from .maps import _bijection_report, classify_widest_pair, widen_max_gap
 from .tally import build_count_grid, stabilization_check
 
 SUITE_NAMES = ("core", "sparse", "phi", "bijection")
@@ -58,10 +66,6 @@ class SuiteReport:
         self.checks_run += 1
         if not condition:
             self.violations.append(Violation(self.suite, name, elements, detail))
-
-
-def _m_set_depth(elements: Elements, m: int) -> int:
-    return -(-elements[-1] // m) if elements else 0
 
 
 def memoized_provider(
@@ -144,13 +148,15 @@ def core_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
                 )
                 # No element may land strictly between a + l_j and a + l_{j+1}
                 # for any multiple a of m, as long as the window stays within
-                # reach of the conductor.
+                # reach of the conductor.  The window (lo, hi) is tested as
+                # the hi - lo - 1 bits of the element mask above lo.
+                mask = element_mask(e)
                 windows_ok = True
                 for j in range(genus - 1):
+                    width = (1 << (e[j + 1] - e[j] - 1)) - 1
                     step = 0
                     while step + e[j + 1] <= rec.conductor:
-                        lo, hi = step + e[j], step + e[j + 1]
-                        if any(lo < v < hi for v in e):
+                        if (mask >> (step + e[j] + 1)) & width:
                             windows_ok = False
                         step += m
                 report.check("shifted-gap-windows-empty", windows_ok, e)
@@ -243,7 +249,7 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
             report.check("image-size", len(ie) == genus + 1, e)
             report.check(
                 "image-range",
-                all(1 <= v <= 2 * (genus + 1) - 1 for v in ie),
+                min(ie) >= 1 and max(ie) <= 2 * (genus + 1) - 1,
                 e,
             )
             report.check(
@@ -265,7 +271,7 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
             elif rec.depth == 2:
                 report.check(
                     "depth2-image-is-next-m-set",
-                    is_m_set(ie, m + 1) and _m_set_depth(ie, m + 1) == 2,
+                    is_m_set(ie, m + 1) and depth(Gapset(ie)) == 2,
                     e,
                 )
                 checked = validate_gapset(ie)
@@ -280,7 +286,7 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
                 if not exceptional:
                     report.check(
                         "depth3-image-is-next-m-set",
-                        is_m_set(ie, m + 1) and _m_set_depth(ie, m + 1) == 3,
+                        is_m_set(ie, m + 1) and depth(Gapset(ie)) == 3,
                         e,
                     )
                 if 2 * genus <= 3 * rec.kappa:
@@ -324,12 +330,27 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
 
 def bijection_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
     """Round-trip the widening bijection on every (g, k) family with
-    2g <= 3k <= 3g and g <= max_genus, then check grid stabilization."""
+    2g <= 3k <= 3g and g <= max_genus, then check grid stabilization.
+
+    Each genus up to max_genus + 1 is split into its kappa families once,
+    in enumeration order, and every (g, k) check reads its two families
+    from that split."""
     report = SuiteReport("bijection", max_genus)
+    families: list[dict[int, list[Gapset]]] = []
+    for genus in range(max_genus + 2):
+        by_kappa: dict[int, list[Gapset]] = {}
+        for g in by_genus(genus):
+            by_kappa.setdefault(kappa_and_alpha(g)[0], []).append(g)
+        families.append(by_kappa)
     for genus in range(max_genus + 1):
         k_lo = -(-2 * genus // 3)
         for kappa in range(k_lo, genus + 1):
-            result = verify_bijection(genus, kappa, by_genus=by_genus)
+            result = _bijection_report(
+                genus,
+                kappa,
+                families[genus].get(kappa, []),
+                families[genus + 1].get(kappa + 1, []),
+            )
             report.gapsets_covered += result.source_size + result.target_size
             pair = f"(g={genus}, k={kappa})"
             report.check(

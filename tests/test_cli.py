@@ -12,6 +12,21 @@ from expected_counts import GENUS_16_JSON
 
 GOLDEN = Path(__file__).parent / "golden" / "table3_g19.md"
 
+VERIFY_REPORT_G12 = (
+    "suite core: gapsets=1413 checks=18358 violations=0\n"
+    "suite sparse: gapsets=1413 checks=7484 violations=0\n"
+    "suite phi: gapsets=1413 checks=9910 violations=0\n"
+    "suite bijection: gapsets=292 checks=141 violations=0\n"
+    "total: suites=4 gapsets=4531 checks=35893 violations=0\n"
+)
+VERIFY_REPORT_G16 = (
+    "suite core: gapsets=11770 checks=152999 violations=0\n"
+    "suite sparse: gapsets=11770 checks=60285 violations=0\n"
+    "suite phi: gapsets=11770 checks=73488 violations=0\n"
+    "suite bijection: gapsets=972 checks=229 violations=0\n"
+    "total: suites=4 gapsets=36282 checks=287001 violations=0\n"
+)
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -273,6 +288,7 @@ class TestMap:
         code, out = run(capsys, "map", "--gapset", "1,2,3,4,5,6,7,8,9,11,19,21", "--op", "sigma")
         assert code == 0
         assert "sigma: 1,2,3,4,5,6,7,8,9,10,12,20,23" in out
+        assert "classification: gapset" in out
 
     def test_narrow(self, capsys):
         code, out = run(
@@ -319,6 +335,18 @@ class TestVerify:
         code, out = run(capsys, "verify", "--max-genus", "6", "--suite", "all")
         assert code == 0
         assert out.count("violations=0") >= 4
+
+    @pytest.mark.parametrize(
+        "max_genus, report",
+        [
+            pytest.param("12", VERIFY_REPORT_G12, id="g12"),
+            pytest.param("16", VERIFY_REPORT_G16, id="g16", marks=pytest.mark.slow),
+        ],
+    )
+    def test_report_is_frozen(self, capsys, max_genus, report):
+        code, out = run(capsys, "verify", "--max-genus", max_genus, "--suite", "all")
+        assert code == 0
+        assert out == report
 
     def test_violations_exit_1_with_witness(self, capsys, monkeypatch):
         from gapsets import cli

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 
@@ -18,6 +20,43 @@ from gapsets import (
 from gapsets.core import EmptyPartitionError
 
 from strategies import gapsets, small_m_sets
+
+# Every subset of [1, 14] with at most 7 elements, the empty one included.
+SMALL_CANDIDATES = [
+    c for size in range(8) for c in combinations(range(1, 15), size)
+]
+
+
+def reference_validate(values):
+    """The member-by-member split loop, without the bit-mask fast accept."""
+    elems = as_candidate(values)
+    mask = 0
+    for v in elems:
+        mask |= 1 << v
+    for z in elems:
+        for x in range(1, z // 2 + 1):
+            if not (mask >> x) & 1 and not (mask >> (z - x)) & 1:
+                return GapsetRejection(z, x, z - x)
+    return Gapset(elems)
+
+
+def reference_is_m_set(values, m):
+    elems = as_candidate(values)
+    present = set(elems)
+    return all(i in present for i in range(1, m)) and all(v % m for v in elems)
+
+
+def reference_is_m_extension(values, m):
+    if not reference_is_m_set(values, m):
+        return False
+    elems = as_candidate(values)
+    prev = set(range(1, m))
+    for i in range(1, (elems[-1] // m if elems else 0) + 1):
+        block = {v for v in elems if i * m < v < (i + 1) * m}
+        if not block <= {v + m for v in prev}:
+            return False
+        prev = block
+    return True
 
 
 class TestValidate:
@@ -53,6 +92,20 @@ class TestValidate:
     @given(gapsets())
     def test_revalidation_is_idempotent(self, g):
         assert validate_gapset(g.elements) == g
+
+    def test_matches_the_split_loop_on_every_small_candidate(self):
+        accepted = 0
+        for cand in SMALL_CANDIDATES:
+            result = validate_gapset(cand)
+            assert result == reference_validate(cand), cand
+            accepted += isinstance(result, Gapset)
+        assert len(SMALL_CANDIDATES) == 9908
+        # the gapsets of genus <= 7 inside [1, 14]: all of them
+        assert accepted == 1 + 1 + 2 + 4 + 7 + 12 + 23 + 39
+
+    def test_unnormalized_input(self):
+        assert validate_gapset([7, 2, 4, 1, 2]) == Gapset((1, 2, 4, 7))
+        assert validate_gapset([5, 1, 6, 6]).as_triple() == (5, 2, 3)
 
 
 class TestInvariants:
@@ -166,6 +219,21 @@ class TestMSets:
     def test_extension_examples(self):
         assert is_m_extension([1, 2, 5], 3)
         assert not is_m_extension([1, 2, 7], 3)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_match_set_references(self, m):
+        for cand in SMALL_CANDIDATES:
+            assert is_m_set(cand, m) == reference_is_m_set(cand, m), cand
+            assert is_m_extension(cand, m) == reference_is_m_extension(cand, m), cand
+
+    def test_normalization_and_bad_m(self):
+        assert is_m_set([2, 1, 2, 5], 3)
+        assert is_m_extension([5, 2, 1, 1], 3)
+        for fn in (is_m_set, is_m_extension):
+            with pytest.raises(ValueError):
+                fn([1], 0)
+            with pytest.raises(ValueError):
+                fn([0, 1], 2)
 
     @given(gapsets())
     def test_every_gapset_extends_its_multiplicity(self, g):

@@ -22,8 +22,11 @@ from gapsets.maps import (
     PAIR_SPLIT,
     PreconditionError,
     UnsupportedDepthError,
+    _bijection_report,
+    classify_image,
     classify_widest_pair,
 )
+from gapsets.verification import memoized_provider
 
 from strategies import gapsets
 
@@ -88,6 +91,21 @@ class TestWiden:
         assert len(image.elements) == rec.genus + 1
         assert all(1 <= v <= 2 * rec.genus + 1 for v in image.elements)
         assert kappa_and_alpha(Gapset(image.elements))[0] == rec.kappa + 1
+
+
+class TestClassifyImage:
+    @pytest.mark.parametrize(
+        "elements, claimed_m, expected",
+        [
+            ((1, 2, 5), 3, CLASS_GAPSET),
+            ((), 1, CLASS_GAPSET),
+            ((1, 2, 7), 3, CLASS_M_SET_NOT_GAPSET),
+            ((1, 2, 6, 7), 3, CLASS_NOT_M_SET),
+            ((1, 4), 3, CLASS_NOT_M_SET),
+        ],
+    )
+    def test_three_way(self, elements, claimed_m, expected):
+        assert classify_image(elements, claimed_m) == expected
 
 
 class TestNarrow:
@@ -214,6 +232,28 @@ class TestBijection:
     def test_precondition(self):
         with pytest.raises(PreconditionError):
             verify_bijection(7, 4)
+
+    def test_grouped_families_give_the_same_report(self):
+        by_genus = memoized_provider()
+        grouped = []
+        for genus in range(14):
+            by_kappa = {}
+            for g in by_genus(genus):
+                by_kappa.setdefault(kappa_and_alpha(g)[0], []).append(g)
+            grouped.append(by_kappa)
+        families = 0
+        for genus in range(13):
+            for kappa in range(-(-2 * genus // 3), genus + 1):
+                report = _bijection_report(
+                    genus,
+                    kappa,
+                    grouped[genus].get(kappa, []),
+                    grouped[genus + 1].get(kappa + 1, []),
+                )
+                assert report == verify_bijection(genus, kappa, by_genus=by_genus)
+                assert report.bijective
+                families += 1
+        assert families == 35
 
     def test_depth2_witness_has_no_depth2_preimage(self):
         # [1,g] + {g+2} arises from the ordinary gapset, never from depth 2

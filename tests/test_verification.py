@@ -1,0 +1,139 @@
+"""The verify suites keep every check: its name, how often it runs, and
+which planted non-gapsets it flags."""
+
+from collections import Counter
+
+import pytest
+
+from gapsets import Gapset
+from gapsets.verification import SuiteReport, core_suite, phi_suite, run_suites
+
+# (suite, elements) -> (checks run, violations as (check, detail)), for a
+# provider that yields only Gapset(elements) at its genus.  Gapset() checks
+# only that the elements increase, so these are not gapsets.
+PLANTED = {
+    (core_suite, (1, 3, 4)): (13, [
+        ("partition-block-ranges", ""),
+        ("shifted-gap-windows-empty", ""),
+        ("revalidation-idempotent", ""),
+    ]),
+    (core_suite, (1, 4, 5)): (13, [
+        ("element-bounds", ""),
+        ("partition-block-ranges", ""),
+        ("shifted-gap-windows-empty", ""),
+        ("revalidation-idempotent", ""),
+    ]),
+    (core_suite, (2, 3)): (13, [
+        ("multiplicity-range", "m=1"),
+        ("depth-range", "q=4"),
+        ("element-bounds", ""),
+        ("partition-block-ranges", ""),
+        ("revalidation-idempotent", ""),
+    ]),
+    (core_suite, (1, 3, 6)): (13, [
+        ("conductor-range", "c=7"),
+        ("depth-range", "q=4"),
+        ("element-bounds", ""),
+        ("partition-block-ranges", ""),
+        ("shifted-gap-windows-empty", ""),
+        ("revalidation-idempotent", ""),
+    ]),
+    (phi_suite, (1, 3, 4)): (17, [
+        ("gapset-is-m-extension", ""),
+        ("depth3-image-is-next-m-set", ""),
+        ("depth3-image-in-next-family", ""),
+    ]),
+    (phi_suite, (2, 3)): (10, [("gapset-is-m-extension", "")]),
+    (phi_suite, (1, 2, 4, 8)): (26, [
+        ("image-range", ""),
+        ("gapset-is-m-extension", ""),
+        ("depth3-image-in-next-family", ""),
+    ]),
+    (phi_suite, (1, 3, 6)): (15, [
+        ("image-range", ""),
+        ("gapset-is-m-extension", ""),
+    ]),
+}
+
+# How often each check runs over every gapset of genus <= 12.
+CHECKS_AT_GENUS_12 = {
+    "core": {
+        "alpha-is-last-widest": 1411,
+        "conductor-range": 1412,
+        "depth-is-ceil-conductor-over-multiplicity": 1413,
+        "depth-range": 1412,
+        "element-bounds": 1412,
+        "frobenius-is-conductor-minus-1": 1413,
+        "multiplicity-range": 1412,
+        "partition-block-count": 1412,
+        "partition-block-ranges": 1412,
+        "partition-first-block": 1412,
+        "partition-union": 1412,
+        "revalidation-idempotent": 1413,
+        "shifted-gap-windows-empty": 1412,
+    },
+    "sparse": {
+        "below-diagonal-depth-cap": 146,
+        "genus-plus-kappa-at-most-conductor": 1413,
+        "kappa-at-most-genus": 1413,
+        "kappa-at-most-multiplicity": 1413,
+        "top-element-within-multiplicity-of-widest": 1411,
+        "widest-pair-trichotomy": 1400,
+        "widest-pair-unique": 144,
+        "widest-start-below-twice-multiplicity": 144,
+    },
+    "phi": {
+        "depth1-image-gapset-of-depth-2": 12,
+        "depth2-image-in-next-family": 596,
+        "depth2-image-is-next-m-set": 596,
+        "depth2-witness-has-no-depth2-preimage": 12,
+        "depth3-image-in-next-family": 86,
+        "depth3-image-is-next-m-set": 520,
+        "gapset-is-m-extension": 1413,
+        "image-kappa-raised": 1413,
+        "image-range": 1413,
+        "image-size": 1413,
+        "injective-within-family": 1413,
+        "small-m-set-is-gapset": 1023,
+    },
+    "bijection": {
+        "backward-round-trip": 35,
+        "family-counts-equal": 35,
+        "forward-round-trip": 35,
+        "grid-stabilization": 1,
+        "image-membership": 35,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "suite, elements", PLANTED, ids=lambda x: getattr(x, "__name__", str(x))
+)
+def test_planted_non_gapset_is_reported(suite, elements):
+    planted = Gapset(elements)
+
+    def by_genus(genus):
+        return [planted] if genus == len(elements) else []
+
+    report = suite(len(elements), by_genus)
+    checks, expected = PLANTED[suite, elements]
+    assert report.checks_run == checks
+    assert [(v.check, v.detail) for v in report.violations] == expected
+    assert all(v.elements == elements for v in report.violations)
+
+
+def test_every_check_runs_as_often_as_before(monkeypatch):
+    counts = Counter()
+    check = SuiteReport.check
+
+    def counting(self, name, condition, elements, detail=""):
+        counts[self.suite, name] += 1
+        check(self, name, condition, elements, detail)
+
+    monkeypatch.setattr(SuiteReport, "check", counting)
+    reports = run_suites(["core", "sparse", "phi", "bijection"], 12)
+    assert all(r.ok for r in reports)
+    assert {
+        suite: {name: n for (s, name), n in counts.items() if s == suite}
+        for suite in CHECKS_AT_GENUS_12
+    } == CHECKS_AT_GENUS_12

@@ -20,8 +20,9 @@ from .core import (
 from .enumeration import (
     CacheError,
     ResourceLimitError,
+    _check_genus,
+    _iter_records,
     count_by_kappa,
-    enumerate_records,
 )
 from .maps import (
     PreconditionError,
@@ -56,33 +57,30 @@ LOWER_BOUNDS = {
 CSV_HEADER = "gaps,genus,multiplicity,conductor,frobenius,depth,kappa,alpha"
 
 
-def _depth(elems, m: int) -> int:
-    return -(-(elems[-1] + 1) // m) if elems else 0
+# lines per `write` after the first kept line, which (like the CSV header)
+# is written on its own so output starts as soon as it is found
+BLOCK_LINES = 256
 
 
-def _text_line(elems, m, k, a) -> str:
-    return ",".join(map(str, elems)) + "\n"
+def _text_line(gaps, genus, c, m, k, a) -> str:
+    return gaps + "\n"
 
 
-def _json_line(elems, m, k, a) -> str:
+def _json_line(gaps, genus, c, m, k, a) -> str:
     """The bytes `json.dumps` gives for the record's dict (keys in this order)."""
-    c = elems[-1] + 1 if elems else 0
     return (
-        f'{{"gaps": [{", ".join(map(str, elems))}], "genus": {len(elems)}, '
+        f'{{"gaps": [{gaps}], "genus": {genus}, '
         f'"multiplicity": {m}, "conductor": {c}, "frobenius": {c - 1}, '
         f'"depth": {-(-c // m)}, "kappa": {k}, "alpha": {"null" if a is None else a}}}\n'
     )
 
 
-def _csv_line(elems, m, k, a) -> str:
-    c = elems[-1] + 1 if elems else 0
-    return (
-        f'{" ".join(map(str, elems))},{len(elems)},{m},{c},{c - 1},'
-        f'{-(-c // m)},{k},{"" if a is None else a}\n'
-    )
+def _csv_line(gaps, genus, c, m, k, a) -> str:
+    return f'{gaps},{genus},{m},{c},{c - 1},{-(-c // m)},{k},{"" if a is None else a}\n'
 
 
-LINE_FORMATS = {"text": _text_line, "json": _json_line, "csv": _csv_line}
+# format -> (element separator, line formatter taking the joined elements)
+LINE_FORMATS = {"text": (",", _text_line), "json": (", ", _json_line), "csv": (" ", _csv_line)}
 
 
 def _cache_dir(args) -> Optional[str]:
@@ -90,18 +88,32 @@ def _cache_dir(args) -> Optional[str]:
 
 
 def cmd_enumerate(args, out) -> int:
-    records = enumerate_records(args.genus)
-    kappa, depth_q = args.kappa, args.depth
-    line = LINE_FORMATS[args.format]
+    """Format each kernel record from its text label and write the kept lines
+    in blocks of BLOCK_LINES, one `write` per block."""
+    genus, kappa, pure, depth_q = args.genus, args.kappa, args.pure, args.depth
+    _check_genus(genus, None)
+    sep, line = LINE_FORMATS[args.format]
+    cut = len(sep)
+    pieces = [sep + str(v) for v in range(2 * genus + 2)]
+    bump = 1 if genus else 0  # c = last + 1, and 0 for the empty gapset
     write = out.write
     if args.format == "csv":
         write(CSV_HEADER + "\n")
-    for elems, m, k, a in records:
-        if kappa is not None and (k != kappa if args.pure else k > kappa):
+    block = []
+    flush_at = 1
+    for label, last, m, k, a in _iter_records(genus, pieces=pieces):
+        if kappa is not None and (k != kappa if pure else k > kappa):
             continue
-        if depth_q is not None and _depth(elems, m) != depth_q:
+        c = last + bump
+        if depth_q is not None and -(-c // m) != depth_q:
             continue
-        write(line(elems, m, k, a))
+        block.append(line(label[cut:], genus, c, m, k, a))
+        if len(block) >= flush_at:
+            write("".join(block))
+            block.clear()
+            flush_at = BLOCK_LINES
+    if block:
+        write("".join(block))
     return EXIT_OK
 
 

@@ -13,14 +13,19 @@ Membership bookkeeping uses two bit masks over [1, 2g+1]: the complement
 of the node (the positive semigroup elements) and its mirror image, so the
 split check for a candidate x is a single shift-and-AND.
 
-Listings come from one record walk (`enumerate_records`): each stack entry
-carries its node's multiplicity (once a value is skipped), running maximum
-gap and the index of its last widest pair, so every leaf is yielded as a
-record (elements, multiplicity, kappa, alpha) with no Gapset built and no
-second pass over its elements; `enumerate_gapsets` wraps the same walk's
-elements in Gapset values.  Aggregates come from one count-only walk (`count_by_kappa`, after Fromentin
-& Hivert, Exploring the tree of numerical semigroups, 2016): one pass to the
-largest genus counts every smaller genus by maximum gap, building no tuples.
+Listings come from one record walk (`_iter_records`): each stack entry
+carries its node's label, level, last element, multiplicity (once a value
+is skipped), running maximum gap and the index of its last widest pair, so
+every leaf is yielded as a kernel record (label, last, multiplicity, kappa,
+alpha) with no Gapset built and no second pass over its elements.  A label
+grows by one table entry per edge: by default the entry for x is (x,), so
+the label is the elements tuple; the CLI passes sep + str(x), so the label
+is already the gapset's text.  `enumerate_records` gives the public records
+(elements, multiplicity, kappa, alpha) and `enumerate_gapsets` wraps the
+same walk's elements in Gapset values.  Aggregates come from one count-only
+walk (`count_by_kappa`, after Fromentin & Hivert, Exploring the tree of
+numerical semigroups, 2016): one pass to the largest genus counts every
+smaller genus by maximum gap, building no tuples.
 """
 
 from __future__ import annotations
@@ -29,11 +34,9 @@ import multiprocessing
 import tempfile
 import zlib
 from collections import Counter
-from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from time import perf_counter
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .core import Elements, Gapset, depth, kappa_and_alpha, multiplicity, validate_gapset
 
@@ -45,6 +48,10 @@ CACHE_FILE_TEMPLATE = "gapsets-g{genus}.txt"
 
 # (elements, multiplicity, kappa, alpha) of one gapset
 Record = tuple[Elements, int, int, Optional[int]]
+# a node's label: its elements tuple, or their text (see `_iter_records`)
+Label = Union[Elements, str]
+# (label, last element, multiplicity, kappa, alpha) of one gapset
+KernelRecord = tuple[Label, int, int, int, Optional[int]]
 
 
 class ResourceLimitError(RuntimeError):
@@ -71,43 +78,60 @@ def _check_genus(genus: int, genus_ceiling: Optional[int]) -> None:
         raise ResourceLimitError(f"genus {genus} exceeds the ceiling {ceiling}")
 
 
-def _iter_records(genus: int, root: Elements = ()) -> Iterator[Record]:
-    """Depth-first walk from `root` yielding the records of its genus-`genus`
-    descendants in lexicographic order.
+def _iter_records(
+    genus: int, root: Elements = (), pieces: Optional[Sequence[Label]] = None
+) -> Iterator[KernelRecord]:
+    """Depth-first walk from `root` yielding the kernel records (label, last,
+    m, kappa, alpha) of its genus-`genus` descendants in lexicographic order.
+
+    A node's label is its parent's label + pieces[x], x the element it
+    appends.  The default table pieces[v] = (v,) makes the label the elements
+    tuple; a table of strings sep + str(v) (indices 0..2 * genus + 1) makes it
+    the elements' text, each element preceded by sep, so a listing converts
+    no element to text twice.  `last` is the largest element (0 for the empty
+    gapset), which a text label cannot give back.
 
     Masks are plain ints over [1, cap] with cap = 2 * genus + 1: bit i of
     smask tracks membership of i in the node's semigroup, and srev mirrors
-    smask at position cap - i, which turns the split test for x into one AND.
-    Stack entries are (elements, last, m, kappa, alpha, smask, srev); m stays
-    0 until the first skipped value, and the root's child 1 counts as a gap
-    of 1 - 0 = 1 at index 0, which gives the genus-1 conventions (kappa 1,
-    alpha None) and never survives into a longer gapset.  Children of the
-    last inner level are yielded where they are found instead of pushed.
+    smask at position cap - i, which turns the split test for x into one AND;
+    a push clears both bits through tables built once per walk.  Stack
+    entries are (label, level, last, m, kappa, alpha, smask, srev); m stays 0
+    until the first skipped value, and the root's child 1 counts as a gap of
+    1 - 0 = 1 at index 0, which gives the genus-1 conventions (kappa 1, alpha
+    None) and never survives into a longer gapset.  Children of the last
+    inner level are yielded where they are found instead of pushed.
     """
     cap = 2 * genus + 1
+    if pieces is None:
+        pieces = [(v,) for v in range(cap + 1)]
+    clear = [~(1 << v) for v in range(cap + 1)]
+    rclear = [~(1 << (cap - v)) for v in range(cap + 1)]
     smask = ((1 << (cap + 1)) - 1) & ~1  # bits 1..cap
     srev = (1 << cap) - 1  # bits cap-1..0, i.e. cap - i for i in 1..cap
+    label = pieces[0][:0]  # () or "", the empty label of the table's type
     for v in root:
-        smask &= ~(1 << v)
-        srev &= ~(1 << (cap - v))
+        smask &= clear[v]
+        srev &= rclear[v]
+        label += pieces[v]
     head = Gapset(root)
     kappa, alpha = kappa_and_alpha(head)
     m = multiplicity(head)
+    last = root[-1] if root else 0
     if len(root) == genus:
-        yield root, m, kappa, alpha
+        yield label, last, m, kappa, alpha
         return
     stack = [
-        (root, root[-1] if root else 0, m if m <= len(root) else 0, kappa, alpha or 0, smask, srev)
+        (label, len(root), last, m if m <= len(root) else 0, kappa, alpha or 0, smask, srev)
     ]
     while stack:
-        elems, last, m, k, a, sm, sr = stack.pop()
-        j = len(elems)
+        label, j, last, m, k, a, sm, sr = stack.pop()
         if j + 1 == genus:
             for x in range(last + 1, 2 * j + 2):
                 if sm & (sr >> (cap - x)) == 0:
                     d = x - last
                     yield (
-                        elems + (x,),
+                        label + pieces[x],
+                        x,
                         m or (j + 1 if d > 1 else genus + 1),
                         d if d >= k else k,
                         (j or None) if d >= k else a,
@@ -117,13 +141,14 @@ def _iter_records(genus: int, root: Elements = ()) -> Iterator[Record]:
             if sm & (sr >> (cap - x)) == 0:
                 d = x - last
                 stack.append((
-                    elems + (x,),
+                    label + pieces[x],
+                    j + 1,
                     x,
                     m or (j + 1 if d > 1 else 0),
                     d if d >= k else k,
                     j if d >= k else a,
-                    sm & ~(1 << x),
-                    sr & ~(1 << (cap - x)),
+                    sm & clear[x],
+                    sr & rclear[x],
                 ))
 
 
@@ -134,7 +159,7 @@ def enumerate_records(genus: int, *, genus_ceiling: Optional[int] = None) -> Ite
     follow: c = elements[-1] + 1 (0 for genus 0), F = c - 1, depth = ceil(c / m).
     """
     _check_genus(genus, genus_ceiling)
-    return _iter_records(genus)
+    return ((elems, m, k, a) for elems, _, m, k, a in _iter_records(genus))
 
 
 def _count_cells(max_genus: int) -> list[list[int]]:
@@ -349,58 +374,3 @@ def gapsets_for_genus(
         yield from cache_load(genus, cache_dir)
         return
     yield from enumerate_gapsets(genus, workers=workers, genus_ceiling=genus_ceiling)
-
-
-@dataclass(frozen=True)
-class FilterSpec:
-    """Filter applied to an enumeration: maximum gap (exact when pure,
-    upper bound otherwise), optionally a fixed depth."""
-
-    kappa: int
-    pure: bool = True
-    depth: Optional[int] = None
-
-
-@dataclass(frozen=True)
-class EnumerationRun:
-    """Provenance of one genus-level enumeration."""
-
-    genus: int
-    filter: Optional[FilterSpec]
-    total: int
-    source: str  # "fresh-search" | "cache"
-    wall_time_s: float
-
-
-def run_enumeration(
-    genus: int,
-    *,
-    filter_spec: Optional[FilterSpec] = None,
-    cache_dir: Optional[str | Path] = None,
-    workers: int = 1,
-    genus_ceiling: Optional[int] = None,
-) -> tuple[list[Gapset], EnumerationRun]:
-    """Materialize one enumeration together with its provenance record."""
-    t0 = perf_counter()
-    source = "fresh-search"
-    if cache_dir is not None and cache_path(cache_dir, genus).exists():
-        source = "cache"
-    stream = gapsets_for_genus(
-        genus, cache_dir=cache_dir, workers=workers, genus_ceiling=genus_ceiling
-    )
-    if filter_spec is not None:
-        stream = filter_gapsets(
-            stream,
-            kappa=filter_spec.kappa,
-            pure=filter_spec.pure,
-            depth_q=filter_spec.depth,
-        )
-    found = list(stream)
-    run = EnumerationRun(
-        genus=genus,
-        filter=filter_spec,
-        total=len(found),
-        source=source,
-        wall_time_s=perf_counter() - t0,
-    )
-    return found, run

@@ -8,7 +8,11 @@ single entry k=0).  DIAGONAL_TERMS[w] counts the pure 2w-sparse gapsets of
 genus 3w (OEIS A348619); DIAGONAL_RATIOS / DIAGONAL_CUMULATIVE are the
 published three-decimal renderings of the step and cumulative ratios.
 GENUS_16_JSON is the (line count, sha256) of `gapsets enumerate --genus 16
---format json` stdout, the digest perfbench/expected.py records for it.
+--format json` stdout, the digest perfbench/expected.py records for it;
+GENUS_16_TEXT and GENUS_16_CSV are the same for `--format text` and
+`--format csv`, recorded from the CLI before the writes moved to blocks.
+STREAM_DIGESTS holds (line count, sha256) for the larger `enumerate`
+commands of the benchmark's stream workload, copied from perfbench/expected.py.
 """
 
 GAPSET_COUNTS = [
@@ -59,3 +63,16 @@ DIAGONAL_CUMULATIVE = [
 ]
 
 GENUS_16_JSON = (4806, "aca4eb0872c5e17c7c4b3bcd51d8599758d59396a48f63f78b3561444d127783")
+GENUS_16_TEXT = (4806, "521329049ceb73d73b864f2d9950b1ae3385d3f1c1f324fc86f30909c36cc8aa")
+GENUS_16_CSV = (4807, "8426a41c390b4e32f8f5d21908ec0cd08e4dda8611e9a04d76babbf2858e85bd")
+
+STREAM_DIGESTS = {
+    ("enumerate", "--genus", "21", "--format", "json"):
+        (62194, "992960d09891b1771213ceb38b996414020b7f39b82887bc4e99327ccd85fd16"),
+    ("enumerate", "--genus", "22", "--kappa", "11", "--pure", "--format", "csv"):
+        (2746, "53ff1654e2e95675ddd7bd66908a3e879ada599e82225a0fe48f0f284a5c44e9"),
+    ("enumerate", "--genus", "22", "--kappa", "12", "--pure", "--format", "csv"):
+        (1946, "dd5fa91cb7473167b9467f6d2923bf0b1aee9ae6df67b4a503df338108271d5d"),
+    ("enumerate", "--genus", "22", "--kappa", "13", "--pure", "--format", "csv"):
+        (1157, "f0a04c69d55b3cbbeb6ab6a748f8edf4dacefd1cdd9ae56cb54c9066e1d887a8"),
+}

@@ -1,14 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from gapsets import enumerate_gapsets, enumeration, invariants, validate_gapset
-from gapsets.cli import main
+from gapsets.cli import BLOCK_LINES, CSV_HEADER, main
 from gapsets.enumeration import filter_gapsets
 
-from expected_counts import GENUS_16_JSON
+from expected_counts import GAPSET_COUNTS, GENUS_16_CSV, GENUS_16_JSON, GENUS_16_TEXT, STREAM_DIGESTS
 
 GOLDEN = Path(__file__).parent / "golden" / "table3_g19.md"
 
@@ -161,12 +164,85 @@ def test_stdout_matches_the_gapset_path(fmt, which, capsys):
             assert out == expected, (genus, flags)
 
 
+def assert_digest(out, frozen):
+    lines, digest = frozen
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_genus_16_json_digest(capsys):
     code, out = run(capsys, "enumerate", "--genus", "16", "--format", "json")
     assert code == 0
-    lines, digest = GENUS_16_JSON
-    assert out.count("\n") == lines
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    assert_digest(out, GENUS_16_JSON)
+
+
+@pytest.mark.parametrize("fmt, frozen", [("text", GENUS_16_TEXT), ("csv", GENUS_16_CSV)])
+def test_genus_16_digest(capsys, fmt, frozen):
+    code, out = run(capsys, "enumerate", "--genus", "16", "--format", fmt)
+    assert code == 0
+    assert_digest(out, frozen)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("argv", list(STREAM_DIGESTS), ids="-".join)
+def test_stream_digest(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert_digest(out, STREAM_DIGESTS[argv])
+
+
+class WriteLog:
+    """A stdout stand-in that keeps every `write` call's argument."""
+
+    def __init__(self):
+        self.calls = []
+
+    def write(self, s):
+        self.calls.append(s)
+        return len(s)
+
+
+def write_calls(monkeypatch, *argv):
+    sink = WriteLog()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert main(list(argv)) == 0
+    return sink.calls
+
+
+class TestBlockWrites:
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_calls_and_their_sizes(self, monkeypatch, capsys, fmt):
+        argv = ("enumerate", "--genus", "12", "--format", fmt)
+        _, expected = run(capsys, *argv)
+        calls = write_calls(monkeypatch, *argv)
+        assert "".join(calls) == expected
+        if fmt == "csv":
+            assert calls.pop(0) == CSV_HEADER + "\n"
+        rest = GAPSET_COUNTS[12] - 1  # lines after the first
+        sizes = [call.count("\n") for call in calls]
+        assert sizes == [1] + [BLOCK_LINES] * (rest // BLOCK_LINES) + [rest % BLOCK_LINES]
+
+    def test_genus_16_json_blocks(self, monkeypatch):
+        calls = write_calls(monkeypatch, "enumerate", "--genus", "16", "--format", "json")
+        assert len(calls) <= -(-GAPSET_COUNTS[16] // BLOCK_LINES) + 1
+        assert_digest("".join(calls), GENUS_16_JSON)
+
+    @pytest.mark.parametrize("fmt, expected", [("text", []), ("json", []), ("csv", [CSV_HEADER + "\n"])])
+    def test_nothing_kept(self, monkeypatch, fmt, expected):
+        argv = ("enumerate", "--genus", "8", "--kappa", "20", "--pure", "--format", fmt)
+        assert write_calls(monkeypatch, *argv) == expected
+
+
+def test_unbuffered_pipe_matches_in_process(capsys):
+    argv = ["enumerate", "--genus", "12", "--format", "json"]
+    _, expected = run(capsys, *argv)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONUNBUFFERED="1")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gapsets.cli", *argv], stdout=subprocess.PIPE, env=env, check=True
+    )
+    assert proc.stdout == expected.encode()
 
 
 class TestTable:

@@ -11,13 +11,11 @@ from gapsets import (
     filter_pure_sparse,
     invariants,
     kappa_and_alpha,
-    run_enumeration,
     validate_gapset,
 )
 from gapsets import enumeration
 from gapsets.enumeration import (
     CorruptCacheError,
-    FilterSpec,
     MissingCacheError,
     ResourceLimitError,
     cache_path,
@@ -143,7 +141,29 @@ class TestRecordWalk:
     def test_subtrees_concatenate_to_the_full_walk(self, depth):
         roots = [rec[0] for rec in enumeration._iter_records(depth)]
         joined = [rec for root in roots for rec in enumeration._iter_records(12, root)]
-        assert joined == list(enumerate_records(12))
+        assert joined == list(enumeration._iter_records(12))
+
+    @pytest.mark.parametrize("sep", [",", ", ", " "])
+    def test_text_labels_match_the_tuple_walk(self, sep):
+        for g in range(15):
+            pieces = [sep + str(v) for v in range(2 * g + 2)]
+            text = list(enumeration._iter_records(g, pieces=pieces))
+            tuples = list(enumeration._iter_records(g))
+            assert len(text) == len(tuples) == GAPSET_COUNTS[g]
+            for (label, *rest), (elems, last, *expected) in zip(text, tuples):
+                assert label == "".join(sep + str(v) for v in elems)
+                assert label[len(sep):] == sep.join(map(str, elems))
+                assert last == (elems[-1] if elems else 0)
+                assert rest == [last, *expected], elems
+
+    @pytest.mark.parametrize("depth", [1, 4, 7])
+    def test_text_labels_from_a_root(self, depth):
+        pieces = [" " + str(v) for v in range(2 * 11 + 2)]
+        roots = [rec[0] for rec in enumeration._iter_records(depth)]
+        joined = [
+            rec for root in roots for rec in enumeration._iter_records(11, root, pieces)
+        ]
+        assert joined == list(enumeration._iter_records(11, pieces=pieces))
 
     def test_bounds_checked_before_the_walk(self, monkeypatch):
         def entered(*_args):
@@ -219,17 +239,3 @@ class TestCache:
     def test_genus_zero_round_trip(self, tmp_path):
         cache_store(0, enumerate_gapsets(0), tmp_path)
         assert cache_load(0, tmp_path) == [Gapset(())]
-
-
-class TestRunEnumeration:
-    def test_provenance(self, tmp_path):
-        found, run = run_enumeration(6, cache_dir=tmp_path)
-        assert (run.source, run.total) == ("fresh-search", 23)
-        assert run.total == len(found) == GAPSET_COUNTS[6]
-        found2, run2 = run_enumeration(6, cache_dir=tmp_path)
-        assert (run2.source, found2) == ("cache", found)
-        assert run.wall_time_s >= 0
-
-    def test_filtered_total(self):
-        found, run = run_enumeration(6, filter_spec=FilterSpec(kappa=4))
-        assert run.total == len(found) == 5

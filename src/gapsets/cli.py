@@ -18,6 +18,7 @@ from .core import (
     validate_gapset,
 )
 from .enumeration import (
+    DEFAULT_GENUS_CEILING,
     CacheError,
     ResourceLimitError,
     _check_genus,
@@ -273,7 +274,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequence", help="count sequences")
     p.add_argument("which", choices=["ng", "gw"])
     p.add_argument("--max-genus", type=int, help="for ng")
-    p.add_argument("--max-w", type=int, help="for gw")
+    p.add_argument(
+        "--max-w",
+        type=int,
+        help="for gw; the walk goes to genus 3w, so at most "
+        f"{DEFAULT_GENUS_CEILING // 3} under the genus-{DEFAULT_GENUS_CEILING} ceiling",
+    )
 
     p = sub.add_parser("map", help="apply a genus-raising map to one gapset")
     p.add_argument("--gapset", required=True, help="comma-separated elements")

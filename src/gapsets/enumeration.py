@@ -11,7 +11,18 @@ lexicographic order on element sequences.
 
 Membership bookkeeping uses two bit masks over [1, 2g+1]: the complement
 of the node (the positive semigroup elements) and its mirror image, so the
-split check for a candidate x is a single shift-and-AND.
+split check for a candidate x is a single shift-and-AND.  A third mask holds
+the node's children, and each child inherits it from its parent, as in
+Fromentin & Hivert, Exploring the tree of numerical semigroups (Math. Comp.
+85, 2016), where each node keeps and passes on its generators.  The root's
+children are {1}.  The children of a child x of G (at level j) are the
+children of G above x, plus each y in (x, 2j + 3] with y - x in G's
+semigroup that passes the split test on G + {x}.  This is exact: appending
+x turns no gap back into a semigroup element, so every child of G above x
+stays a child, and a y that is a child of G + {x} but not of G (every y
+past 2j + 1 is not) has a split y = u + v missing G, which must use x, so
+y - x is not in G.  So a new node runs the split test only on the new
+candidates, never on every value in (x, 2j + 3].
 
 Listings come from one record walk (`_iter_records`): each stack entry
 carries its node's label, level, last element, multiplicity (once a value
@@ -23,9 +34,11 @@ the label is the elements tuple; the CLI passes sep + str(x), so the label
 is already the gapset's text.  `enumerate_records` gives the public records
 (elements, multiplicity, kappa, alpha) and `enumerate_gapsets` wraps the
 same walk's elements in Gapset values.  Aggregates come from one count-only
-walk (`count_by_kappa`, after Fromentin & Hivert, Exploring the tree of
-numerical semigroups, 2016): one pass to the largest genus counts every
-smaller genus by maximum gap, building no tuples.
+walk (`count_by_kappa`): one pass to the largest genus counts every
+smaller genus by maximum gap, building no tuples; at the last level it
+counts a node's children with no loop: every child x <= last + max_gap
+falls in the parent's cell, so that cell gets a popcount of the children
+mask.
 """
 
 from __future__ import annotations
@@ -92,64 +105,88 @@ def _iter_records(
     gapset), which a text label cannot give back.
 
     Masks are plain ints over [1, cap] with cap = 2 * genus + 1: bit i of
-    smask tracks membership of i in the node's semigroup, and srev mirrors
-    smask at position cap - i, which turns the split test for x into one AND;
-    a push clears both bits through tables built once per walk.  Stack
-    entries are (label, level, last, m, kappa, alpha, smask, srev); m stays 0
-    until the first skipped value, and the root's child 1 counts as a gap of
-    1 - 0 = 1 at index 0, which gives the genus-1 conventions (kappa 1, alpha
-    None) and never survives into a longer gapset.  Children of the last
-    inner level are yielded where they are found instead of pushed.
+    sm tracks membership of i in the node's semigroup, sr mirrors sm at
+    position cap - i (which turns the split test for y into one AND), and ch
+    holds the node's children.  Stack entries are (label, level, last, m,
+    kappa, alpha, sm, sr, ch).  A child inherits its children from its parent
+    (the module docstring shows why this is exact): a `root`'s ch comes from
+    the split test over (last, 2j + 1], and a child's ch is its parent's
+    children above x plus the candidates (sm << x) & window & ~rest that pass
+    the split test on the child's masks.  m stays 0 until the first skipped
+    value, and the root's child 1 counts as a gap of 1 - 0 = 1 at index 0,
+    which gives the genus-1 conventions (kappa 1, alpha None) and never
+    survives into a longer gapset.  Children of the last inner level are
+    yielded by walking ch's bits upwards instead of being pushed.
     """
     cap = 2 * genus + 1
     if pieces is None:
         pieces = [(v,) for v in range(cap + 1)]
-    clear = [~(1 << v) for v in range(cap + 1)]
+    below = [(1 << i) - 1 for i in range(cap + 2)]
     rclear = [~(1 << (cap - v)) for v in range(cap + 1)]
-    smask = ((1 << (cap + 1)) - 1) & ~1  # bits 1..cap
-    srev = (1 << cap) - 1  # bits cap-1..0, i.e. cap - i for i in 1..cap
+    sm = below[cap + 1] ^ 1  # bits 1..cap
+    sr = below[cap]  # bits cap-1..0, i.e. cap - i for i in 1..cap
     label = pieces[0][:0]  # () or "", the empty label of the table's type
     for v in root:
-        smask &= clear[v]
-        srev &= rclear[v]
+        sm ^= 1 << v
+        sr &= rclear[v]
         label += pieces[v]
     head = Gapset(root)
     kappa, alpha = kappa_and_alpha(head)
     m = multiplicity(head)
     last = root[-1] if root else 0
-    if len(root) == genus:
+    j = len(root)
+    if j == genus:
         yield label, last, m, kappa, alpha
         return
-    stack = [
-        (label, len(root), last, m if m <= len(root) else 0, kappa, alpha or 0, smask, srev)
-    ]
+    ch = 0
+    for x in range(last + 1, 2 * j + 2):
+        if sm & (sr >> (cap - x)) == 0:
+            ch |= 1 << x
+    stack = [(label, j, last, m if m <= j else 0, kappa, alpha or 0, sm, sr, ch)]
     while stack:
-        label, j, last, m, k, a, sm, sr = stack.pop()
+        label, j, last, m, k, a, sm, sr, ch = stack.pop()
         if j + 1 == genus:
-            for x in range(last + 1, 2 * j + 2):
-                if sm & (sr >> (cap - x)) == 0:
-                    d = x - last
-                    yield (
-                        label + pieces[x],
-                        x,
-                        m or (j + 1 if d > 1 else genus + 1),
-                        d if d >= k else k,
-                        (j or None) if d >= k else a,
-                    )
-            continue
-        for x in range(2 * j + 1, last, -1):
-            if sm & (sr >> (cap - x)) == 0:
+            while ch:
+                b = ch & -ch
+                ch ^= b
+                x = b.bit_length() - 1
                 d = x - last
-                stack.append((
+                yield (
                     label + pieces[x],
-                    j + 1,
                     x,
-                    m or (j + 1 if d > 1 else 0),
+                    m or (j + 1 if d > 1 else genus + 1),
                     d if d >= k else k,
-                    j if d >= k else a,
-                    sm & clear[x],
-                    sr & rclear[x],
-                ))
+                    (j or None) if d >= k else a,
+                )
+            continue
+        window = below[2 * j + 4]
+        rest = 0  # the children above x
+        while ch:
+            x = ch.bit_length() - 1
+            b = 1 << x
+            ch ^= b
+            sm2 = sm ^ b
+            sr2 = sr & rclear[x]
+            kids = rest
+            new = (sm << x) & window & ~rest
+            while new:
+                yb = new & -new
+                new ^= yb
+                if sm2 & (sr2 >> (cap + 1 - yb.bit_length())) == 0:
+                    kids |= yb
+            d = x - last
+            stack.append((
+                label + pieces[x],
+                j + 1,
+                x,
+                m or (j + 1 if d > 1 else 0),
+                d if d >= k else k,
+                j if d >= k else a,
+                sm2,
+                sr2,
+                kids,
+            ))
+            rest |= b
 
 
 def enumerate_records(genus: int, *, genus_ceiling: Optional[int] = None) -> Iterator[Record]:
@@ -165,25 +202,52 @@ def enumerate_records(genus: int, *, genus_ceiling: Optional[int] = None) -> Ite
 def _count_cells(max_genus: int) -> list[list[int]]:
     """cells[g][k] = #{genus-g gapsets with maximum gap k}, from one walk.
 
-    Stack entries are (level, last, max_gap, smask, srev), with the masks and
-    split test of `_iter_records`; a child is counted where it is found and
-    pushed only below the last level.  Root child 1 gets max_gap 1 - 0 = 1.
+    Stack entries are (level, last, max_gap, sm, sr, ch), with the masks,
+    split test and inherited children masks of `_iter_records`; each child
+    is counted where it is found and pushed only below the last level.  At
+    the last level no child is visited for the cell max_gap: the children at
+    most last + max_gap all land there, so it gets the popcount of
+    ch & below[last + max_gap + 1]; only the wider children go one by one to
+    cell x - last.  Root child 1 gets max_gap 1 - 0 = 1.
     """
     cap = 2 * max_genus + 1
+    below = [(1 << i) - 1 for i in range(3 * max_genus + 2)]
+    rclear = [~(1 << (cap - v)) for v in range(cap + 1)]
     cells = [[0] * (g + 1) for g in range(max_genus + 1)]
     cells[0][0] = 1
-    stack = [(0, 0, 0, ((1 << (cap + 1)) - 1) & ~1, (1 << cap) - 1)] if max_genus else []
+    stack = [(0, 0, 0, below[cap + 1] ^ 1, below[cap], 2)] if max_genus else []
     while stack:
-        j, last, mg, sm, sr = stack.pop()
+        j, last, mg, sm, sr, ch = stack.pop()
         row = cells[j + 1]
-        inner = j + 1 < max_genus
-        for x in range(last + 1, 2 * j + 2):
-            if sm & (sr >> (cap - x)) == 0:
-                d = x - last
-                k = d if d > mg else mg
-                row[k] += 1
-                if inner:
-                    stack.append((j + 1, x, k, sm & ~(1 << x), sr & ~(1 << (cap - x))))
+        if j + 1 == max_genus:
+            narrow = ch & below[last + mg + 1]
+            row[mg] += narrow.bit_count()
+            wide = (ch ^ narrow) >> last  # bit d: the child last + d
+            while wide:
+                b = wide & -wide
+                wide ^= b
+                row[b.bit_length() - 1] += 1
+            continue
+        window = below[2 * j + 4]
+        rest = 0  # the children above x
+        while ch:
+            x = ch.bit_length() - 1
+            b = 1 << x
+            ch ^= b
+            d = x - last
+            k = d if d > mg else mg
+            row[k] += 1
+            sm2 = sm ^ b
+            sr2 = sr & rclear[x]
+            kids = rest
+            new = (sm << x) & window & ~rest
+            while new:
+                yb = new & -new
+                new ^= yb
+                if sm2 & (sr2 >> (cap + 1 - yb.bit_length())) == 0:
+                    kids |= yb
+            stack.append((j + 1, x, k, sm2, sr2, kids))
+            rest |= b
     return cells
 
 

@@ -4,7 +4,8 @@ GAPSET_COUNTS is the number of gapsets per genus (OEIS A007323);
 LARGE_GAPSET_COUNTS continues it through genus 24.
 COUNTS_BY_KAPPA[g][k] is the number of genus-g gapsets whose maximum
 consecutive gap is exactly k; row keys cover 1 <= k <= g (genus 0 has the
-single entry k=0).  DIAGONAL_TERMS[w] counts the pure 2w-sparse gapsets of
+single entry k=0); rows 20-22 are copied from CELLS in
+perfbench/expected.py.  DIAGONAL_TERMS[w] counts the pure 2w-sparse gapsets of
 genus 3w (OEIS A348619); DIAGONAL_RATIOS / DIAGONAL_CUMULATIVE are the
 published three-decimal renderings of the step and cumulative ratios.
 GENUS_16_JSON is the (line count, sha256) of `gapsets enumerate --genus 16
@@ -43,6 +44,12 @@ _ROWS = {
     17: [1, 230, 1074, 1717, 1513, 1248, 811, 590, 363, 243, 135, 70, 30, 12, 5, 2, 1],
     18: [1, 309, 1621, 2777, 2535, 2148, 1411, 1037, 646, 444, 251, 167, 70, 30, 12, 5, 2, 1],
     19: [1, 413, 2448, 4464, 4232, 3636, 2434, 1810, 1124, 804, 480, 331, 167, 70, 30, 12, 5, 2, 1],
+    20: [1, 554, 3688, 7139, 7027, 6142, 4192, 3145, 1975, 1444, 871, 600, 331, 167, 70, 30,
+         12, 5, 2, 1],
+    21: [1, 741, 5541, 11350, 11639, 10359, 7208, 5436, 3446, 2544, 1555, 1076, 616, 395, 167,
+         70, 30, 12, 5, 2, 1],
+    22: [1, 990, 8302, 18050, 19228, 17364, 12281, 9310, 5990, 4394, 2745, 1945, 1156, 808, 395,
+         167, 70, 30, 12, 5, 2, 1],
 }
 
 COUNTS_BY_KAPPA = {

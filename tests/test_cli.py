@@ -340,6 +340,24 @@ def test_resource_limit_exit_3_before_searching(argv, monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_sequence_gw_walks_to_genus_3w(monkeypatch, capsys):
+    # --max-w 10 reaches the genus-30 ceiling; --max-w 11 would need genus 33
+    class Started(Exception):
+        pass
+
+    def entered(max_genus):
+        raise Started(max_genus)
+
+    monkeypatch.setattr(enumeration, "_count_cells", entered)
+    with pytest.raises(Started) as walk:
+        main(["sequence", "gw", "--max-w", "10"])
+    assert walk.value.args == (30,)
+    assert main(["sequence", "gw", "--max-w", "11"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "genus 33 exceeds the ceiling 30" in captured.err
+
+
 class TestMap:
     def test_widen(self, capsys):
         code, out = run(capsys, "map", "--gapset", "1,3,5", "--op", "phi")

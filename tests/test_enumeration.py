@@ -1,4 +1,6 @@
+import importlib.util
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from gapsets import (
 )
 from gapsets import enumeration
 from gapsets.enumeration import (
+    BRUTE_FORCE_MAX_GENUS,
     CorruptCacheError,
     MissingCacheError,
     ResourceLimitError,
@@ -85,6 +88,13 @@ def kappa_counter(stream):
     return Counter(kappa_and_alpha(x)[0] for x in stream)
 
 
+@pytest.fixture(scope="module")
+def brute():
+    """Brute-force gapsets of every genus the oracle accepts, listed once
+    (genus 12 alone tests about 700k subsets)."""
+    return [list(brute_force_gapsets(g)) for g in range(BRUTE_FORCE_MAX_GENUS + 1)]
+
+
 class TestCountWalk:
     def test_rows_match_the_tuple_search(self):
         rows = count_by_kappa(16)
@@ -92,13 +102,21 @@ class TestCountWalk:
         for g, row in enumerate(rows):
             assert row == kappa_counter(enumerate_gapsets(g)), g
 
-    def test_rows_match_brute_force(self):
-        for g, row in enumerate(count_by_kappa(10)):
-            assert row == kappa_counter(brute_force_gapsets(g)), g
+    def test_rows_match_brute_force(self, brute):
+        for g, row in enumerate(count_by_kappa(BRUTE_FORCE_MAX_GENUS)):
+            assert row == kappa_counter(brute[g]), g
+
+    def test_frozen_grid_matches_the_benchmark(self):
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_expected", Path(__file__).parents[1] / "perfbench" / "expected.py"
+        )
+        bench = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(bench)
+        assert bench.CELLS == COUNTS_BY_KAPPA
 
     def test_rows_match_frozen_grid(self):
-        rows = count_by_kappa(19)
-        assert rows == [Counter(COUNTS_BY_KAPPA[g]) for g in range(20)]
+        rows = count_by_kappa(22)
+        assert rows == [Counter(COUNTS_BY_KAPPA[g]) for g in range(23)]
         assert rows[0] == {0: 1} and rows[1] == {1: 1}
 
     def test_row_sums_to_genus_24(self):
@@ -128,16 +146,18 @@ class TestRecordWalk:
                     rec.multiplicity, rec.conductor, rec.depth, rec.kappa, rec.alpha
                 ), elems
 
-    def test_elements_match_brute_force(self):
-        for g in range(11):
+    def test_elements_match_brute_force(self, brute):
+        for g, oracle in enumerate(brute):
             walk = [rec[0] for rec in enumerate_records(g)]
-            assert walk == [x.elements for x in brute_force_gapsets(g)], g
+            assert walk == [x.elements for x in oracle], g
 
     def test_small_genus_conventions(self):
         assert list(enumerate_records(0)) == [((), 1, 0, None)]
         assert list(enumerate_records(1)) == [((1,), 2, 1, None)]
 
-    @pytest.mark.parametrize("depth", [0, 1, 2, 5, 9])
+    # a root given as an argument gets its children from the split test,
+    # while the full walk inherits them: each depth compares the two
+    @pytest.mark.parametrize("depth", range(12))
     def test_subtrees_concatenate_to_the_full_walk(self, depth):
         roots = [rec[0] for rec in enumeration._iter_records(depth)]
         joined = [rec for root in roots for rec in enumeration._iter_records(12, root)]

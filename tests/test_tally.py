@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+import pytest
+
 from gapsets import build_count_grid, diagonal_sequence, stabilization_check
 from gapsets.tally import format_cumulative, format_ratio
 
@@ -55,6 +57,16 @@ def test_stabilization_below_the_diagonal():
     # spot values stay constant along the (g+1, k+1) shift
     assert grid.cells[(6, 4)] == grid.cells[(7, 5)] == 5
     assert grid.cells[(9, 6)] == grid.cells[(10, 7)] == 12
+
+
+@pytest.mark.slow
+def test_stabilization_on_the_genus_27_grid():
+    # the row sums are those of count_by_kappa(27), which the grid reads
+    grid = build_count_grid(27)
+    assert [grid.row_sums[g] for g in (25, 26, 27)] == [467224, 770832, 1270267]  # A007323
+    report = stabilization_check(grid)
+    assert report.pairs_checked == 135
+    assert report.violations == ()
 
 
 def test_stabilization_reports_a_planted_violation():

@@ -2,6 +2,9 @@
 
 Exit codes: 0 success, 1 property violation (verify), 2 bad flags,
 3 resource limit exceeded, 4 invalid gapset input (map).
+
+Each subcommand imports the modules it runs when it runs, so `enumerate`
+loads only the search kernel of `enumeration`.
 """
 
 from __future__ import annotations
@@ -9,14 +12,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .core import (
-    GapsetRejection,
-    as_candidate,
-    invariants,
-    validate_gapset,
-)
 from .enumeration import (
     DEFAULT_GENUS_CEILING,
     CacheError,
@@ -25,28 +22,16 @@ from .enumeration import (
     _iter_records,
     count_by_kappa,
 )
-from .maps import (
-    PreconditionError,
-    UnsupportedDepthError,
-    classify_image,
-    narrow_max_gap,
-    shift_blocks,
-    widen_max_gap,
-)
-from .tally import (
-    CountGrid,
-    build_count_grid,
-    diagonal_sequence,
-    format_cumulative,
-    format_ratio,
-)
-from .verification import SUITE_NAMES, run_suites
+
+if TYPE_CHECKING:
+    from .tally import CountGrid
+
+SUITE_NAMES = ("core", "sparse", "phi", "bijection")
 
 CACHE_ENV_VAR = "GAPSET_CACHE_DIR"
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
-EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_BAD_GAPSET = 4
 
@@ -145,6 +130,8 @@ def render_grid(grid: CountGrid, markdown: bool = True) -> list[str]:
 
 
 def cmd_table(args, out) -> int:
+    from .tally import build_count_grid
+
     grid = build_count_grid(args.max_genus)
     for line in render_grid(grid, markdown=args.format == "markdown"):
         print(line, file=out)
@@ -156,6 +143,8 @@ def cmd_sequence(args, out) -> int:
         counts = [sum(row.values()) for row in count_by_kappa(args.max_genus)]
         print(",".join(map(str, counts)), file=out)
         return EXIT_OK
+    from .tally import diagonal_sequence, format_cumulative, format_ratio
+
     seq = diagonal_sequence(args.max_w)
     print("w,g_w,ratio,cumulative", file=out)
     for w, term in enumerate(seq.terms):
@@ -168,6 +157,16 @@ def cmd_sequence(args, out) -> int:
 
 
 def cmd_map(args, out) -> int:
+    from .core import GapsetRejection, as_candidate, invariants, validate_gapset
+    from .maps import (
+        PreconditionError,
+        UnsupportedDepthError,
+        classify_image,
+        narrow_max_gap,
+        shift_blocks,
+        widen_max_gap,
+    )
+
     try:
         values = [int(tok) for tok in args.gapset.split(",") if tok.strip()]
         candidate = as_candidate(values)
@@ -207,9 +206,6 @@ def cmd_map(args, out) -> int:
                 file=out,
             )
         else:  # phi-inverse
-            if args.kappa is None:
-                print("--op phi-inverse requires --kappa", file=sys.stderr)
-                return EXIT_USAGE
             preimage = narrow_max_gap(g, args.kappa)
             print(
                 "phi-inverse: " + ",".join(map(str, preimage.elements)), file=out
@@ -222,6 +218,8 @@ def cmd_map(args, out) -> int:
 
 
 def cmd_verify(args, out) -> int:
+    from .verification import run_suites
+
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
     reports = run_suites(
         names, args.max_genus, cache_dir=_cache_dir(args), workers=args.workers
@@ -306,6 +304,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "enumerate" and args.pure and args.kappa is None:
         parser.error("--pure requires --kappa")
+    if args.command == "map" and args.op == "phi-inverse" and args.kappa is None:
+        parser.error("--op phi-inverse requires --kappa")
     for name, low in LOWER_BOUNDS.items():
         value = getattr(args, name, None)
         if value is not None and value < low:

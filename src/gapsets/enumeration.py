@@ -38,33 +38,35 @@ walk (`count_by_kappa`): one pass to the largest genus counts every
 smaller genus by maximum gap, building no tuples; at the last level it
 counts a node's children with no loop: every child x <= last + max_gap
 falls in the parent's cell, so that cell gets a popcount of the children
-mask.
+mask.  Only the functions that build or read `Gapset` values import
+`core`, when called, and only the pool imports `multiprocessing`, so the
+two walks load neither.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import tempfile
 import zlib
 from collections import Counter
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
-from .core import Elements, Gapset, depth, kappa_and_alpha, multiplicity, validate_gapset
+if TYPE_CHECKING:
+    from .core import Elements, Gapset
+
+    # (elements, multiplicity, kappa, alpha) of one gapset
+    Record = tuple[Elements, int, int, Optional[int]]
+    # a node's label: its elements tuple, or their text (see `_iter_records`)
+    Label = Union[Elements, str]
+    # (label, last element, multiplicity, kappa, alpha) of one gapset
+    KernelRecord = tuple[Label, int, int, int, Optional[int]]
 
 DEFAULT_GENUS_CEILING = 30
 BRUTE_FORCE_MAX_GENUS = 12
 SPLIT_DEPTH = 8
 
 CACHE_FILE_TEMPLATE = "gapsets-g{genus}.txt"
-
-# (elements, multiplicity, kappa, alpha) of one gapset
-Record = tuple[Elements, int, int, Optional[int]]
-# a node's label: its elements tuple, or their text (see `_iter_records`)
-Label = Union[Elements, str]
-# (label, last element, multiplicity, kappa, alpha) of one gapset
-KernelRecord = tuple[Label, int, int, int, Optional[int]]
 
 
 class ResourceLimitError(RuntimeError):
@@ -130,10 +132,14 @@ def _iter_records(
         sm ^= 1 << v
         sr &= rclear[v]
         label += pieces[v]
-    head = Gapset(root)
-    kappa, alpha = kappa_and_alpha(head)
-    m = multiplicity(head)
-    last = root[-1] if root else 0
+    kappa, alpha, m, last = 0, None, 1, 0  # the empty gapset's
+    if root:
+        from .core import Gapset, kappa_and_alpha, multiplicity
+
+        head = Gapset(root)
+        kappa, alpha = kappa_and_alpha(head)
+        m = multiplicity(head)
+        last = root[-1]
     j = len(root)
     if j == genus:
         yield label, last, m, kappa, alpha
@@ -279,12 +285,16 @@ def enumerate_gapsets(
     subtrees run in a process pool; ordered merging keeps the output
     identical to the single-worker stream.
     """
+    from .core import Gapset
+
     _check_genus(genus, genus_ceiling)
     split = min(genus, SPLIT_DEPTH)
     if workers <= 1 or split == genus:
         for rec in _iter_records(genus):
             yield Gapset(rec[0])
         return
+    import multiprocessing
+
     roots = [rec[0] for rec in _iter_records(split)]
     with multiprocessing.Pool(workers) as pool:
         args = [(genus, root) for root in roots]
@@ -301,6 +311,8 @@ def brute_force_gapsets(genus: int) -> Iterator[Gapset]:
     same as the tree search.  Guarded: the subset count explodes past
     genus 12.
     """
+    from .core import Gapset, validate_gapset
+
     if genus > BRUTE_FORCE_MAX_GENUS:
         raise ResourceLimitError(
             f"brute force is limited to genus <= {BRUTE_FORCE_MAX_GENUS}"
@@ -323,6 +335,8 @@ def filter_gapsets(
 ) -> Iterator[Gapset]:
     """Keep gapsets by maximum gap (exactly kappa when pure, <= kappa
     otherwise) and optionally by depth."""
+    from .core import depth, kappa_and_alpha
+
     for g in stream:
         if kappa is not None:
             k, _ = kappa_and_alpha(g)
@@ -384,6 +398,8 @@ def cache_store(genus: int, gapsets: Iterable[Gapset], cache_dir: str | Path) ->
 
 def cache_load(genus: int, cache_dir: str | Path) -> list[Gapset]:
     """Load a cache file, verifying checksum, header and shape before returning."""
+    from .core import Gapset
+
     path = cache_path(cache_dir, genus)
     if not path.exists():
         raise MissingCacheError(f"no cache for genus {genus} at {path}")

@@ -14,10 +14,12 @@ objects are built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from .enumeration import count_by_kappa
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 RATIO_PLACEHOLDER = "-"
 
@@ -67,6 +69,8 @@ def diagonal_sequence(
 ) -> DiagonalSequence:
     """Diagonal terms for w = 0..max_w: the cells (3w, 2w) of one walk to
     genus 3 * max_w."""
+    from fractions import Fraction
+
     rows = count_by_kappa(3 * max_w, genus_ceiling=genus_ceiling)
     terms = [rows[3 * w][2 * w] for w in range(max_w + 1)]
     ratios: list[Optional[Fraction]] = [None]

@@ -37,8 +37,6 @@ from .enumeration import _check_genus, gapsets_for_genus
 from .maps import _bijection_report, classify_widest_pair, widen_max_gap
 from .tally import build_count_grid, stabilization_check
 
-SUITE_NAMES = ("core", "sparse", "phi", "bijection")
-
 Provider = Callable[[int], Iterable[Gapset]]
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import gapsets
 from gapsets import enumerate_gapsets, enumeration, invariants, validate_gapset
 from gapsets.cli import BLOCK_LINES, CSV_HEADER, main
 from gapsets.enumeration import filter_gapsets
@@ -397,6 +399,14 @@ class TestMap:
         )
         assert code == 4
 
+    def test_narrow_without_kappa_exit_2_before_any_output(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["map", "--gapset", "1,2,4,7", "--op", "phi-inverse"])
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--op phi-inverse requires --kappa" in captured.err
+
 
 class TestVerify:
     def test_cache_dir_flag_and_env(self, capsys, tmp_path, monkeypatch):
@@ -443,7 +453,7 @@ class TestVerify:
         assert out == report
 
     def test_violations_exit_1_with_witness(self, capsys, monkeypatch):
-        from gapsets import cli
+        from gapsets import verification
         from gapsets.verification import SuiteReport, Violation
 
         def fake(names, max_genus, cache_dir=None, workers=1):
@@ -453,7 +463,81 @@ class TestVerify:
             )
             return [report]
 
-        monkeypatch.setattr(cli, "run_suites", fake)
+        monkeypatch.setattr(verification, "run_suites", fake)
         code, out = run(capsys, "verify", "--max-genus", "2")
         assert code == 1
         assert "VIOLATION planted: 1,4" in out
+
+
+HEAVY_MODULES = (
+    "multiprocessing",
+    "dataclasses",
+    "fractions",
+    "gapsets.core",
+    "gapsets.maps",
+    "gapsets.tally",
+    "gapsets.verification",
+)
+
+
+def loaded_after(code):
+    """The HEAVY_MODULES a fresh interpreter has loaded after running `code`,
+    which may replace sys.stdout."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    probe = (
+        "import io, sys\n"
+        f"{code}\n"
+        f"print(','.join(m for m in {HEAVY_MODULES!r} if m in sys.modules), file=sys.__stdout__)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=env, check=True
+    )
+    return set(filter(None, proc.stdout.strip().split(",")))
+
+
+class TestImports:
+    def test_package_loads_a_submodule_on_first_use(self):
+        assert loaded_after("import gapsets") == set()
+        code = "import gapsets\nassert gapsets.maps.__name__ == 'gapsets.maps'"
+        assert {"gapsets.core", "gapsets.maps"} <= loaded_after(code)
+
+    def test_cli_import_loads_only_the_kernel(self):
+        assert loaded_after("import gapsets.cli") == set()
+
+    def test_enumerate_loads_only_the_kernel(self):
+        code = (
+            "from gapsets.cli import main\n"
+            "sys.stdout = io.StringIO()\n"
+            "assert main(['enumerate', '--genus', '5']) == 0"
+        )
+        assert loaded_after(code) == set()
+
+    def test_table_loads_tally_only(self):
+        code = (
+            "from gapsets.cli import main\n"
+            "sys.stdout = io.StringIO()\n"
+            "assert main(['table', '--max-genus', '5']) == 0"
+        )
+        loaded = loaded_after(code)
+        assert "gapsets.tally" in loaded
+        assert not loaded & {"gapsets.maps", "gapsets.verification", "multiprocessing", "fractions"}
+
+
+class TestLazyExports:
+    def test_every_public_name_is_its_submodules_object(self):
+        for name in gapsets.__all__:
+            obj = getattr(gapsets, name)
+            assert getattr(importlib.import_module(obj.__module__), name) is obj
+            assert name in dir(gapsets)
+        assert sorted(gapsets._SOURCE) == sorted(gapsets.__all__)
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            gapsets.no_such_name
+
+    def test_submodule_import(self):
+        import gapsets.enumeration as direct
+        from gapsets import enumeration as via_from
+
+        assert via_from is direct

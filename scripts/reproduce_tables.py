@@ -2,8 +2,9 @@
 """Rebuild the count tables from scratch and print them with timings.
 
 Defaults reproduce the full (genus x maximum-gap) grid up to genus 19 and
-the diagonal sequence through w = 7.  Pushing --max-w to 9 enumerates
-genus 27 (~1.3M gapsets) and takes a few extra seconds.
+the diagonal sequence through w = 7.  Each diagonal term has its own walk
+that visits only the gapsets that can end on the diagonal, so --max-w 10
+(the genus-30 ceiling, t = 5248) takes a few seconds.
 
 Usage: python3 scripts/reproduce_tables.py [--max-genus 19] [--max-w 7]
 """

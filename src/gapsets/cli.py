@@ -306,6 +306,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("--pure requires --kappa")
     if args.command == "map" and args.op == "phi-inverse" and args.kappa is None:
         parser.error("--op phi-inverse requires --kappa")
+    if args.command == "map" and args.op != "phi-inverse" and args.kappa is not None:
+        parser.error(f"--kappa is for --op phi-inverse only, not --op {args.op}")
     for name, low in LOWER_BOUNDS.items():
         value = getattr(args, name, None)
         if value is not None and value < low:
@@ -315,6 +317,10 @@ def main(argv: Optional[list[str]] = None) -> int:
             parser.error("sequence ng requires --max-genus")
         if args.which == "gw" and args.max_w is None:
             parser.error("sequence gw requires --max-w")
+        if args.which == "ng" and args.max_w is not None:
+            parser.error("--max-w is for sequence gw only")
+        if args.which == "gw" and args.max_genus is not None:
+            parser.error("--max-genus is for sequence ng only")
     handlers = {
         "enumerate": cmd_enumerate,
         "table": cmd_table,

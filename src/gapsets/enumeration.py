@@ -38,9 +38,12 @@ walk (`count_by_kappa`): one pass to the largest genus counts every
 smaller genus by maximum gap, building no tuples; at the last level it
 counts a node's children with no loop: every child x <= last + max_gap
 falls in the parent's cell, so that cell gets a popcount of the children
-mask.  Only the functions that build or read `Gapset` values import
-`core`, when called, and only the pool imports `multiprocessing`, so the
-two walks load neither.
+mask.  The diagonal term t(w) (genus 3w, maximum gap 2w) has its own
+count walk (`_count_diagonal`) on the same masks, which visits only the
+nodes that can end on the diagonal: such a gapset has maximum gap at most
+its multiplicity and depth at most 3.  Only the functions that build or
+read `Gapset` values import `core`, when called, and only the pool imports
+`multiprocessing`, so the walks load neither.
 """
 
 from __future__ import annotations
@@ -255,6 +258,78 @@ def _count_cells(max_genus: int) -> list[list[int]]:
             stack.append((j + 1, x, k, sm2, sr2, kids))
             rest |= b
     return cells
+
+
+def _count_diagonal(w: int) -> int:
+    """#{genus-3w gapsets with maximum gap K = 2w}: the diagonal term t(w).
+
+    A walk to genus 3w on the masks, split test and inherited children mask
+    ch of `_count_cells` that visits only nodes that can end on the diagonal.
+    Every gapset has kappa <= m (y in G and y > m give y - m in G), and one
+    with 2g <= 3 * kappa, as every counted gapset, has depth <= 3
+    (`sparse_suite` checks both, as kappa-at-most-multiplicity and
+    below-diagonal-depth-cap).  Three prunes follow, applied to a copy
+    `visit` of ch:
+    - gap: drop x with x - last > K;
+    - multiplicity at least K: on the chain [1..j] with j + 1 < K the only
+      child is j + 1, so the walk starts at the chain [1..K-1];
+    - depth at most 3: once m is known, drop x >= 3m (a child that sets m =
+      j + 1 is at most 2j + 1 < 3m).
+    Each child still inherits every child of ch above it, visited or not: a
+    value cut for its parent's gap bound can be a valid child of its child.
+    Stack entries are (level, last, m, max_gap, sm, sr, ch), m = 0 on the
+    chain.  At the last level a node adds popcount(visit) if its running
+    maximum gap is already K, else 1 exactly when last + K is in visit.
+    t(0) = 1, the empty gapset.
+    """
+    if w == 0:
+        return 1
+    genus, big = 3 * w, 2 * w
+    cap = 2 * genus + 1
+    below = [(1 << i) - 1 for i in range(3 * genus + 2)]
+    rclear = [~(1 << (cap - v)) for v in range(cap + 1)]
+    j = big - 1  # the chain [1..K-1], whose children are K..2K-1
+    sm = below[cap + 1] ^ below[big]
+    sr = below[cap - j]
+    stack = [(j, j, 0, 1, sm, sr, below[2 * big] ^ below[big])]
+    total = 0
+    while stack:
+        j, last, m, mg, sm, sr, ch = stack.pop()
+        visit = ch & below[last + big + 1]
+        if m:
+            visit &= below[3 * m]
+        if j + 1 == genus:
+            if mg == big:
+                total += visit.bit_count()
+            elif visit >> (last + big) & 1:
+                total += 1
+            continue
+        window = below[2 * j + 4]
+        while visit:
+            x = visit.bit_length() - 1
+            b = 1 << x
+            visit ^= b
+            rest = ch & ~below[x + 1]  # the children above x
+            sm2 = sm ^ b
+            sr2 = sr & rclear[x]
+            kids = rest
+            new = (sm << x) & window & ~rest
+            while new:
+                yb = new & -new
+                new ^= yb
+                if sm2 & (sr2 >> (cap + 1 - yb.bit_length())) == 0:
+                    kids |= yb
+            d = x - last
+            stack.append((
+                j + 1,
+                x,
+                m or (j + 1 if d > 1 else 0),
+                d if d > mg else mg,
+                sm2,
+                sr2,
+                kids,
+            ))
+    return total
 
 
 def count_by_kappa(

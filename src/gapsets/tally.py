@@ -6,17 +6,19 @@ Cells with k > g are impossible and stay absent.  Below the 2g = 3k
 diagonal, counts are invariant along (g, k) -> (g+1, k+1); the diagonal
 itself gives the sequence #{pure 2w-sparse gapsets of genus 3w}.
 
-Every aggregate here reads its cells from one count-only tree walk
-(`enumeration.count_by_kappa`) to the largest genus it needs; no `Gapset`
-objects are built.
+The grid reads its cells from one count-only tree walk
+(`enumeration.count_by_kappa`) to its largest genus; each diagonal term
+comes from its own walk (`enumeration._count_diagonal`), which visits only
+the gapsets that can end on the diagonal.  No `Gapset` objects are built,
+and the result types are named tuples, so this module loads nothing
+beyond `enumeration`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .enumeration import count_by_kappa
+from .enumeration import _check_genus, _count_diagonal, count_by_kappa
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -24,16 +26,14 @@ if TYPE_CHECKING:
 RATIO_PLACEHOLDER = "-"
 
 
-@dataclass(frozen=True)
-class CountGrid:
+class CountGrid(NamedTuple):
     max_genus: int
     cells: dict[tuple[int, int], int]
     row_sums: dict[int, int]
     diagonal_marks: frozenset[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class DiagonalSequence:
+class DiagonalSequence(NamedTuple):
     """Terms t[w] = #{pure 2w-sparse gapsets of genus 3w}, with the
     step ratios t[w]/t[w-1] (None at w=0) and the cumulative ratios
     sum(t[0..w]) / t[w], all kept exact."""
@@ -43,8 +43,7 @@ class DiagonalSequence:
     cumulative_ratios: tuple[Fraction, ...]
 
 
-@dataclass(frozen=True)
-class StabilizationReport:
+class StabilizationReport(NamedTuple):
     pairs_checked: int
     violations: tuple[tuple[tuple[int, int], int, int], ...]  # ((g,k), count, next count)
 
@@ -67,12 +66,13 @@ def build_count_grid(
 def diagonal_sequence(
     max_w: int, *, genus_ceiling: Optional[int] = None
 ) -> DiagonalSequence:
-    """Diagonal terms for w = 0..max_w: the cells (3w, 2w) of one walk to
-    genus 3 * max_w."""
+    """Diagonal terms for w = 0..max_w, each from its own diagonal-targeted
+    walk to genus 3w; the bounds (genus 3 * max_w) are checked before any
+    walk starts."""
     from fractions import Fraction
 
-    rows = count_by_kappa(3 * max_w, genus_ceiling=genus_ceiling)
-    terms = [rows[3 * w][2 * w] for w in range(max_w + 1)]
+    _check_genus(3 * max_w, genus_ceiling)
+    terms = [_count_diagonal(w) for w in range(max_w + 1)]
     ratios: list[Optional[Fraction]] = [None]
     ratios += [Fraction(terms[w], terms[w - 1]) for w in range(1, len(terms))]
     running = 0

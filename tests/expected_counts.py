@@ -7,7 +7,9 @@ consecutive gap is exactly k; row keys cover 1 <= k <= g (genus 0 has the
 single entry k=0); rows 20-22 are copied from CELLS in
 perfbench/expected.py.  DIAGONAL_TERMS[w] counts the pure 2w-sparse gapsets of
 genus 3w (OEIS A348619); DIAGONAL_RATIOS / DIAGONAL_CUMULATIVE are the
-published three-decimal renderings of the step and cumulative ratios.
+published three-decimal renderings of the step and cumulative ratios;
+the w = 10 term, 5248, is the one both the full count walk to genus 30 and
+the diagonal-targeted walk give (checked under --run-slow).
 GENUS_16_JSON is the (line count, sha256) of `gapsets enumerate --genus 16
 --format json` stdout, the digest perfbench/expected.py records for it;
 GENUS_16_TEXT and GENUS_16_CSV are the same for `--format text` and
@@ -57,16 +59,16 @@ COUNTS_BY_KAPPA = {
     for g, row in _ROWS.items()
 }
 
-DIAGONAL_TERMS = [1, 2, 5, 12, 30, 70, 167, 395, 936, 2212]
+DIAGONAL_TERMS = [1, 2, 5, 12, 30, 70, 167, 395, 936, 2212, 5248]
 
 DIAGONAL_RATIOS = [
     "-", "2.000", "2.500", "2.400", "2.500",
-    "2.333", "2.386", "2.365", "2.370", "2.363",
+    "2.333", "2.386", "2.365", "2.370", "2.363", "2.373",
 ]
 
 DIAGONAL_CUMULATIVE = [
     "1", "1.5", "1.6", "1.667", "1.667",
-    "1.714", "1.719", "1.727", "1.729", "1.731",
+    "1.714", "1.719", "1.727", "1.729", "1.731", "1.730",
 ]
 
 GENUS_16_JSON = (4806, "aca4eb0872c5e17c7c4b3bcd51d8599758d59396a48f63f78b3561444d127783")

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import gapsets
-from gapsets import enumerate_gapsets, enumeration, invariants, validate_gapset
+from gapsets import enumerate_gapsets, enumeration, invariants, tally, validate_gapset
 from gapsets.cli import BLOCK_LINES, CSV_HEADER, main
 from gapsets.enumeration import filter_gapsets
 
@@ -324,6 +324,27 @@ def test_bad_bounds_exit_2(argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ["sequence", "gw", "--max-w", "2", "--max-genus", "40"],
+        ["sequence", "ng", "--max-genus", "3", "--max-w", "99"],
+        ["map", "--gapset", "1,3,5", "--op", "phi", "--kappa", "2"],
+        ["map", "--gapset", "1,3,5", "--op", "sigma", "--kappa", "2"],
+    ],
+)
+def test_flag_of_another_mode_exit_2_before_any_output(argv, monkeypatch, capsys):
+    def entered(*_args):
+        raise AssertionError("the tree search started")
+
+    monkeypatch.setattr(enumeration, "_count_cells", entered)
+    monkeypatch.setattr(tally, "_count_diagonal", entered)
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ["table", "--max-genus", "31"],
         ["sequence", "ng", "--max-genus", "40"],
         ["sequence", "gw", "--max-w", "11"],
@@ -338,23 +359,30 @@ def test_resource_limit_exit_3_before_searching(argv, monkeypatch, capsys):
 
     monkeypatch.setattr(enumeration, "_iter_records", entered)
     monkeypatch.setattr(enumeration, "_count_cells", entered)
+    monkeypatch.setattr(tally, "_count_diagonal", entered)
     assert main(argv) == 3
     assert capsys.readouterr().out == ""
 
 
 def test_sequence_gw_walks_to_genus_3w(monkeypatch, capsys):
-    # --max-w 10 reaches the genus-30 ceiling; --max-w 11 would need genus 33
-    class Started(Exception):
-        pass
+    # one diagonal walk per term, the largest to genus 30 for --max-w 10;
+    # --max-w 11 would need genus 33
+    walked = []
 
-    def entered(max_genus):
-        raise Started(max_genus)
+    def diagonal(w):
+        walked.append(w)
+        return 1
 
+    def entered(*_args):
+        raise AssertionError("the full count walk started")
+
+    monkeypatch.setattr(tally, "_count_diagonal", diagonal)
     monkeypatch.setattr(enumeration, "_count_cells", entered)
-    with pytest.raises(Started) as walk:
-        main(["sequence", "gw", "--max-w", "10"])
-    assert walk.value.args == (30,)
+    assert main(["sequence", "gw", "--max-w", "10"]) == 0
+    assert walked == list(range(11))
+    capsys.readouterr()
     assert main(["sequence", "gw", "--max-w", "11"]) == 3
+    assert walked == list(range(11))
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "genus 33 exceeds the ceiling 30" in captured.err
@@ -521,7 +549,19 @@ class TestImports:
         )
         loaded = loaded_after(code)
         assert "gapsets.tally" in loaded
-        assert not loaded & {"gapsets.maps", "gapsets.verification", "multiprocessing", "fractions"}
+        assert not loaded & {
+            "gapsets.maps", "gapsets.verification", "multiprocessing", "fractions", "dataclasses",
+        }
+
+    def test_sequence_gw_loads_tally_without_dataclasses(self):
+        code = (
+            "from gapsets.cli import main\n"
+            "sys.stdout = io.StringIO()\n"
+            "assert main(['sequence', 'gw', '--max-w', '3']) == 0"
+        )
+        loaded = loaded_after(code)
+        assert "gapsets.tally" in loaded
+        assert not loaded & {"dataclasses", "gapsets.core"}
 
 
 class TestLazyExports:

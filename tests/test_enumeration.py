@@ -21,12 +21,14 @@ from gapsets.enumeration import (
     CorruptCacheError,
     MissingCacheError,
     ResourceLimitError,
+    _count_cells,
+    _count_diagonal,
     cache_path,
     count_by_kappa,
     enumerate_records,
 )
 
-from expected_counts import COUNTS_BY_KAPPA, GAPSET_COUNTS, LARGE_GAPSET_COUNTS
+from expected_counts import COUNTS_BY_KAPPA, DIAGONAL_TERMS, GAPSET_COUNTS, LARGE_GAPSET_COUNTS
 
 
 def test_counts_match_published_sequence():
@@ -134,6 +136,23 @@ class TestCountWalk:
             count_by_kappa(5, genus_ceiling=4)
         with pytest.raises(ValueError):
             count_by_kappa(-1)
+
+
+class TestDiagonalWalk:
+    def test_terms_match_the_count_walk(self):
+        cells = _count_cells(21)
+        assert [_count_diagonal(w) for w in range(8)] == [cells[3 * w][2 * w] for w in range(8)]
+
+    def test_terms_match_the_record_walk(self):
+        for w in range(5):
+            pure = sum(1 for _, _, k, _ in enumerate_records(3 * w) if k == 2 * w)
+            assert _count_diagonal(w) == pure, w
+
+    @pytest.mark.slow
+    def test_terms_match_the_walk_to_genus_30(self):
+        cells = _count_cells(30)
+        terms = [_count_diagonal(w) for w in range(11)]
+        assert terms == [cells[3 * w][2 * w] for w in range(11)] == DIAGONAL_TERMS
 
 
 class TestRecordWalk:

@@ -42,6 +42,15 @@ def test_diagonal_terms_and_ratios():
     assert [format_cumulative(c) for c in seq.cumulative_ratios] == DIAGONAL_CUMULATIVE[:7]
 
 
+@pytest.mark.slow
+def test_diagonal_through_w_10():
+    # w = 10 is the last term under the genus-30 ceiling; its walk reaches genus 30
+    seq = diagonal_sequence(10)
+    assert list(seq.terms) == DIAGONAL_TERMS
+    assert [format_ratio(r) for r in seq.ratios] == DIAGONAL_RATIOS
+    assert [format_cumulative(c) for c in seq.cumulative_ratios] == DIAGONAL_CUMULATIVE
+
+
 def test_diagonal_matches_grid_marks():
     grid = build_count_grid(12)
     seq = diagonal_sequence(4)

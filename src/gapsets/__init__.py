@@ -52,40 +52,7 @@ _EXPORTS = {
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "BijectionReport",
-    "CanonicalPartition",
-    "CountGrid",
-    "DiagonalSequence",
-    "Gapset",
-    "GapsetRejection",
-    "InvariantRecord",
-    "StabilizationReport",
-    "WidenImage",
-    "as_candidate",
-    "brute_force_gapsets",
-    "build_count_grid",
-    "cache_load",
-    "cache_store",
-    "canonical_partition",
-    "classify_widest_pair",
-    "diagonal_sequence",
-    "enumerate_gapsets",
-    "filter_pure_sparse",
-    "gapset",
-    "hyperelliptic_gapset",
-    "invariants",
-    "is_m_extension",
-    "is_m_set",
-    "kappa_and_alpha",
-    "narrow_max_gap",
-    "ordinary_gapset",
-    "shift_blocks",
-    "stabilization_check",
-    "validate_gapset",
-    "verify_bijection",
-    "widen_max_gap",
-]
+__all__ = sorted(_SOURCE)
 
 
 def __getattr__(name: str):

@@ -1,6 +1,6 @@
 """Command-line front end: enumeration, tables, maps, verification campaigns.
 
-Exit codes: 0 success, 1 property violation (verify), 2 bad flags,
+Exit codes: 0 success, 1 property violation (verify only), 2 bad flags,
 3 resource limit exceeded, 4 invalid gapset input (map).
 
 Each subcommand imports the modules it runs when it runs, so `enumerate`
@@ -10,13 +10,11 @@ loads only the search kernel of `enumeration`.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import TYPE_CHECKING, Optional
 
 from .enumeration import (
-    DEFAULT_GENUS_CEILING,
-    CacheError,
+    GENUS_CEILING,
     ResourceLimitError,
     _check_genus,
     _iter_records,
@@ -28,16 +26,12 @@ if TYPE_CHECKING:
 
 SUITE_NAMES = ("core", "sparse", "phi", "bijection")
 
-CACHE_ENV_VAR = "GAPSET_CACHE_DIR"
-
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_RESOURCE = 3
 EXIT_BAD_GAPSET = 4
 
-LOWER_BOUNDS = {
-    "genus": 0, "max_genus": 0, "max_w": 0, "workers": 1, "kappa": 0, "depth": 0,
-}
+LOWER_BOUNDS = {"genus": 0, "max_genus": 0, "max_w": 0, "kappa": 0, "depth": 0}
 
 
 CSV_HEADER = "gaps,genus,multiplicity,conductor,frobenius,depth,kappa,alpha"
@@ -69,15 +63,11 @@ def _csv_line(gaps, genus, c, m, k, a) -> str:
 LINE_FORMATS = {"text": (",", _text_line), "json": (", ", _json_line), "csv": (" ", _csv_line)}
 
 
-def _cache_dir(args) -> Optional[str]:
-    return args.cache_dir or os.environ.get(CACHE_ENV_VAR) or None
-
-
 def cmd_enumerate(args, out) -> int:
     """Format each kernel record from its text label and write the kept lines
     in blocks of BLOCK_LINES, one `write` per block."""
     genus, kappa, pure, depth_q = args.genus, args.kappa, args.pure, args.depth
-    _check_genus(genus, None)
+    _check_genus(genus)
     sep, line = LINE_FORMATS[args.format]
     cut = len(sep)
     pieces = [sep + str(v) for v in range(2 * genus + 2)]
@@ -221,9 +211,7 @@ def cmd_verify(args, out) -> int:
     from .verification import run_suites
 
     names = list(SUITE_NAMES) if args.suite == "all" else [args.suite]
-    reports = run_suites(
-        names, args.max_genus, cache_dir=_cache_dir(args), workers=args.workers
-    )
+    reports = run_suites(names, args.max_genus)
     total_violations = 0
     for report in reports:
         print(
@@ -276,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-w",
         type=int,
         help="for gw; the walk goes to genus 3w, so at most "
-        f"{DEFAULT_GENUS_CEILING // 3} under the genus-{DEFAULT_GENUS_CEILING} ceiling",
+        f"{GENUS_CEILING // 3} under the genus-{GENUS_CEILING} ceiling",
     )
 
     p = sub.add_parser("map", help="apply a genus-raising map to one gapset")
@@ -293,8 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--suite", choices=list(SUITE_NAMES) + ["all"], default="all"
     )
-    p.add_argument("--cache-dir")
-    p.add_argument("--workers", type=int, default=1)
 
     return parser
 
@@ -333,9 +319,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except CacheError as exc:
-        print(f"cache error: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

@@ -101,30 +101,34 @@ def validate_gapset(values: Iterable[int]) -> Union[Gapset, GapsetRejection]:
     1 <= x <= y, at least one of x, y is a member.  The empty set passes
     vacuously.
 
-    The check runs on bit masks first: with `holes` the non-members below
-    the largest member, the candidate passes iff no sum of two holes is a
-    member, i.e. (holes << s) & mask == 0 for every hole s (the smaller part
-    of a split is at most half the largest member, so only those s are
-    tried).  Only a candidate that fails this test goes through the
-    member-by-member split loop, which finds the witness.
+    A gapset of genus g lies in [1, 2g - 1], so only a candidate whose
+    largest member is below twice its size can pass.  Such a candidate is
+    checked on bit masks first: with `holes` the non-members below the
+    largest member, it passes iff no sum of two holes is a member, i.e.
+    (holes << s) & mask == 0 for every hole s (the smaller part of a split
+    is at most half the largest member, so only those s are tried).  Every
+    other candidate goes through the member-by-member split loop, which finds
+    the witness.  That loop tests membership in a set, and a member that
+    passes has at most |G| splits, so its cost follows the input's length,
+    never the size of its largest member.
     """
     elems = as_candidate(values)
-    if not elems:
-        return Gapset(elems)
-    mask = element_mask(elems)
-    top = elems[-1]
-    holes = ((1 << top) - 2) & ~mask
-    small = holes & ((2 << (top // 2)) - 1)
-    while small:
-        low = small & -small
-        if (holes << (low.bit_length() - 1)) & mask:
-            break
-        small ^= low
-    else:
-        return Gapset(elems)
+    top = elems[-1] if elems else 0
+    if top < 2 * len(elems):
+        mask = element_mask(elems)
+        holes = ((1 << top) - 2) & ~mask
+        small = holes & ((2 << (top // 2)) - 1)
+        while small:
+            low = small & -small
+            if (holes << (low.bit_length() - 1)) & mask:
+                break
+            small ^= low
+        else:
+            return Gapset(elems)
+    members = set(elems)
     for z in elems:
         for x in range(1, z // 2 + 1):
-            if not (mask >> x) & 1 and not (mask >> (z - x)) & 1:
+            if x not in members and z - x not in members:
                 return GapsetRejection(z, x, z - x)
     return Gapset(elems)
 

@@ -44,6 +44,13 @@ nodes that can end on the diagonal: such a gapset has maximum gap at most
 its multiplicity and depth at most 3.  Only the functions that build or
 read `Gapset` values import `core`, when called, and only the pool imports
 `multiprocessing`, so the walks load neither.
+
+Every walk checks its genus against one ceiling, `GENUS_CEILING`.  No
+command reaches the process pool (`enumerate_gapsets(workers=)`,
+`SPLIT_DEPTH`, `_subtree_elements`), the disk cache (`cache_path`,
+`cache_store`, `cache_load`, the `CacheError` classes) or the `Gapset`
+filters (`filter_gapsets`, `filter_pure_sparse`): they stay as library code
+only until the benchmark stops timing them as layers, and then go.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ if TYPE_CHECKING:
     # (label, last element, multiplicity, kappa, alpha) of one gapset
     KernelRecord = tuple[Label, int, int, int, Optional[int]]
 
-DEFAULT_GENUS_CEILING = 30
+GENUS_CEILING = 30
 BRUTE_FORCE_MAX_GENUS = 12
 SPLIT_DEPTH = 8
 
@@ -73,7 +80,7 @@ CACHE_FILE_TEMPLATE = "gapsets-g{genus}.txt"
 
 
 class ResourceLimitError(RuntimeError):
-    """Requested genus exceeds the configured search ceiling."""
+    """Requested genus exceeds the search ceiling."""
 
 
 class CacheError(RuntimeError):
@@ -88,12 +95,11 @@ class CorruptCacheError(CacheError):
     """Cache file failed its checksum, header or shape verification."""
 
 
-def _check_genus(genus: int, genus_ceiling: Optional[int]) -> None:
-    ceiling = DEFAULT_GENUS_CEILING if genus_ceiling is None else genus_ceiling
+def _check_genus(genus: int) -> None:
     if genus < 0:
         raise ValueError("genus must be >= 0")
-    if genus > ceiling:
-        raise ResourceLimitError(f"genus {genus} exceeds the ceiling {ceiling}")
+    if genus > GENUS_CEILING:
+        raise ResourceLimitError(f"genus {genus} exceeds the ceiling {GENUS_CEILING}")
 
 
 def _iter_records(
@@ -198,13 +204,13 @@ def _iter_records(
             rest |= b
 
 
-def enumerate_records(genus: int, *, genus_ceiling: Optional[int] = None) -> Iterator[Record]:
+def enumerate_records(genus: int) -> Iterator[Record]:
     """Every genus-`genus` gapset as a record (elements, multiplicity, kappa,
     alpha), in lexicographic order, with no Gapset built; the bounds are
     checked before the walk starts.  Conductor, Frobenius number and depth
     follow: c = elements[-1] + 1 (0 for genus 0), F = c - 1, depth = ceil(c / m).
     """
-    _check_genus(genus, genus_ceiling)
+    _check_genus(genus)
     return ((elems, m, k, a) for elems, _, m, k, a in _iter_records(genus))
 
 
@@ -332,12 +338,10 @@ def _count_diagonal(w: int) -> int:
     return total
 
 
-def count_by_kappa(
-    max_genus: int, *, genus_ceiling: Optional[int] = None
-) -> list[Counter[int]]:
+def count_by_kappa(max_genus: int) -> list[Counter[int]]:
     """Row g maps each maximum gap k to the number of genus-g gapsets with
     kappa k, for every g <= max_genus; the bounds are checked before the walk."""
-    _check_genus(max_genus, genus_ceiling)
+    _check_genus(max_genus)
     return [
         Counter({k: n for k, n in enumerate(row) if n})
         for row in _count_cells(max_genus)
@@ -348,12 +352,7 @@ def _subtree_elements(genus: int, root: Elements) -> list[Elements]:
     return [rec[0] for rec in _iter_records(genus, root)]
 
 
-def enumerate_gapsets(
-    genus: int,
-    *,
-    workers: int = 1,
-    genus_ceiling: Optional[int] = None,
-) -> Iterator[Gapset]:
+def enumerate_gapsets(genus: int, *, workers: int = 1) -> Iterator[Gapset]:
     """Emit every gapset of the given genus, once, in lexicographic order.
 
     With workers > 1 the tree is split at a fixed shallow depth and the
@@ -362,7 +361,7 @@ def enumerate_gapsets(
     """
     from .core import Gapset
 
-    _check_genus(genus, genus_ceiling)
+    _check_genus(genus)
     split = min(genus, SPLIT_DEPTH)
     if workers <= 1 or split == genus:
         for rec in _iter_records(genus):
@@ -505,27 +504,3 @@ def cache_load(genus: int, cache_dir: str | Path) -> list[Gapset]:
         out.append(Gapset(elems))
     return out
 
-
-def gapsets_for_genus(
-    genus: int,
-    *,
-    cache_dir: Optional[str | Path] = None,
-    workers: int = 1,
-    genus_ceiling: Optional[int] = None,
-) -> Iterator[Gapset]:
-    """Cache-backed stream: load when a cache file exists, otherwise search
-    (and populate the cache when a directory is configured)."""
-    if cache_dir is not None:
-        try:
-            yield from cache_load(genus, cache_dir)
-            return
-        except MissingCacheError:
-            pass
-        cache_store(
-            genus,
-            enumerate_gapsets(genus, workers=workers, genus_ceiling=genus_ceiling),
-            cache_dir,
-        )
-        yield from cache_load(genus, cache_dir)
-        return
-    yield from enumerate_gapsets(genus, workers=workers, genus_ceiling=genus_ceiling)

@@ -52,26 +52,22 @@ class StabilizationReport(NamedTuple):
         return not self.violations
 
 
-def build_count_grid(
-    max_genus: int, *, genus_ceiling: Optional[int] = None
-) -> CountGrid:
+def build_count_grid(max_genus: int) -> CountGrid:
     """Exact counts for every genus up to max_genus, from one walk."""
-    rows = count_by_kappa(max_genus, genus_ceiling=genus_ceiling)
+    rows = count_by_kappa(max_genus)
     cells = {(g, k): n for g, row in enumerate(rows) for k, n in row.items()}
     row_sums = {g: sum(row.values()) for g, row in enumerate(rows)}
     marks = frozenset(cell for cell in cells if 2 * cell[0] == 3 * cell[1])
     return CountGrid(max_genus, cells, row_sums, marks)
 
 
-def diagonal_sequence(
-    max_w: int, *, genus_ceiling: Optional[int] = None
-) -> DiagonalSequence:
+def diagonal_sequence(max_w: int) -> DiagonalSequence:
     """Diagonal terms for w = 0..max_w, each from its own diagonal-targeted
     walk to genus 3w; the bounds (genus 3 * max_w) are checked before any
     walk starts."""
     from fractions import Fraction
 
-    _check_genus(3 * max_w, genus_ceiling)
+    _check_genus(3 * max_w)
     terms = [_count_diagonal(w) for w in range(max_w + 1)]
     ratios: list[Optional[Fraction]] = [None]
     ratios += [Fraction(terms[w], terms[w - 1]) for w in range(1, len(terms))]

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable
 
 from .core import (
     Elements,
@@ -33,7 +32,7 @@ from .core import (
     kappa_and_alpha,
     validate_gapset,
 )
-from .enumeration import _check_genus, gapsets_for_genus
+from .enumeration import _check_genus, enumerate_gapsets
 from .maps import _bijection_report, classify_widest_pair, widen_max_gap
 from .tally import build_count_grid, stabilization_check
 
@@ -66,17 +65,14 @@ class SuiteReport:
             self.violations.append(Violation(self.suite, name, elements, detail))
 
 
-def memoized_provider(
-    cache_dir: Optional[str | Path] = None, workers: int = 1
-) -> Provider:
-    """Per-genus enumeration memo so suites sharing a provider enumerate once."""
+def memoized_provider() -> Provider:
+    """Per-genus memo of one sequential search per genus, so suites sharing
+    a provider enumerate each genus once."""
     memo: dict[int, list[Gapset]] = {}
 
     def by_genus(g: int) -> list[Gapset]:
         if g not in memo:
-            memo[g] = list(
-                gapsets_for_genus(g, cache_dir=cache_dir, workers=workers)
-            )
+            memo[g] = list(enumerate_gapsets(g))
         return memo[g]
 
     return by_genus
@@ -382,19 +378,13 @@ def bijection_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
     return report
 
 
-def run_suites(
-    suites: Iterable[str],
-    max_genus: int,
-    *,
-    cache_dir: Optional[str | Path] = None,
-    workers: int = 1,
-) -> list[SuiteReport]:
+def run_suites(suites: Iterable[str], max_genus: int) -> list[SuiteReport]:
     """Run the named suites over one shared provider.  The largest genus they
     read (max_genus + 1 for the bijection suite) is checked against the
     ceiling before any suite runs."""
     suites = list(suites)
-    _check_genus(max_genus + ("bijection" in suites), None)
-    by_genus = memoized_provider(cache_dir, workers)
+    _check_genus(max_genus + ("bijection" in suites))
+    by_genus = memoized_provider()
     runners = {
         "core": core_suite,
         "sparse": sparse_suite,

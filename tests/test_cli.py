@@ -310,6 +310,7 @@ class TestSequence:
         ["verify", "--max-genus", "3", "--workers", "-3"],
         ["table", "--max-genus", "3", "--workers", "2"],
         ["sequence", "gw", "--max-w", "3", "--workers", "1"],
+        ["verify", "--max-genus", "3", "--cache-dir", "x"],
         ["enumerate", "--genus", "4", "--kappa", "-1"],
         ["enumerate", "--genus", "4", "--depth", "-1"],
         ["map", "--gapset", "1,2,4,7", "--op", "phi-inverse", "--kappa", "-1"],
@@ -408,6 +409,11 @@ class TestMap:
         assert code == 4
         assert "(4, 2, 2)" in out
 
+    def test_huge_element_exits_4_without_a_mask_of_its_size(self, capsys):
+        code, out = run(capsys, "map", "--gapset", "1,1000000000000")
+        assert code == 4
+        assert out == "not a gapset: witness (1000000000000, 2, 999999999998)\n"
+
     def test_shift_blocks(self, capsys):
         code, out = run(capsys, "map", "--gapset", "1,2,3,4,5,6,7,8,9,11,19,21", "--op", "sigma")
         assert code == 0
@@ -437,26 +443,6 @@ class TestMap:
 
 
 class TestVerify:
-    def test_cache_dir_flag_and_env(self, capsys, tmp_path, monkeypatch):
-        env_dir = tmp_path / "env"
-        flag_dir = tmp_path / "flag"
-        monkeypatch.setenv("GAPSET_CACHE_DIR", str(env_dir))
-        run(capsys, "verify", "--max-genus", "3", "--suite", "core")
-        assert (env_dir / "gapsets-g3.txt").exists()
-        run(
-            capsys, "verify", "--max-genus", "3", "--suite", "core",
-            "--cache-dir", str(flag_dir),
-        )
-        assert (flag_dir / "gapsets-g3.txt").exists()
-
-    def test_corrupt_cache_fails_loudly(self, capsys, tmp_path):
-        argv = ("verify", "--max-genus", "3", "--suite", "core", "--cache-dir", str(tmp_path))
-        assert run(capsys, *argv)[0] == 0
-        path = tmp_path / "gapsets-g3.txt"
-        path.write_bytes(path.read_bytes().replace(b"1,2,3", b"1,2,9", 1))
-        code, _ = run(capsys, *argv)
-        assert code == 1
-
     def test_core_suite_coverage(self, capsys):
         code, out = run(capsys, "verify", "--max-genus", "3", "--suite", "core")
         assert code == 0
@@ -484,7 +470,7 @@ class TestVerify:
         from gapsets import verification
         from gapsets.verification import SuiteReport, Violation
 
-        def fake(names, max_genus, cache_dir=None, workers=1):
+        def fake(names, max_genus):
             report = SuiteReport("core", max_genus, gapsets_covered=1, checks_run=1)
             report.violations.append(
                 Violation("core", "planted", (1, 4), "for the exit-code contract")
@@ -570,7 +556,6 @@ class TestLazyExports:
             obj = getattr(gapsets, name)
             assert getattr(importlib.import_module(obj.__module__), name) is obj
             assert name in dir(gapsets)
-        assert sorted(gapsets._SOURCE) == sorted(gapsets.__all__)
 
     def test_unknown_name_raises_attribute_error(self):
         with pytest.raises(AttributeError, match="no_such_name"):

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -106,6 +107,16 @@ class TestValidate:
     def test_unnormalized_input(self):
         assert validate_gapset([7, 2, 4, 1, 2]) == Gapset((1, 2, 4, 7))
         assert validate_gapset([5, 1, 6, 6]).as_triple() == (5, 2, 3)
+
+    def test_memory_follows_the_input_length_not_its_largest_member(self):
+        tracemalloc.start()
+        try:
+            result = validate_gapset((1, 10**8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.as_triple() == (10**8, 2, 10**8 - 2)
+        assert peak < 1 << 20
 
 
 class TestInvariants:

@@ -76,8 +76,6 @@ def test_brute_force_guard():
 def test_genus_ceiling():
     with pytest.raises(ResourceLimitError):
         list(enumerate_gapsets(31))
-    with pytest.raises(ResourceLimitError):
-        list(enumerate_gapsets(5, genus_ceiling=4))
 
 
 def test_workers_do_not_change_the_stream():
@@ -132,8 +130,6 @@ class TestCountWalk:
         monkeypatch.setattr(enumeration, "_count_cells", entered)
         with pytest.raises(ResourceLimitError):
             count_by_kappa(31)
-        with pytest.raises(ResourceLimitError):
-            count_by_kappa(5, genus_ceiling=4)
         with pytest.raises(ValueError):
             count_by_kappa(-1)
 
@@ -211,8 +207,6 @@ class TestRecordWalk:
         monkeypatch.setattr(enumeration, "_iter_records", entered)
         with pytest.raises(ResourceLimitError):
             enumerate_records(31)
-        with pytest.raises(ResourceLimitError):
-            enumerate_records(5, genus_ceiling=4)
         with pytest.raises(ValueError):
             enumerate_records(-1)
 

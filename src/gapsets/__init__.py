@@ -25,13 +25,7 @@ _EXPORTS = {
         "ordinary_gapset",
         "validate_gapset",
     ),
-    "enumeration": (
-        "brute_force_gapsets",
-        "cache_load",
-        "cache_store",
-        "enumerate_gapsets",
-        "filter_pure_sparse",
-    ),
+    "enumeration": ("brute_force_gapsets", "enumerate_gapsets"),
     "maps": (
         "BijectionReport",
         "WidenImage",

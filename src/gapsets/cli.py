@@ -13,13 +13,7 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from .enumeration import (
-    GENUS_CEILING,
-    ResourceLimitError,
-    _check_genus,
-    _iter_records,
-    count_by_kappa,
-)
+from .enumeration import GENUS_CEILING, ResourceLimitError, _check_genus, _iter_records
 
 if TYPE_CHECKING:
     from .tally import CountGrid
@@ -130,8 +124,10 @@ def cmd_table(args, out) -> int:
 
 def cmd_sequence(args, out) -> int:
     if args.which == "ng":
-        counts = [sum(row.values()) for row in count_by_kappa(args.max_genus)]
-        print(",".join(map(str, counts)), file=out)
+        from .tally import build_count_grid
+
+        row_sums = build_count_grid(args.max_genus).row_sums
+        print(",".join(map(str, row_sums.values())), file=out)
         return EXIT_OK
     from .tally import diagonal_sequence, format_cumulative, format_ratio
 
@@ -258,12 +254,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["markdown", "csv"], default="markdown")
 
     p = sub.add_parser("sequence", help="count sequences")
-    p.add_argument("which", choices=["ng", "gw"])
-    p.add_argument("--max-genus", type=int, help="for ng")
-    p.add_argument(
+    which = p.add_subparsers(dest="which", required=True)
+    q = which.add_parser("ng", help="gapset counts by genus")
+    q.add_argument("--max-genus", type=int, required=True)
+    q = which.add_parser("gw", help="pure 2w-sparse gapsets of genus 3w")
+    q.add_argument(
         "--max-w",
         type=int,
-        help="for gw; the walk goes to genus 3w, so at most "
+        required=True,
+        help="the walk goes to genus 3w, so at most "
         f"{GENUS_CEILING // 3} under the genus-{GENUS_CEILING} ceiling",
     )
 
@@ -298,15 +297,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         value = getattr(args, name, None)
         if value is not None and value < low:
             parser.error(f"--{name.replace('_', '-')} must be >= {low}")
-    if args.command == "sequence":
-        if args.which == "ng" and args.max_genus is None:
-            parser.error("sequence ng requires --max-genus")
-        if args.which == "gw" and args.max_w is None:
-            parser.error("sequence gw requires --max-w")
-        if args.which == "ng" and args.max_w is not None:
-            parser.error("--max-w is for sequence gw only")
-        if args.which == "gw" and args.max_genus is not None:
-            parser.error("--max-genus is for sequence ng only")
     handlers = {
         "enumerate": cmd_enumerate,
         "table": cmd_table,

@@ -215,7 +215,9 @@ def depth(g: Gapset) -> int:
 
 
 def invariants(g: Gapset) -> InvariantRecord:
-    """Compute every invariant in one pass over the elements."""
+    """Compute every invariant from three calls: `conductor` reads the last
+    element, and `multiplicity` and `kappa_and_alpha` each scan the
+    elements."""
     c = conductor(g)
     m = multiplicity(g)
     kappa, alpha = kappa_and_alpha(g)

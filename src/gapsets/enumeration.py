@@ -31,25 +31,25 @@ every leaf is yielded as a kernel record (label, last, multiplicity, kappa,
 alpha) with no Gapset built and no second pass over its elements.  A label
 grows by one table entry per edge: by default the entry for x is (x,), so
 the label is the elements tuple; the CLI passes sep + str(x), so the label
-is already the gapset's text.  `enumerate_records` gives the public records
-(elements, multiplicity, kappa, alpha) and `enumerate_gapsets` wraps the
-same walk's elements in Gapset values.  Aggregates come from one count-only
-walk (`count_by_kappa`): one pass to the largest genus counts every
-smaller genus by maximum gap, building no tuples; at the last level it
-counts a node's children with no loop: every child x <= last + max_gap
-falls in the parent's cell, so that cell gets a popcount of the children
-mask.  The diagonal term t(w) (genus 3w, maximum gap 2w) has its own
-count walk (`_count_diagonal`) on the same masks, which visits only the
-nodes that can end on the diagonal: such a gapset has maximum gap at most
-its multiplicity and depth at most 3.  Only the functions that build or
-read `Gapset` values import `core`, when called, and only the pool imports
-`multiprocessing`, so the walks load neither.
+is already the gapset's text.  `enumerate_gapsets` wraps the same walk's
+elements in Gapset values.  Aggregates come from one count-only walk
+(`_count_cells`), which `tally.build_count_grid` reads: one pass to the
+largest genus counts every smaller genus by maximum gap, building no
+tuples; at the last level it counts a node's children with no loop: every
+child x <= last + max_gap falls in the parent's cell, so that cell gets a
+popcount of the children mask.  The diagonal term t(w) (genus 3w, maximum
+gap 2w) has its own count walk (`_count_diagonal`) on the same masks, which
+visits only the nodes that can end on the diagonal: such a gapset has
+maximum gap at most its multiplicity and depth at most 3.  Only the
+functions that build or read `Gapset` values import `core`, when called,
+and only the pool imports `multiprocessing`, so the walks load neither.
 
 Every walk checks its genus against one ceiling, `GENUS_CEILING`.  No
-command reaches the process pool (`enumerate_gapsets(workers=)`,
-`SPLIT_DEPTH`, `_subtree_elements`), the disk cache (`cache_path`,
-`cache_store`, `cache_load`, the `CacheError` classes) or the `Gapset`
-filters (`filter_gapsets`, `filter_pure_sparse`): they stay as library code
+command and no other module reaches the process pool
+(`enumerate_gapsets(workers=)`, `SPLIT_DEPTH`, `_subtree_elements`), the
+disk cache (`cache_path`, `cache_store`, `cache_load`, the `CacheError`
+classes) or the `Gapset` filters (`filter_gapsets`, `filter_pure_sparse`),
+and the package namespace does not export them: they stay as library code
 only until the benchmark stops timing them as layers, and then go.
 """
 
@@ -57,7 +57,6 @@ from __future__ import annotations
 
 import tempfile
 import zlib
-from collections import Counter
 from itertools import combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
@@ -65,8 +64,6 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 if TYPE_CHECKING:
     from .core import Elements, Gapset
 
-    # (elements, multiplicity, kappa, alpha) of one gapset
-    Record = tuple[Elements, int, int, Optional[int]]
     # a node's label: its elements tuple, or their text (see `_iter_records`)
     Label = Union[Elements, str]
     # (label, last element, multiplicity, kappa, alpha) of one gapset
@@ -204,16 +201,6 @@ def _iter_records(
             rest |= b
 
 
-def enumerate_records(genus: int) -> Iterator[Record]:
-    """Every genus-`genus` gapset as a record (elements, multiplicity, kappa,
-    alpha), in lexicographic order, with no Gapset built; the bounds are
-    checked before the walk starts.  Conductor, Frobenius number and depth
-    follow: c = elements[-1] + 1 (0 for genus 0), F = c - 1, depth = ceil(c / m).
-    """
-    _check_genus(genus)
-    return ((elems, m, k, a) for elems, _, m, k, a in _iter_records(genus))
-
-
 def _count_cells(max_genus: int) -> list[list[int]]:
     """cells[g][k] = #{genus-g gapsets with maximum gap k}, from one walk.
 
@@ -336,16 +323,6 @@ def _count_diagonal(w: int) -> int:
                 kids,
             ))
     return total
-
-
-def count_by_kappa(max_genus: int) -> list[Counter[int]]:
-    """Row g maps each maximum gap k to the number of genus-g gapsets with
-    kappa k, for every g <= max_genus; the bounds are checked before the walk."""
-    _check_genus(max_genus)
-    return [
-        Counter({k: n for k, n in enumerate(row) if n})
-        for row in _count_cells(max_genus)
-    ]
 
 
 def _subtree_elements(genus: int, root: Elements) -> list[Elements]:

@@ -29,7 +29,7 @@ from .core import (
     multiplicity,
     validate_gapset,
 )
-from .enumeration import enumerate_gapsets, filter_pure_sparse
+from .enumeration import enumerate_gapsets
 
 CLASS_GAPSET = "gapset"
 CLASS_M_SET_NOT_GAPSET = "m-set-not-gapset"
@@ -222,8 +222,8 @@ def verify_bijection(
     if 2 * genus > 3 * kappa:
         raise PreconditionError(f"need 2g <= 3k, got g={genus}, k={kappa}")
     provider = by_genus if by_genus is not None else enumerate_gapsets
-    source = list(filter_pure_sparse(provider(genus), kappa))
-    target = list(filter_pure_sparse(provider(genus + 1), kappa + 1))
+    source = [g for g in provider(genus) if kappa_and_alpha(g)[0] == kappa]
+    target = [h for h in provider(genus + 1) if kappa_and_alpha(h)[0] == kappa + 1]
     return _bijection_report(genus, kappa, source, target)
 
 

@@ -7,7 +7,7 @@ diagonal, counts are invariant along (g, k) -> (g+1, k+1); the diagonal
 itself gives the sequence #{pure 2w-sparse gapsets of genus 3w}.
 
 The grid reads its cells from one count-only tree walk
-(`enumeration.count_by_kappa`) to its largest genus; each diagonal term
+(`enumeration._count_cells`) to its largest genus; each diagonal term
 comes from its own walk (`enumeration._count_diagonal`), which visits only
 the gapsets that can end on the diagonal.  No `Gapset` objects are built,
 and the result types are named tuples, so this module loads nothing
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Optional
 
-from .enumeration import _check_genus, _count_diagonal, count_by_kappa
+from .enumeration import _check_genus, _count_cells, _count_diagonal
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -53,10 +53,12 @@ class StabilizationReport(NamedTuple):
 
 
 def build_count_grid(max_genus: int) -> CountGrid:
-    """Exact counts for every genus up to max_genus, from one walk."""
-    rows = count_by_kappa(max_genus)
-    cells = {(g, k): n for g, row in enumerate(rows) for k, n in row.items()}
-    row_sums = {g: sum(row.values()) for g, row in enumerate(rows)}
+    """Exact counts for every genus up to max_genus, from one walk; the
+    bounds are checked before the walk starts."""
+    _check_genus(max_genus)
+    rows = _count_cells(max_genus)
+    cells = {(g, k): n for g, row in enumerate(rows) for k, n in enumerate(row) if n}
+    row_sums = {g: sum(row) for g, row in enumerate(rows)}
     marks = frozenset(cell for cell in cells if 2 * cell[0] == 3 * cell[1])
     return CountGrid(max_genus, cells, row_sums, marks)
 

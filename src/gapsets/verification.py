@@ -9,9 +9,11 @@ and the widening bijection with its count stabilization.
 
 Set tests run on bit masks of the elements (bit v set for member v):
 re-validation, m-set and m-extension membership, and the shifted-gap
-window test.  The bijection suite splits each genus into its kappa
-families once and checks every (g, k) pair from that split.  Each check
-still computes its own answer; none reads another check's result.
+window test.  The phi suite reads whether each widened image is a gapset
+from the classification `widen_max_gap` already made, and builds one
+Gapset per image.  The bijection suite splits each genus into its kappa
+families once and checks every (g, k) pair from that split.  No check
+reads another check's result.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .core import (
     validate_gapset,
 )
 from .enumeration import _check_genus, enumerate_gapsets
-from .maps import _bijection_report, classify_widest_pair, widen_max_gap
+from .maps import CLASS_GAPSET, _bijection_report, classify_widest_pair, widen_max_gap
 from .tally import build_count_grid, stabilization_check
 
 Provider = Callable[[int], Iterable[Gapset]]
@@ -240,6 +242,8 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
             m = rec.multiplicity
             image = widen_max_gap(g)
             ie = image.elements
+            ig = Gapset(ie)
+            is_gapset = image.classification == CLASS_GAPSET
             report.check("image-size", len(ie) == genus + 1, e)
             report.check(
                 "image-range",
@@ -248,30 +252,27 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
             )
             report.check(
                 "image-kappa-raised",
-                kappa_and_alpha(Gapset(ie))[0] == rec.kappa + 1,
+                kappa_and_alpha(ig)[0] == rec.kappa + 1,
                 e,
             )
             report.check(
                 "gapset-is-m-extension", is_m_extension(e, m), e
             )
             if rec.depth == 1:
-                checked = validate_gapset(ie)
                 report.check(
                     "depth1-image-gapset-of-depth-2",
-                    isinstance(checked, Gapset)
-                    and invariants(checked).depth == 2,
+                    is_gapset and invariants(ig).depth == 2,
                     e,
                 )
             elif rec.depth == 2:
                 report.check(
                     "depth2-image-is-next-m-set",
-                    is_m_set(ie, m + 1) and depth(Gapset(ie)) == 2,
+                    is_m_set(ie, m + 1) and depth(ig) == 2,
                     e,
                 )
-                checked = validate_gapset(ie)
-                ok = isinstance(checked, Gapset)
+                ok = is_gapset
                 if ok:
-                    irec = invariants(checked)
+                    irec = invariants(ig)
                     ok = irec.depth == 2 and irec.kappa == rec.kappa + 1
                 report.check("depth2-image-in-next-family", ok, e)
                 depth2_images.add(ie)
@@ -280,14 +281,13 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
                 if not exceptional:
                     report.check(
                         "depth3-image-is-next-m-set",
-                        is_m_set(ie, m + 1) and depth(Gapset(ie)) == 3,
+                        is_m_set(ie, m + 1) and depth(ig) == 3,
                         e,
                     )
                 if 2 * genus <= 3 * rec.kappa:
-                    checked = validate_gapset(ie)
-                    ok = isinstance(checked, Gapset)
+                    ok = is_gapset
                     if ok:
-                        irec = invariants(checked)
+                        irec = invariants(ig)
                         ok = irec.depth == 3 and irec.kappa == rec.kappa + 1
                     report.check("depth3-image-in-next-family", ok, e)
             images_by_kappa.setdefault(rec.kappa, {})

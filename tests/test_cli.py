@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import gapsets
+import gapsets.cli as cli
 from gapsets import enumerate_gapsets, enumeration, invariants, tally, validate_gapset
 from gapsets.cli import BLOCK_LINES, CSV_HEADER, main
 from gapsets.enumeration import filter_gapsets
@@ -322,6 +323,38 @@ def test_bad_bounds_exit_2(argv):
     assert err.value.code == 2
 
 
+def patch_walks(monkeypatch):
+    """Make every tree walk raise, patched under the name its caller looks up:
+    `enumerate` calls cli._iter_records, `enumerate_gapsets` (and so `verify`)
+    enumeration._iter_records, and `table` and `sequence` the tally names."""
+
+    def entered(*_args, **_kwargs):
+        raise AssertionError("the tree search started")
+
+    monkeypatch.setattr(cli, "_iter_records", entered)
+    monkeypatch.setattr(enumeration, "_iter_records", entered)
+    monkeypatch.setattr(tally, "_count_cells", entered)
+    monkeypatch.setattr(tally, "_count_diagonal", entered)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--max-genus", "3"],
+        ["sequence", "ng", "--max-genus", "3"],
+        ["sequence", "gw", "--max-w", "1"],
+        ["enumerate", "--genus", "3"],
+        ["verify", "--max-genus", "1"],
+    ],
+)
+def test_patched_walks_are_reached(argv, monkeypatch):
+    # the control for the tests below, which patch the walks to show that a
+    # command stops before any of them starts
+    patch_walks(monkeypatch)
+    with pytest.raises(AssertionError, match="the tree search started"):
+        main(argv)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -332,15 +365,14 @@ def test_bad_bounds_exit_2(argv):
     ],
 )
 def test_flag_of_another_mode_exit_2_before_any_output(argv, monkeypatch, capsys):
-    def entered(*_args):
-        raise AssertionError("the tree search started")
-
-    monkeypatch.setattr(enumeration, "_count_cells", entered)
-    monkeypatch.setattr(tally, "_count_diagonal", entered)
+    patch_walks(monkeypatch)
     with pytest.raises(SystemExit) as err:
         main(argv)
     assert err.value.code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if argv[0] == "sequence":
+        assert "unrecognized arguments" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -355,14 +387,41 @@ def test_flag_of_another_mode_exit_2_before_any_output(argv, monkeypatch, capsys
     ],
 )
 def test_resource_limit_exit_3_before_searching(argv, monkeypatch, capsys):
-    def entered(*_args):
-        raise AssertionError("the tree search started")
-
-    monkeypatch.setattr(enumeration, "_iter_records", entered)
-    monkeypatch.setattr(enumeration, "_count_cells", entered)
-    monkeypatch.setattr(tally, "_count_diagonal", entered)
+    patch_walks(monkeypatch)
     assert main(argv) == 3
     assert capsys.readouterr().out == ""
+
+
+# library code that stays only while the benchmark times it as a layer
+UNREACHED = ("filter_gapsets", "filter_pure_sparse", "cache_store", "cache_load", "_subtree_elements")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--genus", "6", "--kappa", "4", "--pure", "--format", "json"],
+        ["table", "--max-genus", "8"],
+        ["sequence", "ng", "--max-genus", "8"],
+        ["sequence", "gw", "--max-w", "3"],
+        ["map", "--gapset", "1,3,5", "--op", "phi"],
+        ["map", "--gapset", "1,2,3,4,5,6,7,8,9,11,19,21", "--op", "sigma"],
+        ["map", "--gapset", "1,2,4,7", "--op", "phi-inverse", "--kappa", "3"],
+        ["verify", "--max-genus", "6"],
+    ],
+    ids="-".join,
+)
+def test_no_command_reaches_the_cache_pool_or_filter(argv, monkeypatch, capsys):
+    _, expected = run(capsys, *argv)
+
+    def reached(*_args, **_kwargs):
+        raise AssertionError("a command reached the cache, the pool or the filter")
+
+    # every name a loaded gapsets module binds, so a by-name import is caught too
+    for module in [m for name, m in sys.modules.items() if name.startswith("gapsets.")]:
+        for name in UNREACHED:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, reached)
+    assert run(capsys, *argv) == (0, expected)
 
 
 def test_sequence_gw_walks_to_genus_3w(monkeypatch, capsys):
@@ -378,7 +437,7 @@ def test_sequence_gw_walks_to_genus_3w(monkeypatch, capsys):
         raise AssertionError("the full count walk started")
 
     monkeypatch.setattr(tally, "_count_diagonal", diagonal)
-    monkeypatch.setattr(enumeration, "_count_cells", entered)
+    monkeypatch.setattr(tally, "_count_cells", entered)
     assert main(["sequence", "gw", "--max-w", "10"]) == 0
     assert walked == list(range(11))
     capsys.readouterr()
@@ -528,16 +587,17 @@ class TestImports:
         assert loaded_after(code) == set()
 
     def test_table_loads_tally_only(self):
-        code = (
-            "from gapsets.cli import main\n"
-            "sys.stdout = io.StringIO()\n"
-            "assert main(['table', '--max-genus', '5']) == 0"
-        )
-        loaded = loaded_after(code)
-        assert "gapsets.tally" in loaded
-        assert not loaded & {
-            "gapsets.maps", "gapsets.verification", "multiprocessing", "fractions", "dataclasses",
-        }
+        for argv in (["table", "--max-genus", "5"], ["sequence", "ng", "--max-genus", "5"]):
+            code = (
+                "from gapsets.cli import main\n"
+                "sys.stdout = io.StringIO()\n"
+                f"assert main({argv!r}) == 0"
+            )
+            loaded = loaded_after(code)
+            assert "gapsets.tally" in loaded, argv
+            assert not loaded & {
+                "gapsets.maps", "gapsets.verification", "multiprocessing", "fractions", "dataclasses",
+            }, argv
 
     def test_sequence_gw_loads_tally_without_dataclasses(self):
         code = (

@@ -7,15 +7,13 @@ import pytest
 from gapsets import (
     Gapset,
     brute_force_gapsets,
-    cache_load,
-    cache_store,
+    build_count_grid,
     enumerate_gapsets,
-    filter_pure_sparse,
     invariants,
     kappa_and_alpha,
     validate_gapset,
 )
-from gapsets import enumeration
+from gapsets import enumeration, tally
 from gapsets.enumeration import (
     BRUTE_FORCE_MAX_GENUS,
     CorruptCacheError,
@@ -23,9 +21,11 @@ from gapsets.enumeration import (
     ResourceLimitError,
     _count_cells,
     _count_diagonal,
+    _iter_records,
+    cache_load,
     cache_path,
-    count_by_kappa,
-    enumerate_records,
+    cache_store,
+    filter_pure_sparse,
 )
 
 from expected_counts import COUNTS_BY_KAPPA, DIAGONAL_TERMS, GAPSET_COUNTS, LARGE_GAPSET_COUNTS
@@ -95,15 +95,20 @@ def brute():
     return [list(brute_force_gapsets(g)) for g in range(BRUTE_FORCE_MAX_GENUS + 1)]
 
 
+def kappa_rows(max_genus):
+    """The count walk's rows as {kappa: count} without the zero cells."""
+    return [{k: n for k, n in enumerate(row) if n} for row in _count_cells(max_genus)]
+
+
 class TestCountWalk:
     def test_rows_match_the_tuple_search(self):
-        rows = count_by_kappa(16)
+        rows = kappa_rows(16)
         assert len(rows) == 17
         for g, row in enumerate(rows):
             assert row == kappa_counter(enumerate_gapsets(g)), g
 
     def test_rows_match_brute_force(self, brute):
-        for g, row in enumerate(count_by_kappa(BRUTE_FORCE_MAX_GENUS)):
+        for g, row in enumerate(kappa_rows(BRUTE_FORCE_MAX_GENUS)):
             assert row == kappa_counter(brute[g]), g
 
     def test_frozen_grid_matches_the_benchmark(self):
@@ -115,23 +120,23 @@ class TestCountWalk:
         assert bench.CELLS == COUNTS_BY_KAPPA
 
     def test_rows_match_frozen_grid(self):
-        rows = count_by_kappa(22)
-        assert rows == [Counter(COUNTS_BY_KAPPA[g]) for g in range(23)]
-        assert rows[0] == {0: 1} and rows[1] == {1: 1}
+        grid = build_count_grid(22)
+        assert grid.cells == {(g, k): n for g in range(23) for k, n in COUNTS_BY_KAPPA[g].items()}
+        assert kappa_rows(1) == [{0: 1}, {1: 1}]
 
     def test_row_sums_to_genus_24(self):
-        rows = count_by_kappa(24)
-        assert {g: sum(rows[g].values()) for g in range(20, 25)} == LARGE_GAPSET_COUNTS
+        row_sums = build_count_grid(24).row_sums
+        assert {g: row_sums[g] for g in range(20, 25)} == LARGE_GAPSET_COUNTS
 
     def test_bounds_checked_before_the_walk(self, monkeypatch):
         def entered(*_args):
             raise AssertionError("the walk started")
 
-        monkeypatch.setattr(enumeration, "_count_cells", entered)
+        monkeypatch.setattr(tally, "_count_cells", entered)
         with pytest.raises(ResourceLimitError):
-            count_by_kappa(31)
+            build_count_grid(31)
         with pytest.raises(ValueError):
-            count_by_kappa(-1)
+            build_count_grid(-1)
 
 
 class TestDiagonalWalk:
@@ -141,7 +146,7 @@ class TestDiagonalWalk:
 
     def test_terms_match_the_record_walk(self):
         for w in range(5):
-            pure = sum(1 for _, _, k, _ in enumerate_records(3 * w) if k == 2 * w)
+            pure = sum(1 for _, _, _, k, _ in _iter_records(3 * w) if k == 2 * w)
             assert _count_diagonal(w) == pure, w
 
     @pytest.mark.slow
@@ -154,21 +159,21 @@ class TestDiagonalWalk:
 class TestRecordWalk:
     def test_records_match_invariants(self):
         for g in range(17):
-            for elems, m, k, a in enumerate_records(g):
+            for elems, last, m, k, a in _iter_records(g):
                 rec = invariants(Gapset(elems))
-                c = elems[-1] + 1 if elems else 0
+                c = last + 1 if elems else 0
                 assert (m, c, -(-c // m), k, a) == (
                     rec.multiplicity, rec.conductor, rec.depth, rec.kappa, rec.alpha
                 ), elems
 
     def test_elements_match_brute_force(self, brute):
         for g, oracle in enumerate(brute):
-            walk = [rec[0] for rec in enumerate_records(g)]
+            walk = [rec[0] for rec in _iter_records(g)]
             assert walk == [x.elements for x in oracle], g
 
     def test_small_genus_conventions(self):
-        assert list(enumerate_records(0)) == [((), 1, 0, None)]
-        assert list(enumerate_records(1)) == [((1,), 2, 1, None)]
+        assert list(_iter_records(0)) == [((), 0, 1, 0, None)]
+        assert list(_iter_records(1)) == [((1,), 1, 2, 1, None)]
 
     # a root given as an argument gets its children from the split test,
     # while the full walk inherits them: each depth compares the two
@@ -206,9 +211,9 @@ class TestRecordWalk:
 
         monkeypatch.setattr(enumeration, "_iter_records", entered)
         with pytest.raises(ResourceLimitError):
-            enumerate_records(31)
+            list(enumerate_gapsets(31))
         with pytest.raises(ValueError):
-            enumerate_records(-1)
+            list(enumerate_gapsets(-1))
 
 
 class TestFilters:

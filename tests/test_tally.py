@@ -70,7 +70,7 @@ def test_stabilization_below_the_diagonal():
 
 @pytest.mark.slow
 def test_stabilization_on_the_genus_27_grid():
-    # the row sums are those of count_by_kappa(27), which the grid reads
+    # the row sums are those of _count_cells(27), which the grid reads
     grid = build_count_grid(27)
     assert [grid.row_sums[g] for g in (25, 26, 27)] == [467224, 770832, 1270267]  # A007323
     report = stabilization_check(grid)

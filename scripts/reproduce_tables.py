@@ -6,6 +6,10 @@ the diagonal sequence through w = 7.  Each diagonal term has its own walk
 that visits only the gapsets that can end on the diagonal, so --max-w 10
 (the genus-30 ceiling, t = 5248) takes a few seconds.
 
+Both bounds are checked before any walk starts: a negative one exits 2,
+and a genus past the ceiling (--max-genus, or 3 * --max-w for the
+diagonal) exits 3 with a `resource limit:` line on stderr and no output.
+
 Usage: python3 scripts/reproduce_tables.py [--max-genus 19] [--max-w 7]
 """
 
@@ -14,15 +18,25 @@ import sys
 from time import perf_counter
 
 from gapsets import build_count_grid, diagonal_sequence, stabilization_check
-from gapsets.cli import render_grid
+from gapsets.cli import EXIT_RESOURCE, render_grid
+from gapsets.enumeration import ResourceLimitError, _check_genus
 from gapsets.tally import format_cumulative, format_ratio
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-genus", type=int, default=19)
     parser.add_argument("--max-w", type=int, default=7)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
+    for flag, value in (("--max-genus", args.max_genus), ("--max-w", args.max_w)):
+        if value < 0:
+            parser.error(f"{flag} must be >= 0")
+    try:
+        _check_genus(args.max_genus)
+        _check_genus(3 * args.max_w)
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
     t0 = perf_counter()
     grid = build_count_grid(args.max_genus)

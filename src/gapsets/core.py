@@ -263,10 +263,15 @@ def is_m_set(candidate: Iterable[int], m: int) -> bool:
     if m < 1:
         raise ValueError("m must be >= 1")
     elems = as_candidate(candidate)
+    mask = element_mask(elems)
     low = (1 << m) - 2
-    if element_mask(elems) & low != low:
+    if mask & low != low:
         return False
-    return all(v % m != 0 for v in elems)
+    # bits m, 2m, ..., up to the largest member: the base-2**m repunit
+    # 1 + 2**m + 2**(2m) + ... less its bit 0
+    n = (elems[-1] if elems else 0) // m
+    multiples = ((1 << (m * (n + 1))) - 1) // ((1 << m) - 1) - 1
+    return mask & multiples == 0
 
 
 def is_m_extension(candidate: Iterable[int], m: int) -> bool:
@@ -284,11 +289,11 @@ def is_m_extension(candidate: Iterable[int], m: int) -> bool:
     low = (1 << m) - 2
     if mask & low != low:
         return False
-    if any(v % m == 0 for v in elems):
-        return False
     top = elems[-1] // m if elems else 0
     prev = low
     for i in range(1, top + 1):
+        if (mask >> (i * m)) & 1:
+            return False
         block = mask & (low << (i * m))
         if block & ~(prev << m):
             return False

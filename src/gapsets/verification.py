@@ -7,20 +7,30 @@ structural facts the rest of the package relies on: invariant bounds and
 consistency, pure-sparse inequalities, behaviour of the gap-widening map,
 and the widening bijection with its count stabilization.
 
+The suites share one provider, which walks each genus once with
+`_iter_records` and keeps every gapset with the multiplicity, kappa and
+alpha the walk found for it.  The sparse, phi and bijection suites read
+those three from the record; the core suite recomputes them with
+`invariants`, so one suite still checks every value against a scan of
+the elements, and phi's `image-kappa-raised` compares the walk's kappa
+with a scan of the image.
+
 Set tests run on bit masks of the elements (bit v set for member v):
 re-validation, m-set and m-extension membership, and the shifted-gap
-window test.  The phi suite reads whether each widened image is a gapset
-from the classification `widen_max_gap` already made, and builds one
-Gapset per image.  The bijection suite splits each genus into its kappa
-families once and checks every (g, k) pair from that split.  No check
-reads another check's result.
+window test, which covers every window of one shift with a single mask.
+The phi suite reads whether each widened image is a gapset from the
+classification `widen_max_gap` already made, and builds one Gapset per
+image.  The bijection suite splits each genus into its kappa families
+once and checks every (g, k) pair from that split.  No check reads
+another check's result.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable
+from typing import Iterable, Optional, Protocol
 
 from .core import (
     Elements,
@@ -34,11 +44,21 @@ from .core import (
     kappa_and_alpha,
     validate_gapset,
 )
-from .enumeration import _check_genus, enumerate_gapsets
+from .enumeration import _check_genus, _iter_records
 from .maps import CLASS_GAPSET, _bijection_report, classify_widest_pair, widen_max_gap
 from .tally import build_count_grid, stabilization_check
 
-Provider = Callable[[int], Iterable[Gapset]]
+# (gapset, multiplicity, kappa, alpha), as the record walk found them
+Record = tuple[Gapset, int, int, Optional[int]]
+
+
+class Provider(Protocol):
+    """The genus-g gapsets in enumeration order, as `Gapset`s when called
+    and as records from `records`."""
+
+    def __call__(self, g: int) -> list[Gapset]: ...
+
+    def records(self, g: int) -> list[Record]: ...
 
 
 @dataclass(frozen=True)
@@ -67,17 +87,48 @@ class SuiteReport:
             self.violations.append(Violation(self.suite, name, elements, detail))
 
 
+class _MemoizedProvider:
+    """Per-genus memo of one record walk per genus, so suites sharing a
+    provider walk each genus once; the `Gapset` view is read from it."""
+
+    def __init__(self) -> None:
+        self._memo: dict[int, list[Record]] = {}
+
+    def records(self, g: int) -> list[Record]:
+        rows = self._memo.get(g)
+        if rows is None:
+            _check_genus(g)
+            rows = self._memo[g] = [
+                (Gapset(elems), m, k, a) for elems, _, m, k, a in _iter_records(g)
+            ]
+        return rows
+
+    def __call__(self, g: int) -> list[Gapset]:
+        return [row[0] for row in self.records(g)]
+
+
 def memoized_provider() -> Provider:
-    """Per-genus memo of one sequential search per genus, so suites sharing
-    a provider enumerate each genus once."""
-    memo: dict[int, list[Gapset]] = {}
+    """A provider whose suites walk each genus once, however many read it."""
+    return _MemoizedProvider()
 
-    def by_genus(g: int) -> list[Gapset]:
-        if g not in memo:
-            memo[g] = list(enumerate_gapsets(g))
-        return memo[g]
 
-    return by_genus
+def _windows_empty(e: Elements, m: int, c: int) -> bool:
+    """No element lies strictly between s + e[j] and s + e[j+1] for any
+    multiple s of m with s + e[j+1] <= c.
+
+    Shift 0 is skipped: consecutive elements leave its windows empty.  At
+    shift s, with J the largest index with s + e[J] <= c, the windows of
+    j < J together cover (s + e[0], s + e[J]) less the shifted elements
+    s + e[1..J-1], which is one mask test.  Needs len(e) >= 2.
+    """
+    mask = element_mask(e)
+    s = m
+    while s + e[1] <= c:
+        top = e[bisect_right(e, c - s) - 1]
+        if mask & ((1 << (s + top)) - (2 << (s + e[0]))) & ~(mask << s):
+            return False
+        s += m
+    return True
 
 
 def core_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
@@ -85,7 +136,7 @@ def core_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
     windows, and re-validation, for every gapset of genus <= max_genus."""
     report = SuiteReport("core", max_genus)
     for genus in range(max_genus + 1):
-        for g in by_genus(genus):
+        for g, *_ in by_genus.records(genus):
             report.gapsets_covered += 1
             e = g.elements
             rec = invariants(g)
@@ -142,20 +193,11 @@ def core_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
                     ),
                     e,
                 )
-                # No element may land strictly between a + l_j and a + l_{j+1}
-                # for any multiple a of m, as long as the window stays within
-                # reach of the conductor.  The window (lo, hi) is tested as
-                # the hi - lo - 1 bits of the element mask above lo.
-                mask = element_mask(e)
-                windows_ok = True
-                for j in range(genus - 1):
-                    width = (1 << (e[j + 1] - e[j] - 1)) - 1
-                    step = 0
-                    while step + e[j + 1] <= rec.conductor:
-                        if (mask >> (step + e[j] + 1)) & width:
-                            windows_ok = False
-                        step += m
-                report.check("shifted-gap-windows-empty", windows_ok, e)
+                report.check(
+                    "shifted-gap-windows-empty",
+                    genus < 2 or _windows_empty(e, m, rec.conductor),
+                    e,
+                )
             if rec.alpha is not None:
                 report.check(
                     "alpha-is-last-widest",
@@ -179,32 +221,28 @@ def sparse_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
     2g <= 3k consequences (depth cap, pair uniqueness, widest-element cap)."""
     report = SuiteReport("sparse", max_genus)
     for genus in range(max_genus + 1):
-        for g in by_genus(genus):
+        for g, m, k, alpha in by_genus.records(genus):
             report.gapsets_covered += 1
             e = g.elements
-            rec = invariants(g)
-            k = rec.kappa
-            report.check("kappa-at-most-multiplicity", k <= rec.multiplicity, e)
+            c = e[-1] + 1 if e else 0
+            q = -(-c // m)
+            report.check("kappa-at-most-multiplicity", k <= m, e)
             report.check("kappa-at-most-genus", k <= genus, e)
-            report.check(
-                "genus-plus-kappa-at-most-conductor",
-                genus + k <= rec.conductor,
-                e,
-            )
-            if rec.alpha is not None:
+            report.check("genus-plus-kappa-at-most-conductor", genus + k <= c, e)
+            if alpha is not None:
                 report.check(
                     "top-element-within-multiplicity-of-widest",
-                    e[-1] <= e[rec.alpha - 1] + rec.multiplicity,
+                    e[-1] <= e[alpha - 1] + m,
                     e,
                 )
-                if rec.depth >= 2:
+                if q >= 2:
                     try:
                         classify_widest_pair(g)
                         report.check("widest-pair-trichotomy", True, e)
                     except RuntimeError as exc:
                         report.check("widest-pair-trichotomy", False, e, str(exc))
             if 2 * genus <= 3 * k:
-                report.check("below-diagonal-depth-cap", rec.depth <= 3, e)
+                report.check("below-diagonal-depth-cap", q <= 3, e)
                 if genus >= 2:
                     pairs = sum(
                         1 for i in range(genus - 1) if e[i + 1] - e[i] == k
@@ -217,7 +255,7 @@ def sparse_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
                     )
                     report.check(
                         "widest-start-below-twice-multiplicity",
-                        e[rec.alpha - 1] <= 2 * rec.multiplicity - 1,
+                        e[alpha - 1] <= 2 * m - 1,
                         e,
                     )
     return report
@@ -235,11 +273,11 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
     for genus in range(max_genus + 1):
         images_by_kappa: dict[int, dict[Elements, Elements]] = {}
         depth2_images: set[Elements] = set()
-        for g in by_genus(genus):
+        for g, m, kappa, alpha in by_genus.records(genus):
             report.gapsets_covered += 1
             e = g.elements
-            rec = invariants(g)
-            m = rec.multiplicity
+            c = e[-1] + 1 if e else 0
+            q = -(-c // m)
             image = widen_max_gap(g)
             ie = image.elements
             ig = Gapset(ie)
@@ -252,19 +290,19 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
             )
             report.check(
                 "image-kappa-raised",
-                kappa_and_alpha(ig)[0] == rec.kappa + 1,
+                kappa_and_alpha(ig)[0] == kappa + 1,
                 e,
             )
             report.check(
                 "gapset-is-m-extension", is_m_extension(e, m), e
             )
-            if rec.depth == 1:
+            if q == 1:
                 report.check(
                     "depth1-image-gapset-of-depth-2",
                     is_gapset and invariants(ig).depth == 2,
                     e,
                 )
-            elif rec.depth == 2:
+            elif q == 2:
                 report.check(
                     "depth2-image-is-next-m-set",
                     is_m_set(ie, m + 1) and depth(ig) == 2,
@@ -273,25 +311,24 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
                 ok = is_gapset
                 if ok:
                     irec = invariants(ig)
-                    ok = irec.depth == 2 and irec.kappa == rec.kappa + 1
+                    ok = irec.depth == 2 and irec.kappa == kappa + 1
                 report.check("depth2-image-in-next-family", ok, e)
                 depth2_images.add(ie)
-            elif rec.depth == 3:
-                exceptional = (2 * m + 1) in g and e[rec.alpha - 1] >= 2 * m + 1
+            elif q == 3:
+                exceptional = (2 * m + 1) in g and e[alpha - 1] >= 2 * m + 1
                 if not exceptional:
                     report.check(
                         "depth3-image-is-next-m-set",
                         is_m_set(ie, m + 1) and depth(ig) == 3,
                         e,
                     )
-                if 2 * genus <= 3 * rec.kappa:
+                if 2 * genus <= 3 * kappa:
                     ok = is_gapset
                     if ok:
                         irec = invariants(ig)
-                        ok = irec.depth == 3 and irec.kappa == rec.kappa + 1
+                        ok = irec.depth == 3 and irec.kappa == kappa + 1
                     report.check("depth3-image-in-next-family", ok, e)
-            images_by_kappa.setdefault(rec.kappa, {})
-            previous = images_by_kappa[rec.kappa].setdefault(ie, e)
+            previous = images_by_kappa.setdefault(kappa, {}).setdefault(ie, e)
             report.check(
                 "injective-within-family",
                 previous == e,
@@ -333,8 +370,8 @@ def bijection_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
     families: list[dict[int, list[Gapset]]] = []
     for genus in range(max_genus + 2):
         by_kappa: dict[int, list[Gapset]] = {}
-        for g in by_genus(genus):
-            by_kappa.setdefault(kappa_and_alpha(g)[0], []).append(g)
+        for g, _, kappa, _ in by_genus.records(genus):
+            by_kappa.setdefault(kappa, []).append(g)
         families.append(by_kappa)
     for genus in range(max_genus + 1):
         k_lo = -(-2 * genus // 3)

@@ -10,7 +10,7 @@ import pytest
 
 import gapsets
 import gapsets.cli as cli
-from gapsets import enumerate_gapsets, enumeration, invariants, tally, validate_gapset
+from gapsets import enumerate_gapsets, enumeration, invariants, tally, validate_gapset, verification
 from gapsets.cli import BLOCK_LINES, CSV_HEADER, main
 from gapsets.enumeration import filter_gapsets
 
@@ -325,14 +325,16 @@ def test_bad_bounds_exit_2(argv):
 
 def patch_walks(monkeypatch):
     """Make every tree walk raise, patched under the name its caller looks up:
-    `enumerate` calls cli._iter_records, `enumerate_gapsets` (and so `verify`)
-    enumeration._iter_records, and `table` and `sequence` the tally names."""
+    `enumerate` calls cli._iter_records, `enumerate_gapsets`
+    enumeration._iter_records, `verify` verification._iter_records, and
+    `table` and `sequence` the tally names."""
 
     def entered(*_args, **_kwargs):
         raise AssertionError("the tree search started")
 
     monkeypatch.setattr(cli, "_iter_records", entered)
     monkeypatch.setattr(enumeration, "_iter_records", entered)
+    monkeypatch.setattr(verification, "_iter_records", entered)
     monkeypatch.setattr(tally, "_count_cells", entered)
     monkeypatch.setattr(tally, "_count_diagonal", entered)
 

@@ -18,7 +18,8 @@ from gapsets import (
     ordinary_gapset,
     validate_gapset,
 )
-from gapsets.core import EmptyPartitionError
+from gapsets.core import EmptyPartitionError, element_mask
+from gapsets.verification import _windows_empty
 
 from strategies import gapsets, small_m_sets
 
@@ -57,6 +58,21 @@ def reference_is_m_extension(values, m):
         if not block <= {v + m for v in prev}:
             return False
         prev = block
+    return True
+
+
+def reference_windows_empty(e, m, c):
+    """The per-j window loop: for each consecutive pair and each shift s =
+    0, m, 2m, ... with s + e[j+1] <= c, test the bits strictly between
+    s + e[j] and s + e[j+1]."""
+    mask = element_mask(e)
+    for j in range(len(e) - 1):
+        width = (1 << (e[j + 1] - e[j] - 1)) - 1
+        step = 0
+        while step + e[j + 1] <= c:
+            if (mask >> (step + e[j] + 1)) & width:
+                return False
+            step += m
     return True
 
 
@@ -170,6 +186,27 @@ class TestInvariants:
                 shift += rec.multiplicity
 
 
+class TestShiftedGapWindows:
+    def test_known_verdicts(self):
+        # {1, 3, 4} with m = 2: the window (1, 3) shifted by 2 is (3, 5), which holds 4
+        assert not _windows_empty((1, 3, 4), 2, 5)
+        assert _windows_empty((1, 2, 4, 7), 3, 8)
+
+    @pytest.mark.parametrize("m", range(1, 8))
+    def test_match_the_per_j_loop(self, m):
+        # every candidate of genus >= 2 in [1, 14], with the conductor at,
+        # just past and well past its largest element
+        failing = 0
+        for e in SMALL_CANDIDATES:
+            if len(e) < 2:
+                continue
+            for c in (e[-1], e[-1] + 1, e[-1] + 3):
+                verdict = _windows_empty(e, m, c)
+                assert verdict == reference_windows_empty(e, m, c), (e, m, c)
+                failing += not verdict
+        assert failing > 0
+
+
 class TestKappaAlpha:
     def test_examples(self):
         assert kappa_and_alpha(gapset([1, 2, 5])) == (3, 2)
@@ -231,11 +268,20 @@ class TestMSets:
         assert is_m_extension([1, 2, 5], 3)
         assert not is_m_extension([1, 2, 7], 3)
 
-    @pytest.mark.parametrize("m", range(1, 8))
+    # m = 1, and m at or above the largest member of every candidate;
+    # the empty candidate is among them
+    @pytest.mark.parametrize("m", [*range(1, 8), 14, 15, 16, 21])
     def test_match_set_references(self, m):
         for cand in SMALL_CANDIDATES:
             assert is_m_set(cand, m) == reference_is_m_set(cand, m), cand
             assert is_m_extension(cand, m) == reference_is_m_extension(cand, m), cand
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_unnormalized_input_matches_the_references(self, m):
+        for cand in SMALL_CANDIDATES[::7]:
+            messy = list(reversed(cand)) + list(cand[:2])
+            assert is_m_set(messy, m) == reference_is_m_set(cand, m), messy
+            assert is_m_extension(messy, m) == reference_is_m_extension(cand, m), messy
 
     def test_normalization_and_bad_m(self):
         assert is_m_set([2, 1, 2, 5], 3)

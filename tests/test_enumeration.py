@@ -158,7 +158,9 @@ class TestDiagonalWalk:
 
 class TestRecordWalk:
     def test_records_match_invariants(self):
-        for g in range(17):
+        # the sparse, phi and bijection suites read m, kappa and alpha from
+        # these records; `verify --max-genus 16` reads every genus up to 17
+        for g in range(18):
             for elems, last, m, k, a in _iter_records(g):
                 rec = invariants(Gapset(elems))
                 c = last + 1 if elems else 0

@@ -1,0 +1,57 @@
+"""scripts/reproduce_tables.py checks its bounds before any walk."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from gapsets import tally
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
+spec = importlib.util.spec_from_file_location("reproduce_tables", SCRIPT)
+reproduce_tables = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(reproduce_tables)
+
+
+@pytest.fixture
+def walks_raise(monkeypatch):
+    """Both walks the script reaches, patched under the names tally looks up."""
+
+    def entered(*_args, **_kwargs):
+        raise AssertionError("the tree search started")
+
+    monkeypatch.setattr(tally, "_count_cells", entered)
+    monkeypatch.setattr(tally, "_count_diagonal", entered)
+
+
+@pytest.mark.parametrize("argv", [["--max-genus", "3"], ["--max-genus", "0", "--max-w", "1"]])
+def test_patched_walks_are_reached(argv, walks_raise):
+    # the control for the tests below: with valid bounds a walk starts
+    with pytest.raises(AssertionError, match="the tree search started"):
+        reproduce_tables.main(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--max-genus", "31"], ["--max-genus", "30", "--max-w", "11"], ["--max-w", "11"]],
+)
+def test_past_the_ceiling_exits_3_before_any_walk(argv, walks_raise, capsys):
+    assert reproduce_tables.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("resource limit: genus ") and "exceeds the ceiling 30" in err
+
+
+@pytest.mark.parametrize("argv", [["--max-genus", "-1"], ["--max-w", "-1"]])
+def test_negative_bound_exits_2_before_any_walk(argv, walks_raise, capsys):
+    with pytest.raises(SystemExit) as err:
+        reproduce_tables.main(argv)
+    assert err.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_small_run(capsys):
+    assert reproduce_tables.main(["--max-genus", "6", "--max-w", "2"]) == 0
+    out = capsys.readouterr().out
+    assert "stabilization below the diagonal" in out
+    assert out.endswith("w,g_w,ratio,cumulative\n0,1,-,1\n1,2,2.000,1.5\n2,5,2.500,1.6\n")

@@ -5,12 +5,14 @@ from collections import Counter
 
 import pytest
 
-from gapsets import Gapset
+from gapsets import Gapset, enumeration, maps, verification
+from gapsets.core import kappa_and_alpha, multiplicity
 from gapsets.verification import SuiteReport, core_suite, phi_suite, run_suites
 
 # (suite, elements) -> (checks run, violations as (check, detail)), for a
-# provider that yields only Gapset(elements) at its genus.  Gapset() checks
-# only that the elements increase, so these are not gapsets.
+# provider that yields only Gapset(elements) at its genus, with the record
+# (multiplicity, kappa, alpha) that a scan of its elements gives.  Gapset()
+# checks only that the elements increase, so these are not gapsets.
 PLANTED = {
     (core_suite, (1, 3, 4)): (13, [
         ("partition-block-ranges", ""),
@@ -111,10 +113,12 @@ CHECKS_AT_GENUS_12 = {
 )
 def test_planted_non_gapset_is_reported(suite, elements):
     planted = Gapset(elements)
+    record = (planted, multiplicity(planted), *kappa_and_alpha(planted))
 
     def by_genus(genus):
         return [planted] if genus == len(elements) else []
 
+    by_genus.records = lambda genus: [record] if genus == len(elements) else []
     report = suite(len(elements), by_genus)
     checks, expected = PLANTED[suite, elements]
     assert report.checks_run == checks
@@ -137,3 +141,24 @@ def test_every_check_runs_as_often_as_before(monkeypatch):
         suite: {name: n for (s, name), n in counts.items() if s == suite}
         for suite in CHECKS_AT_GENUS_12
     } == CHECKS_AT_GENUS_12
+
+
+def test_every_genus_is_walked_once(monkeypatch):
+    # all four suites read one record walk per genus, the bijection suite's
+    # genus max_genus + 1 included, and build no Gapset stream of their own
+    walked = Counter()
+    walk = verification._iter_records
+
+    def counting(genus, *args, **kwargs):
+        walked[genus] += 1
+        return walk(genus, *args, **kwargs)
+
+    def forbidden(*_args, **_kwargs):
+        raise AssertionError("enumerate_gapsets was called")
+
+    monkeypatch.setattr(verification, "_iter_records", counting)
+    monkeypatch.setattr(enumeration, "enumerate_gapsets", forbidden)
+    monkeypatch.setattr(maps, "enumerate_gapsets", forbidden)
+    reports = run_suites(["core", "sparse", "phi", "bijection"], 12)
+    assert all(r.ok for r in reports)
+    assert walked == {g: 1 for g in range(14)}

@@ -20,7 +20,7 @@ from time import perf_counter
 from gapsets import build_count_grid, diagonal_sequence, stabilization_check
 from gapsets.cli import EXIT_RESOURCE, render_grid
 from gapsets.enumeration import ResourceLimitError, _check_genus
-from gapsets.tally import format_cumulative, format_ratio
+from gapsets.tally import sequence_lines
 
 
 def main(argv=None) -> int:
@@ -56,10 +56,8 @@ def main(argv=None) -> int:
     seq = diagonal_sequence(args.max_w)
     seq_time = perf_counter() - t0
     print(f"\n# diagonal sequence through w = {args.max_w} ({seq_time:.2f}s)")
-    print("w,g_w,ratio,cumulative")
-    for w, term in enumerate(seq.terms):
-        print(f"{w},{term},{format_ratio(seq.ratios[w])},"
-              f"{format_cumulative(seq.cumulative_ratios[w])}")
+    for line in sequence_lines(seq):
+        print(line)
     return 0 if stab.ok else 1
 
 

@@ -129,16 +129,10 @@ def cmd_sequence(args, out) -> int:
         row_sums = build_count_grid(args.max_genus).row_sums
         print(",".join(map(str, row_sums.values())), file=out)
         return EXIT_OK
-    from .tally import diagonal_sequence, format_cumulative, format_ratio
+    from .tally import diagonal_sequence, sequence_lines
 
-    seq = diagonal_sequence(args.max_w)
-    print("w,g_w,ratio,cumulative", file=out)
-    for w, term in enumerate(seq.terms):
-        print(
-            f"{w},{term},{format_ratio(seq.ratios[w])},"
-            f"{format_cumulative(seq.cumulative_ratios[w])}",
-            file=out,
-        )
+    for line in sequence_lines(diagonal_sequence(args.max_w)):
+        print(line, file=out)
     return EXIT_OK
 
 

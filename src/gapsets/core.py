@@ -208,12 +208,6 @@ def kappa_and_alpha(g: Gapset) -> tuple[int, Optional[int]]:
     return kappa, alpha
 
 
-def depth(g: Gapset) -> int:
-    c = conductor(g)
-    m = multiplicity(g)
-    return -(-c // m)
-
-
 def invariants(g: Gapset) -> InvariantRecord:
     """Compute every invariant from three calls: `conductor` reads the last
     element, and `multiplicity` and `kappa_and_alpha` each scan the
@@ -247,8 +241,7 @@ def canonical_partition(g: Gapset) -> CanonicalPartition:
     if g.genus == 0:
         raise EmptyPartitionError("the empty gapset has no canonical partition")
     m = multiplicity(g)
-    q = depth(g)
-    blocks: list[list[int]] = [[] for _ in range(q)]
+    blocks: list[list[int]] = [[] for _ in range(-(-conductor(g) // m))]
     for v in g.elements:
         blocks[v // m].append(v)
     return CanonicalPartition(m, tuple(tuple(b) for b in blocks))

@@ -40,9 +40,11 @@ child x <= last + max_gap falls in the parent's cell, so that cell gets a
 popcount of the children mask.  The diagonal term t(w) (genus 3w, maximum
 gap 2w) has its own count walk (`_count_diagonal`) on the same masks, which
 visits only the nodes that can end on the diagonal: such a gapset has
-maximum gap at most its multiplicity and depth at most 3.  Only the
+maximum gap at most its multiplicity and depth at most 3.  No walk
+imports `core`: a subtree's root is a kernel record, whose m, kappa and
+alpha the walk reads instead of scanning the root's elements.  Only the
 functions that build or read `Gapset` values import `core`, when called,
-and only the pool imports `multiprocessing`, so the walks load neither.
+and only the pool imports `multiprocessing`.
 
 Every walk checks its genus against one ceiling, `GENUS_CEILING`.  No
 command and no other module reaches the process pool
@@ -100,10 +102,17 @@ def _check_genus(genus: int) -> None:
 
 
 def _iter_records(
-    genus: int, root: Elements = (), pieces: Optional[Sequence[Label]] = None
+    genus: int,
+    root: KernelRecord = ((), 0, 1, 0, None),
+    pieces: Optional[Sequence[Label]] = None,
 ) -> Iterator[KernelRecord]:
     """Depth-first walk from `root` yielding the kernel records (label, last,
     m, kappa, alpha) of its genus-`genus` descendants in lexicographic order.
+
+    `root` is a kernel record with its elements tuple as label, as this walk
+    yields them with the default table; the default is the empty gapset's.
+    The walk reads the root's m, kappa and alpha from the record and scans
+    no element for them, so it imports nothing.
 
     A node's label is its parent's label + pieces[x], x the element it
     appends.  The default table pieces[v] = (v,) makes the label the elements
@@ -133,20 +142,13 @@ def _iter_records(
     rclear = [~(1 << (cap - v)) for v in range(cap + 1)]
     sm = below[cap + 1] ^ 1  # bits 1..cap
     sr = below[cap]  # bits cap-1..0, i.e. cap - i for i in 1..cap
+    elems, last, m, kappa, alpha = root
     label = pieces[0][:0]  # () or "", the empty label of the table's type
-    for v in root:
+    for v in elems:
         sm ^= 1 << v
         sr &= rclear[v]
         label += pieces[v]
-    kappa, alpha, m, last = 0, None, 1, 0  # the empty gapset's
-    if root:
-        from .core import Gapset, kappa_and_alpha, multiplicity
-
-        head = Gapset(root)
-        kappa, alpha = kappa_and_alpha(head)
-        m = multiplicity(head)
-        last = root[-1]
-    j = len(root)
+    j = len(elems)
     if j == genus:
         yield label, last, m, kappa, alpha
         return
@@ -325,7 +327,7 @@ def _count_diagonal(w: int) -> int:
     return total
 
 
-def _subtree_elements(genus: int, root: Elements) -> list[Elements]:
+def _subtree_elements(genus: int, root: KernelRecord) -> list[Elements]:
     return [rec[0] for rec in _iter_records(genus, root)]
 
 
@@ -346,7 +348,7 @@ def enumerate_gapsets(genus: int, *, workers: int = 1) -> Iterator[Gapset]:
         return
     import multiprocessing
 
-    roots = [rec[0] for rec in _iter_records(split)]
+    roots = list(_iter_records(split))
     with multiprocessing.Pool(workers) as pool:
         args = [(genus, root) for root in roots]
         for chunk in pool.starmap(_subtree_elements, args):
@@ -386,7 +388,7 @@ def filter_gapsets(
 ) -> Iterator[Gapset]:
     """Keep gapsets by maximum gap (exactly kappa when pure, <= kappa
     otherwise) and optionally by depth."""
-    from .core import depth, kappa_and_alpha
+    from .core import invariants, kappa_and_alpha
 
     for g in stream:
         if kappa is not None:
@@ -395,7 +397,7 @@ def filter_gapsets(
                 continue
             if not pure and k > kappa:
                 continue
-        if depth_q is not None and depth(g) != depth_q:
+        if depth_q is not None and invariants(g).depth != depth_q:
             continue
         yield g
 

@@ -22,7 +22,6 @@ from .core import (
     Elements,
     Gapset,
     canonical_partition,
-    depth,
     invariants,
     is_m_set,
     kappa_and_alpha,
@@ -134,16 +133,16 @@ def shift_blocks(g: Gapset) -> Elements:
 
     With canonical blocks B0, B1, B2 and multiplicity m, the image is
     (B0 + {m}) joined with B1+1 and B2+2.  The result is returned raw
-    (it is a gapset whenever the input has depth <= 3).
+    (it is a gapset whenever the input has depth <= 3).  The empty gapset
+    maps to {1}.
     """
-    if depth(g) > 3:
-        raise UnsupportedDepthError("blockwise shift needs depth <= 3")
-    m = multiplicity(g)
     if g.genus == 0:
         return (1,)
     part = canonical_partition(g)
+    if len(part.blocks) > 3:
+        raise UnsupportedDepthError("blockwise shift needs depth <= 3")
     blocks = list(part.blocks) + [(), ()]
-    out = list(blocks[0]) + [m]
+    out = list(blocks[0]) + [part.multiplicity]
     out += [v + 1 for v in blocks[1]]
     out += [v + 2 for v in blocks[2]]
     return tuple(out)

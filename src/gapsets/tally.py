@@ -16,7 +16,7 @@ beyond `enumeration`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
 from .enumeration import _check_genus, _count_cells, _count_diagonal
 
@@ -129,3 +129,13 @@ def format_cumulative(value: Fraction) -> str:
                 scaled.numerator % 10**digits
             ).rjust(digits, "0")
     return format_ratio(value)
+
+
+def sequence_lines(seq: DiagonalSequence) -> Iterator[str]:
+    """The `w,g_w,ratio,cumulative` block: its header, then one row per term."""
+    yield "w,g_w,ratio,cumulative"
+    for w, term in enumerate(seq.terms):
+        yield (
+            f"{w},{term},{format_ratio(seq.ratios[w])},"
+            f"{format_cumulative(seq.cumulative_ratios[w])}"
+        )

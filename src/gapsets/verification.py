@@ -19,8 +19,9 @@ Set tests run on bit masks of the elements (bit v set for member v):
 re-validation, m-set and m-extension membership, and the shifted-gap
 window test, which covers every window of one shift with a single mask.
 The phi suite reads whether each widened image is a gapset from the
-classification `widen_max_gap` already made, and builds one Gapset per
-image.  The bijection suite splits each genus into its kappa families
+classification `widen_max_gap` already made, and scans each image once:
+one `invariants` call gives the kappa and depth that every image check
+reads.  The bijection suite splits each genus into its kappa families
 once and checks every (g, k) pair from that split.  No check reads
 another check's result.
 """
@@ -36,12 +37,10 @@ from .core import (
     Elements,
     Gapset,
     canonical_partition,
-    depth,
     element_mask,
     invariants,
     is_m_extension,
     is_m_set,
-    kappa_and_alpha,
     validate_gapset,
 )
 from .enumeration import _check_genus, _iter_records
@@ -280,7 +279,7 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
             q = -(-c // m)
             image = widen_max_gap(g)
             ie = image.elements
-            ig = Gapset(ie)
+            irec = invariants(Gapset(ie))
             is_gapset = image.classification == CLASS_GAPSET
             report.check("image-size", len(ie) == genus + 1, e)
             report.check(
@@ -288,46 +287,42 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
                 min(ie) >= 1 and max(ie) <= 2 * (genus + 1) - 1,
                 e,
             )
-            report.check(
-                "image-kappa-raised",
-                kappa_and_alpha(ig)[0] == kappa + 1,
-                e,
-            )
+            report.check("image-kappa-raised", irec.kappa == kappa + 1, e)
             report.check(
                 "gapset-is-m-extension", is_m_extension(e, m), e
             )
             if q == 1:
                 report.check(
                     "depth1-image-gapset-of-depth-2",
-                    is_gapset and invariants(ig).depth == 2,
+                    is_gapset and irec.depth == 2,
                     e,
                 )
             elif q == 2:
                 report.check(
                     "depth2-image-is-next-m-set",
-                    is_m_set(ie, m + 1) and depth(ig) == 2,
+                    is_m_set(ie, m + 1) and irec.depth == 2,
                     e,
                 )
-                ok = is_gapset
-                if ok:
-                    irec = invariants(ig)
-                    ok = irec.depth == 2 and irec.kappa == kappa + 1
-                report.check("depth2-image-in-next-family", ok, e)
+                report.check(
+                    "depth2-image-in-next-family",
+                    is_gapset and irec.depth == 2 and irec.kappa == kappa + 1,
+                    e,
+                )
                 depth2_images.add(ie)
             elif q == 3:
                 exceptional = (2 * m + 1) in g and e[alpha - 1] >= 2 * m + 1
                 if not exceptional:
                     report.check(
                         "depth3-image-is-next-m-set",
-                        is_m_set(ie, m + 1) and depth(ig) == 3,
+                        is_m_set(ie, m + 1) and irec.depth == 3,
                         e,
                     )
                 if 2 * genus <= 3 * kappa:
-                    ok = is_gapset
-                    if ok:
-                        irec = invariants(ig)
-                        ok = irec.depth == 3 and irec.kappa == kappa + 1
-                    report.check("depth3-image-in-next-family", ok, e)
+                    report.check(
+                        "depth3-image-in-next-family",
+                        is_gapset and irec.depth == 3 and irec.kappa == kappa + 1,
+                        e,
+                    )
             previous = images_by_kappa.setdefault(kappa, {}).setdefault(ie, e)
             report.check(
                 "injective-within-family",

@@ -12,7 +12,6 @@ import gapsets
 import gapsets.cli as cli
 from gapsets import enumerate_gapsets, enumeration, invariants, tally, validate_gapset, verification
 from gapsets.cli import BLOCK_LINES, CSV_HEADER, main
-from gapsets.enumeration import filter_gapsets
 
 from expected_counts import GAPSET_COUNTS, GENUS_16_CSV, GENUS_16_JSON, GENUS_16_TEXT, STREAM_DIGESTS
 
@@ -114,14 +113,16 @@ class TestEnumerate:
 
 
 def reference_stdout(genus, fmt, kappa=None, pure=False, depth=None):
-    """`enumerate` stdout built the long way: Gapset objects, filter_gapsets,
-    invariants and json.dumps."""
-    stream = enumerate_gapsets(genus)
-    if kappa is not None or depth is not None:
-        stream = filter_gapsets(stream, kappa=kappa, pure=pure, depth_q=depth)
+    """`enumerate` stdout built the long way: Gapset objects, invariants, an
+    inline kappa/depth pick and json.dumps."""
+    picked = [
+        (g, rec)
+        for g, rec in ((g, invariants(g)) for g in enumerate_gapsets(genus))
+        if (kappa is None or rec.kappa == kappa or (not pure and rec.kappa < kappa))
+        and (depth is None or rec.depth == depth)
+    ]
     lines = ["gaps,genus,multiplicity,conductor,frobenius,depth,kappa,alpha"] if fmt == "csv" else []
-    for g in stream:
-        rec = invariants(g)
+    for g, rec in picked:
         fields = {
             "gaps": list(g.elements),
             "genus": rec.genus,
@@ -600,6 +601,16 @@ class TestImports:
             assert not loaded & {
                 "gapsets.maps", "gapsets.verification", "multiprocessing", "fractions", "dataclasses",
             }, argv
+
+    def test_walks_load_no_core(self):
+        # a subtree root is a kernel record, so no walk scans it with core
+        code = (
+            "from gapsets.enumeration import _count_cells, _count_diagonal, _iter_records\n"
+            "root = next(r for r in _iter_records(4) if r[0] == (1, 2, 4, 5))\n"
+            "assert len(list(_iter_records(10, root))) > 0\n"
+            "assert _count_cells(8)[8] and _count_diagonal(2)"
+        )
+        assert loaded_after(code) == set()
 
     def test_sequence_gw_loads_tally_without_dataclasses(self):
         code = (

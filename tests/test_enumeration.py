@@ -177,11 +177,12 @@ class TestRecordWalk:
         assert list(_iter_records(0)) == [((), 0, 1, 0, None)]
         assert list(_iter_records(1)) == [((1,), 1, 2, 1, None)]
 
-    # a root given as an argument gets its children from the split test,
-    # while the full walk inherits them: each depth compares the two
+    # a root given as an argument (a kernel record of the walk) gets its
+    # children from the split test, while the full walk inherits them: each
+    # depth compares the two
     @pytest.mark.parametrize("depth", range(12))
     def test_subtrees_concatenate_to_the_full_walk(self, depth):
-        roots = [rec[0] for rec in enumeration._iter_records(depth)]
+        roots = list(enumeration._iter_records(depth))
         joined = [rec for root in roots for rec in enumeration._iter_records(12, root)]
         assert joined == list(enumeration._iter_records(12))
 
@@ -201,7 +202,7 @@ class TestRecordWalk:
     @pytest.mark.parametrize("depth", [1, 4, 7])
     def test_text_labels_from_a_root(self, depth):
         pieces = [" " + str(v) for v in range(2 * 11 + 2)]
-        roots = [rec[0] for rec in enumeration._iter_records(depth)]
+        roots = list(enumeration._iter_records(depth))
         joined = [
             rec for root in roots for rec in enumeration._iter_records(11, root, pieces)
         ]

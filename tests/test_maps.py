@@ -2,7 +2,9 @@ import pytest
 from hypothesis import given
 
 from gapsets import (
+    CanonicalPartition,
     Gapset,
+    canonical_partition,
     enumerate_gapsets,
     gapset,
     invariants,
@@ -26,7 +28,7 @@ from gapsets.maps import (
     classify_image,
     classify_widest_pair,
 )
-from gapsets.enumeration import filter_pure_sparse
+from gapsets.core import EmptyPartitionError, conductor, multiplicity
 from gapsets.verification import memoized_provider
 
 from strategies import gapsets
@@ -172,6 +174,58 @@ class TestShiftBlocks:
             assert isinstance(validate_gapset(shift_blocks(g)), Gapset)
 
 
+def reference_depth(g):
+    """ceil(c / m) from its own scans of the conductor and multiplicity,
+    apart from the partition under test."""
+    return -(-conductor(g) // multiplicity(g))
+
+
+def reference_partition(g):
+    """The canonical partition with its block count from `reference_depth`."""
+    if g.genus == 0:
+        raise EmptyPartitionError("the empty gapset has no canonical partition")
+    m = multiplicity(g)
+    blocks = [[] for _ in range(reference_depth(g))]
+    for v in g.elements:
+        blocks[v // m].append(v)
+    return CanonicalPartition(m, tuple(tuple(b) for b in blocks))
+
+
+def reference_shift_blocks(g):
+    """The blockwise shift with its depth check ahead of the partition."""
+    if reference_depth(g) > 3:
+        raise UnsupportedDepthError("blockwise shift needs depth <= 3")
+    m = multiplicity(g)
+    if g.genus == 0:
+        return (1,)
+    blocks = list(reference_partition(g).blocks) + [(), ()]
+    out = list(blocks[0]) + [m]
+    out += [v + 1 for v in blocks[1]]
+    out += [v + 2 for v in blocks[2]]
+    return tuple(out)
+
+
+def outcome(fn, g):
+    try:
+        return fn(g)
+    except (EmptyPartitionError, UnsupportedDepthError) as exc:
+        return type(exc)
+
+
+class TestPartitionReference:
+    def test_every_gapset_to_genus_12(self):
+        raised = 0
+        for genus in range(13):
+            for g in enumerate_gapsets(genus):
+                expected = outcome(reference_shift_blocks, g)
+                assert outcome(shift_blocks, g) == expected, g.elements
+                raised += expected is UnsupportedDepthError
+                assert outcome(canonical_partition, g) == outcome(
+                    reference_partition, g
+                ), g.elements
+        assert raised > 0
+
+
 class TestClassifyWidestPair:
     # Each family exhibits its case once the inner distance m-2 dominates the
     # boundary distances of 2; below that the last widest pair moves and the
@@ -235,8 +289,8 @@ class TestBijection:
             verify_bijection(7, 4)
 
     def test_grouped_families_give_the_same_report(self):
-        # the reference families come from the Gapset filter, not from
-        # the kappa pick of verify_bijection under test
+        # the reference families come from the kappa of the walk's records,
+        # not from the kappa_and_alpha pick of verify_bijection under test
         by_genus = memoized_provider()
         families = 0
         for genus in range(13):
@@ -244,8 +298,8 @@ class TestBijection:
                 report = _bijection_report(
                     genus,
                     kappa,
-                    list(filter_pure_sparse(by_genus(genus), kappa)),
-                    list(filter_pure_sparse(by_genus(genus + 1), kappa + 1)),
+                    [g for g, _, k, _ in by_genus.records(genus) if k == kappa],
+                    [h for h, _, k, _ in by_genus.records(genus + 1) if k == kappa + 1],
                 )
                 assert report == verify_bijection(genus, kappa, by_genus=by_genus)
                 assert report.bijective

@@ -25,7 +25,7 @@ EXIT_VIOLATION = 1
 EXIT_RESOURCE = 3
 EXIT_BAD_GAPSET = 4
 
-LOWER_BOUNDS = {"genus": 0, "max_genus": 0, "max_w": 0, "kappa": 0, "depth": 0}
+NONNEGATIVE_FLAGS = ("genus", "max_genus", "max_w", "kappa", "depth")
 
 
 CSV_HEADER = "gaps,genus,multiplicity,conductor,frobenius,depth,kappa,alpha"
@@ -88,28 +88,26 @@ def cmd_enumerate(args, out) -> int:
 
 
 def render_grid(grid: CountGrid, markdown: bool = True) -> list[str]:
-    ks = list(range(grid.max_genus + 1))
-    lines = []
-
-    def cell(g: int, k: int) -> str:
-        if (g, k) not in grid.cells:
-            return ""
-        text = str(grid.cells[(g, k)])
-        if markdown and (g, k) in grid.diagonal_marks:
-            text += "*"
-        return text
-
+    """The grid as markdown table lines, with `*` on the 2g = 3k cells, or
+    as CSV lines; one row loop serves both."""
+    ks = range(grid.max_genus + 1)
     if markdown:
-        lines.append("| g\\k | " + " | ".join(map(str, ks)) + " | n_g |")
-        lines.append("|" + " --- |" * (len(ks) + 2))
-        for g in range(grid.max_genus + 1):
-            row = [str(g)] + [cell(g, k) for k in ks] + [str(grid.row_sums[g])]
-            lines.append("| " + " | ".join(row) + " |")
+        head, sep, end, marks = "| ", " | ", " |", grid.diagonal_marks
     else:
-        lines.append("g," + ",".join(map(str, ks)) + ",n_g")
-        for g in range(grid.max_genus + 1):
-            row = [str(g)] + [cell(g, k) for k in ks] + [str(grid.row_sums[g])]
-            lines.append(",".join(row))
+        head, sep, end, marks = "", ",", "", frozenset()
+
+    def join(row: list[str]) -> str:
+        return head + sep.join(row) + end
+
+    lines = [join(["g\\k" if markdown else "g", *map(str, ks), "n_g"])]
+    if markdown:
+        lines.append("|" + " --- |" * (len(ks) + 2))
+    for g in ks:
+        row = [str(g)]
+        for k in ks:
+            n = grid.cells.get((g, k))
+            row.append("" if n is None else f"{n}*" if (g, k) in marks else str(n))
+        lines.append(join(row + [str(grid.row_sums[g])]))
     return lines
 
 
@@ -155,10 +153,7 @@ def cmd_map(args, out) -> int:
         return EXIT_BAD_GAPSET
     checked = validate_gapset(candidate)
     if isinstance(checked, GapsetRejection):
-        print(
-            f"not a gapset: witness {checked.as_triple()}",
-            file=out,
-        )
+        print(f"not a gapset: witness {tuple(checked)}", file=out)
         return EXIT_BAD_GAPSET
     g = checked
     rec = invariants(g)
@@ -287,10 +282,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         parser.error("--op phi-inverse requires --kappa")
     if args.command == "map" and args.op != "phi-inverse" and args.kappa is not None:
         parser.error(f"--kappa is for --op phi-inverse only, not --op {args.op}")
-    for name, low in LOWER_BOUNDS.items():
+    for name in NONNEGATIVE_FLAGS:
         value = getattr(args, name, None)
-        if value is not None and value < low:
-            parser.error(f"--{name.replace('_', '-')} must be >= {low}")
+        if value is not None and value < 0:
+            parser.error(f"--{name.replace('_', '-')} must be >= 0")
     handlers = {
         "enumerate": cmd_enumerate,
         "table": cmd_table,

@@ -10,13 +10,16 @@ Conventions for tiny cases follow the standard ones: the empty gapset has
 multiplicity 1, conductor 0, depth 0 and maximum gap (kappa) 0; the gapset
 {1} has kappa 1.  The Frobenius number is conductor - 1, hence -1 for the
 empty gapset.
+
+Values are a slotted `Gapset` and named-tuple records (`GapsetRejection`,
+`InvariantRecord`, `CanonicalPartition`); a record compares equal to the
+plain tuple of its fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 Elements = tuple[int, ...]
 
@@ -37,12 +40,14 @@ def as_candidate(values: Iterable[int]) -> Elements:
     return elems
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class Gapset:
     """A validated gapset.  Construct via :func:`validate_gapset` or :func:`gapset`.
 
-    Instances are immutable values: safe to hash, compare (lexicographically
-    on elements) and share between workers.
+    Instances are immutable, slotted values holding only their elements: they
+    hash, compare lexicographically on elements and pickle, so they can be
+    shared between workers.  `in` tests membership by iterating over the
+    elements.
     """
 
     elements: Elements
@@ -58,13 +63,6 @@ class Gapset:
     def genus(self) -> int:
         return len(self.elements)
 
-    @cached_property
-    def _mask(self) -> int:
-        return element_mask(self.elements)
-
-    def __contains__(self, value: int) -> bool:
-        return value > 0 and (self._mask >> value) & 1 == 1
-
     def __iter__(self) -> Iterator[int]:
         return iter(self.elements)
 
@@ -72,8 +70,7 @@ class Gapset:
         return len(self.elements)
 
 
-@dataclass(frozen=True)
-class GapsetRejection:
+class GapsetRejection(NamedTuple):
     """Witness that a candidate is not a gapset: value = left + right with
     neither part present.  The witness is the lexicographically smallest
     failing (value, left) pair, so rejections are deterministic."""
@@ -81,9 +78,6 @@ class GapsetRejection:
     value: int
     left: int
     right: int
-
-    def as_triple(self) -> tuple[int, int, int]:
-        return (self.value, self.left, self.right)
 
 
 def element_mask(elements: Iterable[int]) -> int:
@@ -154,8 +148,7 @@ def hyperelliptic_gapset(genus: int) -> Gapset:
     return Gapset(tuple(range(1, 2 * genus, 2)))
 
 
-@dataclass(frozen=True)
-class InvariantRecord:
+class InvariantRecord(NamedTuple):
     """The full invariant bundle of a gapset.
 
     frobenius = conductor - 1 always; depth = ceil(conductor / multiplicity);
@@ -226,8 +219,7 @@ def invariants(g: Gapset) -> InvariantRecord:
     )
 
 
-@dataclass(frozen=True)
-class CanonicalPartition:
+class CanonicalPartition(NamedTuple):
     """Blocks of a gapset relative to its multiplicity m: block 0 is
     [1, m-1] and block i is the part of the gapset in [i*m + 1, (i+1)*m - 1].
     The number of blocks equals the depth."""

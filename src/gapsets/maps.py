@@ -15,8 +15,7 @@ gap-widening map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
 from .core import (
     Elements,
@@ -47,8 +46,7 @@ class UnsupportedDepthError(ValueError):
     """The blockwise shift is defined only for depth <= 3."""
 
 
-@dataclass(frozen=True)
-class WidenImage:
+class WidenImage(NamedTuple):
     """Image of a gapset under the gap-widening map, eagerly classified.
 
     claimed_m is the source multiplicity plus one; classification records
@@ -124,7 +122,7 @@ def narrow_max_gap(h: Gapset, max_gap: int) -> Gapset:
         return result
     raise RuntimeError(
         f"narrowed image {narrowed} is not a gapset "
-        f"(split {result.as_triple()}); this should be impossible"
+        f"(split {tuple(result)}); this should be impossible"
     )
 
 
@@ -175,8 +173,7 @@ def classify_widest_pair(g: Gapset) -> str:
     )
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(NamedTuple):
     """Result of checking the widening bijection between one (genus, kappa)
     family and its (genus+1, kappa+1) counterpart.
 

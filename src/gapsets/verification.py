@@ -31,7 +31,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional, Protocol
+from typing import Iterable, NamedTuple, Optional, Protocol
 
 from .core import (
     Elements,
@@ -60,8 +60,7 @@ class Provider(Protocol):
     def records(self, g: int) -> list[Record]: ...
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     suite: str
     check: str
     elements: Elements

@@ -1,3 +1,4 @@
+import pickle
 import tracemalloc
 from itertools import combinations
 
@@ -9,6 +10,7 @@ from gapsets import (
     GapsetRejection,
     as_candidate,
     canonical_partition,
+    enumerate_gapsets,
     gapset,
     hyperelliptic_gapset,
     invariants,
@@ -86,7 +88,7 @@ class TestValidate:
     def test_rejection_witness(self):
         result = validate_gapset([1, 4])
         assert isinstance(result, GapsetRejection)
-        assert result.as_triple() == (4, 2, 2)
+        assert tuple(result) == (4, 2, 2)
 
     def test_depth_three_example(self):
         g = gapset([1, 2, 3, 4, 6, 9, 11])
@@ -95,7 +97,7 @@ class TestValidate:
     def test_witness_is_lexicographically_smallest(self):
         # z=5 passes x=1 (1 present) and first fails at x=2
         result = validate_gapset([1, 5, 6])
-        assert result.as_triple() == (5, 2, 3)
+        assert tuple(result) == (5, 2, 3)
 
     def test_gapset_constructor_raises(self):
         with pytest.raises(ValueError, match="4 = 2 \\+ 2"):
@@ -122,7 +124,7 @@ class TestValidate:
 
     def test_unnormalized_input(self):
         assert validate_gapset([7, 2, 4, 1, 2]) == Gapset((1, 2, 4, 7))
-        assert validate_gapset([5, 1, 6, 6]).as_triple() == (5, 2, 3)
+        assert tuple(validate_gapset([5, 1, 6, 6])) == (5, 2, 3)
 
     def test_memory_follows_the_input_length_not_its_largest_member(self):
         tracemalloc.start()
@@ -131,8 +133,44 @@ class TestValidate:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.as_triple() == (10**8, 2, 10**8 - 2)
+        assert tuple(result) == (10**8, 2, 10**8 - 2)
         assert peak < 1 << 20
+
+
+class TestValueTypes:
+    def test_values_survive_a_pickle_round_trip(self):
+        from gapsets.maps import verify_bijection, widen_max_gap
+        from gapsets.verification import Violation
+
+        g = gapset([1, 2, 4, 7])
+        values = [
+            g,
+            validate_gapset([1, 4]),
+            invariants(g),
+            canonical_partition(g),
+            widen_max_gap(g),
+            verify_bijection(4, 3),
+            Violation("core", "planted", (1, 4), "detail"),
+        ]
+        for value in values:
+            copy = pickle.loads(pickle.dumps(value))
+            assert type(copy) is type(value) and copy == value, value
+
+    def test_gapset_has_no_instance_dict(self):
+        g = gapset([1, 2, 4, 7])
+        assert not hasattr(g, "__dict__")
+        assert Gapset.__slots__ == ("elements",)
+
+    def test_records_equal_the_tuple_of_their_fields(self):
+        assert validate_gapset([1, 4]) == (4, 2, 2)
+        assert canonical_partition(gapset([1, 2, 4, 7])) == (3, ((1, 2), (4,), (7,)))
+
+    def test_membership_matches_the_element_set(self):
+        for genus in range(9):
+            for g in enumerate_gapsets(genus):
+                members = set(g.elements)
+                for v in range(-1, 2 * genus + 2):
+                    assert (v in g) == (v in members), (g, v)
 
 
 class TestInvariants:

@@ -47,7 +47,11 @@ class Gapset:
     Instances are immutable, slotted values holding only their elements: they
     hash, compare lexicographically on elements and pickle, so they can be
     shared between workers.  `in` tests membership by iterating over the
-    elements.
+    elements.  Nothing can change one: assigning or deleting `elements`
+    raises `dataclasses.FrozenInstanceError`.  Assigning any other name
+    raises `TypeError` ("super(type, obj): obj must be an instance or
+    subtype of type") on Python 3.11, not `FrozenInstanceError`, because
+    its frozen `__setattr__` names the class that `slots=True` replaces.
     """
 
     elements: Elements
@@ -93,23 +97,34 @@ def validate_gapset(values: Iterable[int]) -> Union[Gapset, GapsetRejection]:
 
     A candidate passes iff for every member z and every split z = x + y with
     1 <= x <= y, at least one of x, y is a member.  The empty set passes
-    vacuously.
+    vacuously.  The candidate is normalized with `as_candidate` and checked
+    by `_validate`; its mask is built only where `_validate` reads it, so
+    the cost follows the input's length, never the size of its largest
+    member.
+    """
+    elems = as_candidate(values)
+    fits = not elems or elems[-1] < 2 * len(elems)
+    rejection = _validate(elems, element_mask(elems) if fits else 0)
+    return Gapset(elems) if rejection is None else rejection
+
+
+def _validate(elems: Elements, mask: int) -> Optional[GapsetRejection]:
+    """The smallest failing split of a normalized candidate, or None if it
+    is a gapset.
 
     A gapset of genus g lies in [1, 2g - 1], so only a candidate whose
     largest member is below twice its size can pass.  Such a candidate is
-    checked on bit masks first: with `holes` the non-members below the
-    largest member, it passes iff no sum of two holes is a member, i.e.
-    (holes << s) & mask == 0 for every hole s (the smaller part of a split
-    is at most half the largest member, so only those s are tried).  Every
-    other candidate goes through the member-by-member split loop, which finds
-    the witness.  That loop tests membership in a set, and a member that
-    passes has at most |G| splits, so its cost follows the input's length,
-    never the size of its largest member.
+    checked on `mask`, its `element_mask`, first: with `holes` the
+    non-members below the largest member, it passes iff no sum of two holes
+    is a member, i.e. (holes << s) & mask == 0 for every hole s (the smaller
+    part of a split is at most half the largest member, so only those s are
+    tried).  The mask is read for no other candidate (pass 0): those go
+    through the member-by-member split loop, which finds the witness.  That
+    loop tests membership in a set, and a member that passes has at most
+    |G| splits.
     """
-    elems = as_candidate(values)
     top = elems[-1] if elems else 0
     if top < 2 * len(elems):
-        mask = element_mask(elems)
         holes = ((1 << top) - 2) & ~mask
         small = holes & ((2 << (top // 2)) - 1)
         while small:
@@ -118,13 +133,13 @@ def validate_gapset(values: Iterable[int]) -> Union[Gapset, GapsetRejection]:
                 break
             small ^= low
         else:
-            return Gapset(elems)
+            return None
     members = set(elems)
     for z in elems:
         for x in range(1, z // 2 + 1):
             if x not in members and z - x not in members:
                 return GapsetRejection(z, x, z - x)
-    return Gapset(elems)
+    return None
 
 
 def gapset(values: Iterable[int]) -> Gapset:
@@ -232,9 +247,14 @@ def canonical_partition(g: Gapset) -> CanonicalPartition:
     """Split a non-empty gapset into its multiplicity-sized range blocks."""
     if g.genus == 0:
         raise EmptyPartitionError("the empty gapset has no canonical partition")
-    m = multiplicity(g)
-    blocks: list[list[int]] = [[] for _ in range(-(-conductor(g) // m))]
-    for v in g.elements:
+    return _partition(g.elements, multiplicity(g))
+
+
+def _partition(elems: Elements, m: int) -> CanonicalPartition:
+    """`canonical_partition` of non-empty elements whose multiplicity m the
+    caller already has."""
+    blocks: list[list[int]] = [[] for _ in range(-(-(elems[-1] + 1) // m))]
+    for v in elems:
         blocks[v // m].append(v)
     return CanonicalPartition(m, tuple(tuple(b) for b in blocks))
 
@@ -243,12 +263,17 @@ def is_m_set(candidate: Iterable[int], m: int) -> bool:
     """True iff the set contains all of [1, m-1] and no multiple of m.
 
     Accepts any m >= 1 (m = 1 forces the empty set, m = 2 allows odd sets);
-    the interesting regime is m > 2.
+    the interesting regime is m > 2.  The candidate is normalized and
+    tested by `_m_set` on its mask.
     """
+    elems = as_candidate(candidate)
+    return _m_set(elems, element_mask(elems), m)
+
+
+def _m_set(elems: Elements, mask: int, m: int) -> bool:
+    """`is_m_set` of a normalized candidate with its `element_mask`."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    elems = as_candidate(candidate)
-    mask = element_mask(elems)
     low = (1 << m) - 2
     if mask & low != low:
         return False
@@ -265,18 +290,25 @@ def is_m_extension(candidate: Iterable[int], m: int) -> bool:
     Blocks are forced by value ranges: block i is the part of the set in
     [i*m + 1, (i+1)*m - 1], and each block i+1 must be contained in m +
     block i.  Every gapset with multiplicity m passes (its canonical
-    partition is the witness).
+    partition is the witness).  The candidate is normalized and tested by
+    `_m_extension` on its mask.
     """
+    elems = as_candidate(candidate)
+    return _m_extension(elems, element_mask(elems), m)
+
+
+def _m_extension(elems: Elements, mask: int, m: int) -> bool:
+    """`is_m_extension` of a normalized candidate with its `element_mask`."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    elems = as_candidate(candidate)
-    mask = element_mask(elems)
     low = (1 << m) - 2
     if mask & low != low:
         return False
     top = elems[-1] // m if elems else 0
     prev = low
     for i in range(1, top + 1):
+        if not prev:  # an empty block leaves every later block empty
+            return not mask >> (i * m)
         if (mask >> (i * m)) & 1:
             return False
         block = mask & (low << (i * m))

@@ -20,9 +20,12 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .core import (
     Elements,
     Gapset,
+    _m_set,
+    _validate,
+    as_candidate,
     canonical_partition,
+    element_mask,
     invariants,
-    is_m_set,
     kappa_and_alpha,
     multiplicity,
     validate_gapset,
@@ -63,26 +66,39 @@ def widen_max_gap(g: Gapset) -> WidenImage:
     """Insert 1 and widen the last widest gap by one.
 
     Small cases: the empty gapset maps to {1} and {1} maps to {1,3} (no
-    element precedes the widest gap, so everything shifts by +2).
+    element precedes the widest gap, so everything shifts by +2).  Scans
+    the gapset for alpha and its multiplicity, then widens with `_widen`
+    and classifies with `_classify` on the image's mask.
     """
     _, alpha = kappa_and_alpha(g)
-    cut = alpha if alpha is not None else 0
-    elems = g.elements
-    image = (
-        (1,)
-        + tuple(v + 1 for v in elems[:cut])
-        + tuple(v + 2 for v in elems[cut:])
-    )
+    image, mask = _widen(g.elements, alpha)
     claimed_m = multiplicity(g) + 1
-    return WidenImage(image, claimed_m, classify_image(image, claimed_m))
+    return WidenImage(image, claimed_m, _classify(image, mask, claimed_m))
+
+
+def _widen(elems: Elements, alpha: Optional[int]) -> tuple[Elements, int]:
+    """The widened image of a gapset's elements, given its alpha (None
+    below genus 2), and the image's `element_mask`."""
+    cut = alpha if alpha is not None else 0
+    image = (1, *[v + 1 for v in elems[:cut]], *[v + 2 for v in elems[cut:]])
+    return image, element_mask(image)
 
 
 def classify_image(elements: Iterable[int], claimed_m: int) -> str:
     """Classify a map's raw image: CLASS_GAPSET if it is a gapset, else
-    CLASS_M_SET_NOT_GAPSET if it is a claimed_m-set, else CLASS_NOT_M_SET."""
-    if isinstance(validate_gapset(elements), Gapset):
+    CLASS_M_SET_NOT_GAPSET if it is a claimed_m-set, else CLASS_NOT_M_SET.
+    The image is normalized and classified by `_classify` on its mask."""
+    elems = as_candidate(elements)
+    return _classify(elems, element_mask(elems), claimed_m)
+
+
+def _classify(elems: Elements, mask: int, claimed_m: int) -> str:
+    """`classify_image` of a normalized image with its `element_mask`: the
+    gapset test of `validate_gapset`, then the claimed_m-set test, both on
+    the mask."""
+    if _validate(elems, mask) is None:
         return CLASS_GAPSET
-    if is_m_set(elements, claimed_m):
+    if _m_set(elems, mask, claimed_m):
         return CLASS_M_SET_NOT_GAPSET
     return CLASS_NOT_M_SET
 
@@ -151,16 +167,23 @@ def classify_widest_pair(g: Gapset) -> str:
 
     The pair always lands entirely in the last block, entirely in the
     penultimate block, or straddles the two; any other configuration would
-    contradict the structure theory, so it raises.
+    contradict the structure theory, so it raises.  Scans the gapset with
+    `invariants`, checks the preconditions and decides with `_widest_pair`.
     """
     rec = invariants(g)
     if rec.genus < 2 or rec.alpha is None:
         raise PreconditionError("need genus >= 2")
     if rec.depth < 2:
         raise PreconditionError("need depth >= 2")
-    lo = g.elements[rec.alpha - 1] // rec.multiplicity
-    hi = g.elements[rec.alpha] // rec.multiplicity
-    penultimate, last = rec.depth - 2, rec.depth - 1
+    return _widest_pair(g.elements, rec.multiplicity, rec.alpha, rec.depth)
+
+
+def _widest_pair(elems: Elements, m: int, alpha: int, depth: int) -> str:
+    """`classify_widest_pair` of elements whose multiplicity, alpha and
+    depth >= 2 the caller already has."""
+    lo = elems[alpha - 1] // m
+    hi = elems[alpha] // m
+    penultimate, last = depth - 2, depth - 1
     if lo == penultimate and hi == penultimate:
         return PAIR_IN_PENULTIMATE
     if lo == last and hi == last:
@@ -168,8 +191,8 @@ def classify_widest_pair(g: Gapset) -> str:
     if lo == penultimate and hi == last:
         return PAIR_SPLIT
     raise RuntimeError(
-        f"widest pair of {g.elements} sits in blocks {lo}, {hi} "
-        f"of {rec.depth}; this should be impossible"
+        f"widest pair of {elems} sits in blocks {lo}, {hi} "
+        f"of {depth}; this should be impossible"
     )
 
 

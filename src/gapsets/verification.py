@@ -9,21 +9,31 @@ and the widening bijection with its count stabilization.
 
 The suites share one provider, which walks each genus once with
 `_iter_records` and keeps every gapset with the multiplicity, kappa and
-alpha the walk found for it.  The sparse, phi and bijection suites read
-those three from the record; the core suite recomputes them with
-`invariants`, so one suite still checks every value against a scan of
-the elements, and phi's `image-kappa-raised` compares the walk's kappa
-with a scan of the image.
+alpha the walk found for it.
 
-Set tests run on bit masks of the elements (bit v set for member v):
-re-validation, m-set and m-extension membership, and the shifted-gap
-window test, which covers every window of one shift with a single mask.
-The phi suite reads whether each widened image is a gapset from the
-classification `widen_max_gap` already made, and scans each image once:
-one `invariants` call gives the kappa and depth that every image check
-reads.  The bijection suite splits each genus into its kappa families
-once and checks every (g, k) pair from that split.  No check reads
-another check's result.
+Values from the record: the sparse, phi and bijection suites read m,
+kappa and alpha from it.  Sparse and phi pass them to the kernels behind
+the public functions, which rescan nothing: phi widens with `maps._widen`
+(alpha) and sparse classifies the widest pair with `maps._widest_pair`
+(m, alpha and the depth it computes from m).  Values from scans: the core
+suite recomputes every invariant with `invariants`, so one suite still
+checks every record value against a scan of the elements, and it splits
+the blocks with `core._partition` on that scan's m; its re-validation
+goes through the public `validate_gapset`; and phi scans each widened
+image once, with one `invariants` call whose kappa and depth every image
+check reads (`image-kappa-raised` compares that scan with the walk's
+kappa).
+
+Set tests run on bit masks of the elements (bit v set for member v), and
+each set's mask is built once, inside the loop, and dropped with it: phi
+builds a gapset's mask for its m-extension test and its 2m + 1
+membership, and `_widen` builds the image's, which `maps._classify` and
+both next-m-set tests read.  Nothing
+here is normalized with `as_candidate` except the candidates of phi's
+small-m-set sweep.  The shifted-gap window test covers every window of
+one shift with a single mask test.  The bijection suite splits each genus
+into its kappa families once and checks every (g, k) pair from that
+split.  No check reads another check's result.
 """
 
 from __future__ import annotations
@@ -36,15 +46,15 @@ from typing import Iterable, NamedTuple, Optional, Protocol
 from .core import (
     Elements,
     Gapset,
-    canonical_partition,
+    _m_extension,
+    _m_set,
+    _partition,
     element_mask,
     invariants,
-    is_m_extension,
-    is_m_set,
     validate_gapset,
 )
 from .enumeration import _check_genus, _iter_records
-from .maps import CLASS_GAPSET, _bijection_report, classify_widest_pair, widen_max_gap
+from .maps import CLASS_GAPSET, _bijection_report, _classify, _widen, _widest_pair
 from .tally import build_count_grid, stabilization_check
 
 # (gapset, multiplicity, kappa, alpha), as the record walk found them
@@ -169,7 +179,7 @@ def core_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
                     all(j <= e[j - 1] <= 2 * j - 1 for j in range(1, genus + 1)),
                     e,
                 )
-                part = canonical_partition(g)
+                part = _partition(e, rec.multiplicity)
                 report.check(
                     "partition-block-count", len(part.blocks) == rec.depth, e
                 )
@@ -235,7 +245,7 @@ def sparse_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
                 )
                 if q >= 2:
                     try:
-                        classify_widest_pair(g)
+                        _widest_pair(e, m, alpha, q)
                         report.check("widest-pair-trichotomy", True, e)
                     except RuntimeError as exc:
                         report.check("widest-pair-trichotomy", False, e, str(exc))
@@ -276,10 +286,10 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
             e = g.elements
             c = e[-1] + 1 if e else 0
             q = -(-c // m)
-            image = widen_max_gap(g)
-            ie = image.elements
+            mask = element_mask(e)
+            ie, imask = _widen(e, alpha)
             irec = invariants(Gapset(ie))
-            is_gapset = image.classification == CLASS_GAPSET
+            is_gapset = _classify(ie, imask, m + 1) == CLASS_GAPSET
             report.check("image-size", len(ie) == genus + 1, e)
             report.check(
                 "image-range",
@@ -288,7 +298,7 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
             )
             report.check("image-kappa-raised", irec.kappa == kappa + 1, e)
             report.check(
-                "gapset-is-m-extension", is_m_extension(e, m), e
+                "gapset-is-m-extension", _m_extension(e, mask, m), e
             )
             if q == 1:
                 report.check(
@@ -299,7 +309,7 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
             elif q == 2:
                 report.check(
                     "depth2-image-is-next-m-set",
-                    is_m_set(ie, m + 1) and irec.depth == 2,
+                    _m_set(ie, imask, m + 1) and irec.depth == 2,
                     e,
                 )
                 report.check(
@@ -309,11 +319,11 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
                 )
                 depth2_images.add(ie)
             elif q == 3:
-                exceptional = (2 * m + 1) in g and e[alpha - 1] >= 2 * m + 1
+                exceptional = mask >> (2 * m + 1) & 1 and e[alpha - 1] >= 2 * m + 1
                 if not exceptional:
                     report.check(
                         "depth3-image-is-next-m-set",
-                        is_m_set(ie, m + 1) and irec.depth == 3,
+                        _m_set(ie, imask, m + 1) and irec.depth == 3,
                         e,
                     )
                 if 2 * genus <= 3 * kappa:

@@ -520,7 +520,7 @@ class TestVerify:
         "max_genus, report",
         [
             pytest.param("12", VERIFY_REPORT_G12, id="g12"),
-            pytest.param("16", VERIFY_REPORT_G16, id="g16", marks=pytest.mark.slow),
+            pytest.param("16", VERIFY_REPORT_G16, id="g16"),
         ],
     )
     def test_report_is_frozen(self, capsys, max_genus, report):

@@ -20,7 +20,13 @@ from gapsets import (
     ordinary_gapset,
     validate_gapset,
 )
-from gapsets.core import EmptyPartitionError, element_mask
+from gapsets.core import (
+    EmptyPartitionError,
+    _m_extension,
+    _m_set,
+    _validate,
+    element_mask,
+)
 from gapsets.verification import _windows_empty
 
 from strategies import gapsets, small_m_sets
@@ -29,6 +35,10 @@ from strategies import gapsets, small_m_sets
 SMALL_CANDIDATES = [
     c for size in range(8) for c in combinations(range(1, 15), size)
 ]
+
+
+# Every subset of [1, 14], the empty one included.
+ALL_SUBSETS = [c for size in range(15) for c in combinations(range(1, 15), size)]
 
 
 def reference_validate(values):
@@ -137,6 +147,50 @@ class TestValidate:
         assert peak < 1 << 20
 
 
+def wrapped_validate(elems, mask):
+    """`_validate`'s verdict in `validate_gapset`'s terms."""
+    rejection = _validate(elems, mask)
+    return Gapset(elems) if rejection is None else rejection
+
+
+class TestMaskKernels:
+    """Each set test's kernel, fed a normalized tuple and its mask, agrees
+    with its public wrapper, which normalizes and builds the mask itself."""
+
+    def test_validate_on_every_subset(self):
+        for cand in ALL_SUBSETS:
+            assert wrapped_validate(cand, element_mask(cand)) == validate_gapset(cand), cand
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_m_set_and_m_extension_on_every_subset(self, m):
+        for cand in ALL_SUBSETS:
+            mask = element_mask(cand)
+            assert _m_set(cand, mask, m) == is_m_set(cand, m), cand
+            assert _m_extension(cand, mask, m) == is_m_extension(cand, m), cand
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_unnormalized_input(self, m):
+        for cand in ALL_SUBSETS[::7]:
+            messy = list(reversed(cand)) + list(cand[:2])
+            mask = element_mask(cand)
+            assert wrapped_validate(cand, mask) == validate_gapset(messy), messy
+            assert _m_set(cand, mask, m) == is_m_set(messy, m), messy
+            assert _m_extension(cand, mask, m) == is_m_extension(messy, m), messy
+
+    def test_huge_element(self):
+        # _validate reads no mask for a member at or above twice the length
+        assert wrapped_validate((1, 10**8), 0) == validate_gapset((1, 10**8))
+        elems = (1, 2, 10**6 + 1)
+        mask = element_mask(elems)
+        assert wrapped_validate(elems, mask) == validate_gapset(elems)
+        ms = (3, 4, 10**6 + 1)
+        assert [_m_set(elems, mask, m) for m in ms] == [is_m_set(elems, m) for m in ms]
+        assert [_m_set(elems, mask, m) for m in ms] == [True, False, False]
+        assert [_m_extension(elems, mask, m) for m in ms] == [
+            is_m_extension(elems, m) for m in ms
+        ]
+
+
 class TestValueTypes:
     def test_values_survive_a_pickle_round_trip(self):
         from gapsets.maps import verify_bijection, widen_max_gap
@@ -155,6 +209,22 @@ class TestValueTypes:
         for value in values:
             copy = pickle.loads(pickle.dumps(value))
             assert type(copy) is type(value) and copy == value, value
+
+    def test_gapset_cannot_be_changed(self):
+        # a field raises FrozenInstanceError (an AttributeError); a new name
+        # raises TypeError on Python 3.11 (see the Gapset docstring)
+        g = gapset([1, 2, 4, 7])
+        before = hash(g)
+        attempts = [
+            lambda: setattr(g, "elements", (1, 2, 3)),
+            lambda: setattr(g, "extra", 1),
+            lambda: delattr(g, "elements"),
+        ]
+        for attempt in attempts:
+            with pytest.raises((AttributeError, TypeError)):
+                attempt()
+            assert g.elements == (1, 2, 4, 7) and hash(g) == before
+        assert not hasattr(g, "extra")
 
     def test_gapset_has_no_instance_dict(self):
         g = gapset([1, 2, 4, 7])

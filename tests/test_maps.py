@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given
 
@@ -25,10 +27,21 @@ from gapsets.maps import (
     PreconditionError,
     UnsupportedDepthError,
     _bijection_report,
+    _classify,
+    _widen,
+    _widest_pair,
     classify_image,
     classify_widest_pair,
 )
-from gapsets.core import EmptyPartitionError, conductor, multiplicity
+from gapsets.core import (
+    EmptyPartitionError,
+    _partition,
+    conductor,
+    element_mask,
+    is_m_set,
+    multiplicity,
+    validate_gapset,
+)
 from gapsets.verification import memoized_provider
 
 from strategies import gapsets
@@ -109,6 +122,37 @@ class TestClassifyImage:
     )
     def test_three_way(self, elements, claimed_m, expected):
         assert classify_image(elements, claimed_m) == expected
+
+    def test_kernel_matches_validation_and_the_m_set_test(self):
+        # every subset of [1, 14] and claimed m 1..8; the verdicts of the
+        # public validate_gapset and is_m_set are the reference
+        for size in range(15):
+            for elems in combinations(range(1, 15), size):
+                mask = element_mask(elems)
+                is_gapset = isinstance(validate_gapset(elems), Gapset)
+                for m in range(1, 9):
+                    if is_gapset:
+                        expected = CLASS_GAPSET
+                    elif is_m_set(elems, m):
+                        expected = CLASS_M_SET_NOT_GAPSET
+                    else:
+                        expected = CLASS_NOT_M_SET
+                    got = _classify(elems, mask, m)
+                    assert got == expected == classify_image(elems, m), (elems, m)
+
+    def test_unnormalized_and_huge_input(self):
+        for raw in ([7, 2, 4, 1, 2], [5, 1, 6, 6], [2, 1, 10**6 + 1], [1, 2, 10**6 + 2]):
+            elems = tuple(sorted(set(raw)))
+            got = _classify(elems, element_mask(elems), 3)
+            assert got == classify_image(raw, 3), raw
+        assert classify_image([2, 1, 10**6 + 1], 3) == CLASS_M_SET_NOT_GAPSET
+
+    def test_claimed_m_below_1_fails_only_the_m_set_test(self):
+        assert _classify((1, 2, 4), element_mask((1, 2, 4)), 0) == CLASS_GAPSET
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            _classify((1, 4), element_mask((1, 4)), 0)
+        with pytest.raises(ValueError, match="m must be >= 1"):
+            classify_image((1, 4), 0)
 
 
 class TestNarrow:
@@ -224,6 +268,31 @@ class TestPartitionReference:
                     reference_partition, g
                 ), g.elements
         assert raised > 0
+
+
+class TestRecordKernels:
+    def test_record_fed_kernels_match_the_scanning_functions(self):
+        # the kernels read m and alpha from the walk's records and compute
+        # the depth from them, as the suites do; the public functions scan
+        by_genus = memoized_provider()
+        for genus in range(13):
+            for g, m, _, alpha in by_genus.records(genus):
+                e = g.elements
+                image, mask = _widen(e, alpha)
+                assert mask == element_mask(image)
+                assert widen_max_gap(g) == (image, m + 1, _classify(image, mask, m + 1))
+                if genus == 0:
+                    continue
+                assert _partition(e, m) == canonical_partition(g)
+                depth = -(-(e[-1] + 1) // m)
+                if alpha is not None and depth >= 2:
+                    assert _widest_pair(e, m, alpha, depth) == classify_widest_pair(g)
+
+    def test_impossible_widest_pair_raises(self):
+        # (1, 3, 4) is no gapset: with m = 2 its widest pair (1, 3) spans
+        # blocks 0 and 1 of 3
+        with pytest.raises(RuntimeError, match=r"blocks 0, 1 of 3"):
+            _widest_pair((1, 3, 4), 2, 1, 3)
 
 
 class TestClassifyWidestPair:

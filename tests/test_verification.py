@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from gapsets import Gapset, enumeration, maps, verification
+from gapsets import Gapset, core, enumeration, maps, verification
 from gapsets.core import kappa_and_alpha, multiplicity
 from gapsets.verification import SuiteReport, core_suite, phi_suite, run_suites
 
@@ -162,3 +162,29 @@ def test_every_genus_is_walked_once(monkeypatch):
     reports = run_suites(["core", "sparse", "phi", "bijection"], 12)
     assert all(r.ok for r in reports)
     assert walked == {g: 1 for g in range(14)}
+
+
+def test_sparse_and_phi_read_the_record_and_normalize_once(monkeypatch):
+    # the two suites take m, kappa and alpha from the walk's records, so
+    # maps rescans nothing, and they hand the kernels sorted tuples, so the
+    # only normalization left is phi's small-m-set sweep through
+    # validate_gapset: 2**(m-1) candidates for each m = 1..10
+    def forbidden(name):
+        def fail(*_args, **_kwargs):
+            raise AssertionError(f"maps.{name} was called")
+
+        return fail
+
+    for name in ("kappa_and_alpha", "multiplicity", "invariants"):
+        monkeypatch.setattr(maps, name, forbidden(name))
+    normalized = Counter()
+    as_candidate = core.as_candidate
+
+    def counting(values):
+        normalized["calls"] += 1
+        return as_candidate(values)
+
+    monkeypatch.setattr(core, "as_candidate", counting)
+    reports = run_suites(["sparse", "phi"], 12)
+    assert all(r.ok for r in reports)
+    assert normalized["calls"] == sum(2 ** (m - 1) for m in range(1, 11)) == 1023

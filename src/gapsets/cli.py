@@ -13,7 +13,13 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, Optional
 
-from .enumeration import GENUS_CEILING, ResourceLimitError, _check_genus, _iter_records
+from .enumeration import (
+    GENUS_CEILING,
+    ResourceLimitError,
+    _check_genus,
+    _iter_pure,
+    _iter_records,
+)
 
 if TYPE_CHECKING:
     from .tally import CountGrid
@@ -59,7 +65,8 @@ LINE_FORMATS = {"text": (",", _text_line), "json": (", ", _json_line), "csv": ("
 
 def cmd_enumerate(args, out) -> int:
     """Format each kernel record from its text label and write the kept lines
-    in blocks of BLOCK_LINES, one `write` per block."""
+    in blocks of BLOCK_LINES, one `write` per block.  `--pure` reads the
+    pure-kappa walk, which yields only the records with maximum gap kappa."""
     genus, kappa, pure, depth_q = args.genus, args.kappa, args.pure, args.depth
     _check_genus(genus)
     sep, line = LINE_FORMATS[args.format]
@@ -71,8 +78,12 @@ def cmd_enumerate(args, out) -> int:
         write(CSV_HEADER + "\n")
     block = []
     flush_at = 1
-    for label, last, m, k, a in _iter_records(genus, pieces=pieces):
-        if kappa is not None and (k != kappa if pure else k > kappa):
+    if pure:
+        records, kappa = _iter_pure(genus, kappa, pieces), None
+    else:
+        records = _iter_records(genus, pieces=pieces)
+    for label, last, m, k, a in records:
+        if kappa is not None and k > kappa:
             continue
         c = last + bump
         if depth_q is not None and -(-c // m) != depth_q:

@@ -24,7 +24,7 @@ past 2j + 1 is not) has a split y = u + v missing G, which must use x, so
 y - x is not in G.  So a new node runs the split test only on the new
 candidates, never on every value in (x, 2j + 3].
 
-Listings come from one record walk (`_iter_records`): each stack entry
+Full listings come from one record walk (`_iter_records`): each stack entry
 carries its node's label, level, last element, multiplicity (once a value
 is skipped), running maximum gap and the index of its last widest pair, so
 every leaf is yielded as a kernel record (label, last, multiplicity, kappa,
@@ -37,10 +37,17 @@ elements in Gapset values.  Aggregates come from one count-only walk
 largest genus counts every smaller genus by maximum gap, building no
 tuples; at the last level it counts a node's children with no loop: every
 child x <= last + max_gap falls in the parent's cell, so that cell gets a
-popcount of the children mask.  The diagonal term t(w) (genus 3w, maximum
-gap 2w) has its own count walk (`_count_diagonal`) on the same masks, which
-visits only the nodes that can end on the diagonal: such a gapset has
-maximum gap at most its multiplicity and depth at most 3.  No walk
+popcount of the children mask.  The gapsets with maximum gap exactly K
+come from a pruned record walk (`_iter_pure`) on the same masks, which
+`enumerate --pure` lists and `tally` counts for the diagonal terms t(w)
+(genus 3w, K = 2w).  It starts at the chain [1..K-1], since every gapset
+has K <= m; it drops a child x with x - last > K; and while the running
+maximum gap stays below K it drops x > g - K + j + 1 (x the element at
+level j + 1, g the genus).  That reach bound holds because a later pair
+(e_i, e_{i+1}) with j + 1 <= i <= g - 1 must make the gap K: each prefix
+is a gapset, so e_{i+1} <= 2i + 1, and e_i >= x + i - j - 1, so
+K <= i + j + 2 - x <= g + j + 1 - x.  The slack g + j + 1 - K - x only
+shrinks along a path, as x grows by at least 1 per level.  No walk
 imports `core`: a subtree's root is a kernel record, whose m, kappa and
 alpha the walk reads instead of scanning the root's elements.  Only the
 functions that build or read `Gapset` values import `core`, when called,
@@ -255,50 +262,65 @@ def _count_cells(max_genus: int) -> list[list[int]]:
     return cells
 
 
-def _count_diagonal(w: int) -> int:
-    """#{genus-3w gapsets with maximum gap K = 2w}: the diagonal term t(w).
+def _iter_pure(
+    genus: int, kappa: int, pieces: Optional[Sequence[Label]] = None
+) -> Iterator[KernelRecord]:
+    """The records of `_iter_records(genus, pieces=pieces)` whose maximum gap
+    is exactly `kappa` (K), in the same order, from a walk that visits only
+    the nodes that can still end with maximum gap K.
 
-    A walk to genus 3w on the masks, split test and inherited children mask
-    ch of `_count_cells` that visits only nodes that can end on the diagonal.
-    Every gapset has kappa <= m (y in G and y > m give y - m in G), and one
-    with 2g <= 3 * kappa, as every counted gapset, has depth <= 3
-    (`sparse_suite` checks both, as kappa-at-most-multiplicity and
-    below-diagonal-depth-cap).  Three prunes follow, applied to a copy
-    `visit` of ch:
+    The masks, split test, labels, stack entries and inherited children mask
+    ch are those of `_iter_records`.  The walk prunes a copy `visit` of ch;
+    each child still inherits every child of ch above it, visited or not (a
+    value cut for its parent can be a child of its child).  Three prunes:
+    - multiplicity: every gapset has kappa <= m, so the walk starts at the
+      chain [1..K-1], whose children are K..2K-1;
     - gap: drop x with x - last > K;
-    - multiplicity at least K: on the chain [1..j] with j + 1 < K the only
-      child is j + 1, so the walk starts at the chain [1..K-1];
-    - depth at most 3: once m is known, drop x >= 3m (a child that sets m =
-      j + 1 is at most 2j + 1 < 3m).
-    Each child still inherits every child of ch above it, visited or not: a
-    value cut for its parent's gap bound can be a valid child of its child.
-    Stack entries are (level, last, m, max_gap, sm, sr, ch), m = 0 on the
-    chain.  At the last level a node adds popcount(visit) if its running
-    maximum gap is already K, else 1 exactly when last + K is in visit.
-    t(0) = 1, the empty gapset.
+    - reach: while the running maximum gap stays below K, drop x > genus -
+      K + j + 1, j the parent's level (the module docstring shows that no
+      later gap reaches K from such an x).
+    At the last level a node yields every child in visit if its running
+    maximum gap is already K, else only last + K, if that is a child.  No
+    gapset has kappa above its genus, and only the empty one has kappa 0.
     """
-    if w == 0:
-        return 1
-    genus, big = 3 * w, 2 * w
+    if not 0 < kappa <= genus:
+        if kappa == genus == 0:
+            yield from _iter_records(0, pieces=pieces)
+        return
     cap = 2 * genus + 1
+    if pieces is None:
+        pieces = [(v,) for v in range(cap + 1)]
     below = [(1 << i) - 1 for i in range(3 * genus + 2)]
     rclear = [~(1 << (cap - v)) for v in range(cap + 1)]
-    j = big - 1  # the chain [1..K-1], whose children are K..2K-1
-    sm = below[cap + 1] ^ below[big]
-    sr = below[cap - j]
-    stack = [(j, j, 0, 1, sm, sr, below[2 * big] ^ below[big])]
-    total = 0
+    j = kappa - 1
+    label = pieces[0][:0]
+    for v in range(1, kappa):
+        label += pieces[v]
+    sm = below[cap + 1] ^ below[kappa]
+    chain = below[2 * j + 2] ^ below[j + 1]
+    stack = [(label, j, j, 0, min(j, 1), max(j - 1, 0), sm, below[cap - j], chain)]
     while stack:
-        j, last, m, mg, sm, sr, ch = stack.pop()
-        visit = ch & below[last + big + 1]
-        if m:
-            visit &= below[3 * m]
+        label, j, last, m, k, a, sm, sr, ch = stack.pop()
+        top = last + kappa
+        visit = ch & below[top + 1]
         if j + 1 == genus:
-            if mg == big:
-                total += visit.bit_count()
-            elif visit >> (last + big) & 1:
-                total += 1
+            if k < kappa:
+                visit &= 1 << top
+            while visit:
+                b = visit & -visit
+                visit ^= b
+                x = b.bit_length() - 1
+                d = x - last
+                yield (
+                    label + pieces[x],
+                    x,
+                    m or (j + 1 if d > 1 else genus + 1),
+                    kappa,
+                    (j or None) if d >= k else a,
+                )
             continue
+        if k < kappa:
+            visit &= below[genus - kappa + j + 2] | 1 << top
         window = below[2 * j + 4]
         while visit:
             x = visit.bit_length() - 1
@@ -316,15 +338,16 @@ def _count_diagonal(w: int) -> int:
                     kids |= yb
             d = x - last
             stack.append((
+                label + pieces[x],
                 j + 1,
                 x,
                 m or (j + 1 if d > 1 else 0),
-                d if d > mg else mg,
+                d if d >= k else k,
+                j if d >= k else a,
                 sm2,
                 sr2,
                 kids,
             ))
-    return total
 
 
 def _subtree_elements(genus: int, root: KernelRecord) -> list[Elements]:

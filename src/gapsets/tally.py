@@ -8,17 +8,18 @@ itself gives the sequence #{pure 2w-sparse gapsets of genus 3w}.
 
 The grid reads its cells from one count-only tree walk
 (`enumeration._count_cells`) to its largest genus; each diagonal term
-comes from its own walk (`enumeration._count_diagonal`), which visits only
-the gapsets that can end on the diagonal.  No `Gapset` objects are built,
-and the result types are named tuples, so this module loads nothing
-beyond `enumeration`.
+t(w) counts the records of its own pure-kappa walk
+(`enumeration._iter_pure(3w, 2w)`, the walk `enumerate --pure` lists),
+which visits only the gapsets that can end with maximum gap 2w.  No
+`Gapset` objects are built, and the result types are named tuples, so
+this module loads nothing beyond `enumeration`.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
-from .enumeration import _check_genus, _count_cells, _count_diagonal
+from .enumeration import _check_genus, _count_cells, _iter_pure
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -64,13 +65,13 @@ def build_count_grid(max_genus: int) -> CountGrid:
 
 
 def diagonal_sequence(max_w: int) -> DiagonalSequence:
-    """Diagonal terms for w = 0..max_w, each from its own diagonal-targeted
+    """Diagonal terms for w = 0..max_w, each counted from its own pure-kappa
     walk to genus 3w; the bounds (genus 3 * max_w) are checked before any
     walk starts."""
     from fractions import Fraction
 
     _check_genus(3 * max_w)
-    terms = [_count_diagonal(w) for w in range(max_w + 1)]
+    terms = [sum(1 for _ in _iter_pure(3 * w, 2 * w)) for w in range(max_w + 1)]
     ratios: list[Optional[Fraction]] = [None]
     ratios += [Fraction(terms[w], terms[w - 1]) for w in range(1, len(terms))]
     running = 0

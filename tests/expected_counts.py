@@ -9,7 +9,7 @@ perfbench/expected.py.  DIAGONAL_TERMS[w] counts the pure 2w-sparse gapsets of
 genus 3w (OEIS A348619); DIAGONAL_RATIOS / DIAGONAL_CUMULATIVE are the
 published three-decimal renderings of the step and cumulative ratios;
 the w = 10 term, 5248, is the one both the full count walk to genus 30 and
-the diagonal-targeted walk give (checked under --run-slow).
+the pure-kappa walk give (checked under --run-slow).
 GENUS_16_JSON is the (line count, sha256) of `gapsets enumerate --genus 16
 --format json` stdout, the digest perfbench/expected.py records for it;
 GENUS_16_TEXT and GENUS_16_CSV are the same for `--format text` and

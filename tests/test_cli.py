@@ -13,7 +13,14 @@ import gapsets.cli as cli
 from gapsets import enumerate_gapsets, enumeration, invariants, tally, validate_gapset, verification
 from gapsets.cli import BLOCK_LINES, CSV_HEADER, main
 
-from expected_counts import GAPSET_COUNTS, GENUS_16_CSV, GENUS_16_JSON, GENUS_16_TEXT, STREAM_DIGESTS
+from expected_counts import (
+    COUNTS_BY_KAPPA,
+    GAPSET_COUNTS,
+    GENUS_16_CSV,
+    GENUS_16_JSON,
+    GENUS_16_TEXT,
+    STREAM_DIGESTS,
+)
 
 GOLDEN = Path(__file__).parent / "golden" / "table3_g19.md"
 
@@ -148,7 +155,10 @@ def reference_stdout(genus, fmt, kappa=None, pure=False, depth=None):
 @pytest.mark.parametrize("which", ["none", "kappa", "pure", "depth"])
 def test_stdout_matches_the_gapset_path(fmt, which, capsys):
     for genus in range(13):
-        values = {0, 1, 2, -(-2 * genus // 3), genus}
+        if which == "pure":
+            values = set(range(genus + 2))
+        else:
+            values = {0, 1, 2, -(-2 * genus // 3), genus}
         for v in sorted(values) if which != "none" else [None]:
             flags = {
                 "none": (),
@@ -187,8 +197,16 @@ def test_genus_16_digest(capsys, fmt, frozen):
     assert_digest(out, frozen)
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("argv", list(STREAM_DIGESTS), ids="-".join)
+# the genus-22 pure-kappa commands take about 0.1 s each; the genus-21
+# listing takes seconds
+@pytest.mark.parametrize(
+    "argv",
+    [
+        argv if "--pure" in argv else pytest.param(argv, marks=pytest.mark.slow)
+        for argv in STREAM_DIGESTS
+    ],
+    ids="-".join,
+)
 def test_stream_digest(capsys, argv):
     code, out = run(capsys, *argv)
     assert code == 0
@@ -326,18 +344,19 @@ def test_bad_bounds_exit_2(argv):
 
 def patch_walks(monkeypatch):
     """Make every tree walk raise, patched under the name its caller looks up:
-    `enumerate` calls cli._iter_records, `enumerate_gapsets`
-    enumeration._iter_records, `verify` verification._iter_records, and
-    `table` and `sequence` the tally names."""
+    `enumerate` calls cli._iter_records (cli._iter_pure with --pure),
+    `enumerate_gapsets` enumeration._iter_records, `verify`
+    verification._iter_records, and `table` and `sequence` the tally names."""
 
     def entered(*_args, **_kwargs):
         raise AssertionError("the tree search started")
 
     monkeypatch.setattr(cli, "_iter_records", entered)
+    monkeypatch.setattr(cli, "_iter_pure", entered)
     monkeypatch.setattr(enumeration, "_iter_records", entered)
     monkeypatch.setattr(verification, "_iter_records", entered)
     monkeypatch.setattr(tally, "_count_cells", entered)
-    monkeypatch.setattr(tally, "_count_diagonal", entered)
+    monkeypatch.setattr(tally, "_iter_pure", entered)
 
 
 @pytest.mark.parametrize(
@@ -348,6 +367,7 @@ def patch_walks(monkeypatch):
         ["sequence", "gw", "--max-w", "1"],
         ["enumerate", "--genus", "3"],
         ["verify", "--max-genus", "1"],
+        ["enumerate", "--genus", "3", "--kappa", "2", "--pure"],
     ],
 )
 def test_patched_walks_are_reached(argv, monkeypatch):
@@ -387,12 +407,26 @@ def test_flag_of_another_mode_exit_2_before_any_output(argv, monkeypatch, capsys
         ["enumerate", "--genus", "31", "--format", "csv"],
         ["verify", "--max-genus", "31"],
         ["verify", "--max-genus", "30", "--suite", "bijection"],
+        ["enumerate", "--genus", "31", "--kappa", "5", "--pure"],
     ],
 )
 def test_resource_limit_exit_3_before_searching(argv, monkeypatch, capsys):
     patch_walks(monkeypatch)
     assert main(argv) == 3
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_pure_kappa_reads_only_the_pure_walk(fmt, monkeypatch, capsys):
+    argv = ["enumerate", "--genus", "12", "--kappa", "5", "--pure", "--format", fmt]
+    _, expected = run(capsys, *argv)
+
+    def entered(*_args, **_kwargs):
+        raise AssertionError("the full record walk started")
+
+    monkeypatch.setattr(cli, "_iter_records", entered)
+    assert run(capsys, *argv) == (0, expected)
+    assert expected.count("\n") == COUNTS_BY_KAPPA[12][5] + (fmt == "csv")
 
 
 # library code that stays only while the benchmark times it as a layer
@@ -428,24 +462,24 @@ def test_no_command_reaches_the_cache_pool_or_filter(argv, monkeypatch, capsys):
 
 
 def test_sequence_gw_walks_to_genus_3w(monkeypatch, capsys):
-    # one diagonal walk per term, the largest to genus 30 for --max-w 10;
-    # --max-w 11 would need genus 33
+    # one pure-kappa walk (genus 3w, kappa 2w) per term, the largest to
+    # genus 30 for --max-w 10; --max-w 11 would need genus 33
     walked = []
 
-    def diagonal(w):
-        walked.append(w)
-        return 1
+    def diagonal(genus, kappa):
+        walked.append((genus, kappa))
+        return iter([None])
 
     def entered(*_args):
         raise AssertionError("the full count walk started")
 
-    monkeypatch.setattr(tally, "_count_diagonal", diagonal)
+    monkeypatch.setattr(tally, "_iter_pure", diagonal)
     monkeypatch.setattr(tally, "_count_cells", entered)
     assert main(["sequence", "gw", "--max-w", "10"]) == 0
-    assert walked == list(range(11))
+    assert walked == [(3 * w, 2 * w) for w in range(11)]
     capsys.readouterr()
     assert main(["sequence", "gw", "--max-w", "11"]) == 3
-    assert walked == list(range(11))
+    assert walked == [(3 * w, 2 * w) for w in range(11)]
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "genus 33 exceeds the ceiling 30" in captured.err
@@ -605,10 +639,10 @@ class TestImports:
     def test_walks_load_no_core(self):
         # a subtree root is a kernel record, so no walk scans it with core
         code = (
-            "from gapsets.enumeration import _count_cells, _count_diagonal, _iter_records\n"
+            "from gapsets.enumeration import _count_cells, _iter_pure, _iter_records\n"
             "root = next(r for r in _iter_records(4) if r[0] == (1, 2, 4, 5))\n"
             "assert len(list(_iter_records(10, root))) > 0\n"
-            "assert _count_cells(8)[8] and _count_diagonal(2)"
+            "assert _count_cells(8)[8] and list(_iter_pure(6, 4))"
         )
         assert loaded_after(code) == set()
 

@@ -137,14 +137,20 @@ class TestValidate:
         assert tuple(validate_gapset([5, 1, 6, 6])) == (5, 2, 3)
 
     def test_memory_follows_the_input_length_not_its_largest_member(self):
-        tracemalloc.start()
-        try:
-            result = validate_gapset((1, 10**8))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(validate_gapset, (1, 10**8))
         assert tuple(result) == (10**8, 2, 10**8 - 2)
         assert peak < 1 << 20
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak bytes `tracemalloc` saw while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 def wrapped_validate(elems, mask):
@@ -399,6 +405,25 @@ class TestMSets:
                 fn([1], 0)
             with pytest.raises(ValueError):
                 fn([0, 1], 2)
+
+    @pytest.mark.parametrize(
+        "cand, m, m_set, m_extension",
+        [
+            ((1, 10**8), 3, False, False),
+            ((1, 2), 10**8, False, False),
+            ((), 10**8, False, False),
+            ((1, 2, 10**8 + 1), 3, True, False),
+            ((1, 2, 4, 5, 10**8 - 2), 3, True, False),
+            ((1, 2, 4, 5, 10**8 - 1), 3, False, False),
+        ],
+    )
+    def test_memory_follows_the_input_length_not_its_largest_member_or_m(
+        self, cand, m, m_set, m_extension
+    ):
+        for fn, verdict in ((is_m_set, m_set), (is_m_extension, m_extension)):
+            result, peak = traced_peak(fn, cand, m)
+            assert result is verdict, fn
+            assert peak < 1 << 20, fn
 
     @given(gapsets())
     def test_every_gapset_extends_its_multiplicity(self, g):

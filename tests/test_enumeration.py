@@ -20,7 +20,7 @@ from gapsets.enumeration import (
     MissingCacheError,
     ResourceLimitError,
     _count_cells,
-    _count_diagonal,
+    _iter_pure,
     _iter_records,
     cache_load,
     cache_path,
@@ -139,21 +139,44 @@ class TestCountWalk:
             build_count_grid(-1)
 
 
+def diagonal_term(w):
+    return sum(1 for _ in _iter_pure(3 * w, 2 * w))
+
+
 class TestDiagonalWalk:
     def test_terms_match_the_count_walk(self):
         cells = _count_cells(21)
-        assert [_count_diagonal(w) for w in range(8)] == [cells[3 * w][2 * w] for w in range(8)]
+        assert [diagonal_term(w) for w in range(8)] == [cells[3 * w][2 * w] for w in range(8)]
 
     def test_terms_match_the_record_walk(self):
-        for w in range(5):
+        for w in range(7):
             pure = sum(1 for _, _, _, k, _ in _iter_records(3 * w) if k == 2 * w)
-            assert _count_diagonal(w) == pure, w
+            assert diagonal_term(w) == pure, w
 
     @pytest.mark.slow
     def test_terms_match_the_walk_to_genus_30(self):
         cells = _count_cells(30)
-        terms = [_count_diagonal(w) for w in range(11)]
+        terms = [diagonal_term(w) for w in range(11)]
         assert terms == [cells[3 * w][2 * w] for w in range(11)] == DIAGONAL_TERMS
+
+
+class TestPureWalk:
+    """`_iter_pure(g, K)` yields the records of `_iter_records(g)` with
+    maximum gap K, in the same order, with either kind of label."""
+
+    def test_records_match_the_filtered_walk(self):
+        for g in range(17):
+            pieces = [" " + str(v) for v in range(2 * g + 2)]
+            tuples = list(_iter_records(g))
+            text = list(_iter_records(g, pieces=pieces))
+            for k in [*range(g + 2), 10**6]:
+                assert list(_iter_pure(g, k)) == [r for r in tuples if r[3] == k], (g, k)
+                assert list(_iter_pure(g, k, pieces)) == [r for r in text if r[3] == k], (g, k)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("k", [11, 12, 13])
+    def test_genus_22_matches_the_filtered_walk(self, k):
+        assert list(_iter_pure(22, k)) == [r for r in _iter_records(22) if r[3] == k]
 
 
 class TestRecordWalk:

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -146,6 +147,27 @@ class TestClassifyImage:
             got = _classify(elems, element_mask(elems), 3)
             assert got == classify_image(raw, 3), raw
         assert classify_image([2, 1, 10**6 + 1], 3) == CLASS_M_SET_NOT_GAPSET
+
+    @pytest.mark.parametrize(
+        "elements, claimed_m, expected",
+        [
+            ((1, 10**8), 3, CLASS_NOT_M_SET),
+            ((1, 2), 10**8, CLASS_GAPSET),
+            ((2, 3), 10**8, CLASS_NOT_M_SET),
+            ((1, 2, 10**8 + 1), 3, CLASS_M_SET_NOT_GAPSET),
+        ],
+    )
+    def test_memory_follows_the_input_length_not_its_largest_member_or_m(
+        self, elements, claimed_m, expected
+    ):
+        tracemalloc.start()
+        try:
+            result = classify_image(elements, claimed_m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == expected
+        assert peak < 1 << 20
 
     def test_claimed_m_below_1_fails_only_the_m_set_test(self):
         assert _classify((1, 2, 4), element_mask((1, 2, 4)), 0) == CLASS_GAPSET

@@ -78,12 +78,13 @@ def cmd_enumerate(args, out) -> int:
         write(CSV_HEADER + "\n")
     block = []
     flush_at = 1
+    # the pure walk yields only kappa; the full walk is filtered to <= kappa
     if pure:
-        records, kappa = _iter_pure(genus, kappa, pieces), None
+        records, limit = _iter_pure(genus, kappa, pieces), None
     else:
-        records = _iter_records(genus, pieces=pieces)
+        records, limit = _iter_records(genus, pieces=pieces), kappa
     for label, last, m, k, a in records:
-        if kappa is not None and k > kappa:
+        if limit is not None and k > limit:
             continue
         c = last + bump
         if depth_q is not None and -(-c // m) != depth_q:

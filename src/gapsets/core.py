@@ -103,16 +103,9 @@ def validate_gapset(values: Iterable[int]) -> Union[Gapset, GapsetRejection]:
     member.
     """
     elems = as_candidate(values)
-    rejection = _validate(elems, element_mask(elems) if _fits(elems) else 0)
+    fits = not elems or elems[-1] < 2 * len(elems)
+    rejection = _validate(elems, element_mask(elems) if fits else 0)
     return Gapset(elems) if rejection is None else rejection
-
-
-def _fits(elems: Elements, m: int = 0) -> bool:
-    """True when the largest member of a normalized candidate, and m, are
-    below twice its length: only then does a public set test build masks,
-    so its memory follows the input's length, never the size of its largest
-    member or of m."""
-    return max(elems[-1] if elems else 0, m) < 2 * len(elems)
 
 
 def _validate(elems: Elements, mask: int) -> Optional[GapsetRejection]:
@@ -271,11 +264,10 @@ def is_m_set(candidate: Iterable[int], m: int) -> bool:
 
     Accepts any m >= 1 (m = 1 forces the empty set, m = 2 allows odd sets);
     the interesting regime is m > 2.  The candidate is normalized and
-    tested by `_m_set` on its mask when it `_fits`, else member by member.
+    tested member by member, so the cost follows its length, never the size
+    of its largest member or of m.
     """
     elems = as_candidate(candidate)
-    if _fits(elems, m):
-        return _m_set(elems, element_mask(elems), m)
     if m < 1:
         raise ValueError("m must be >= 1")
     return (
@@ -305,13 +297,11 @@ def is_m_extension(candidate: Iterable[int], m: int) -> bool:
     Blocks are forced by value ranges: block i is the part of the set in
     [i*m + 1, (i+1)*m - 1], and each block i+1 must be contained in m +
     block i.  Every gapset with multiplicity m passes (its canonical
-    partition is the witness).  The candidate is normalized and tested by
-    `_m_extension` on its mask when it `_fits`, else member by member: an
-    m-set whose every member v > m has v - m in the set.
+    partition is the witness).  The candidate is normalized and tested
+    member by member: an m-set whose every member v > m has v - m in the
+    set.
     """
     elems = as_candidate(candidate)
-    if _fits(elems, m):
-        return _m_extension(elems, element_mask(elems), m)
     members = set(elems)
     return is_m_set(elems, m) and all(v - m in members for v in elems if v > m)
 

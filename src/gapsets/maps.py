@@ -20,7 +20,6 @@ from typing import Callable, Iterable, NamedTuple, Optional
 from .core import (
     Elements,
     Gapset,
-    _fits,
     _m_set,
     _validate,
     as_candidate,
@@ -89,11 +88,9 @@ def _widen(elems: Elements, alpha: Optional[int]) -> tuple[Elements, int]:
 def classify_image(elements: Iterable[int], claimed_m: int) -> str:
     """Classify a map's raw image: CLASS_GAPSET if it is a gapset, else
     CLASS_M_SET_NOT_GAPSET if it is a claimed_m-set, else CLASS_NOT_M_SET.
-    The image is normalized and classified by `_classify` on its mask when
-    it `_fits`, else by the public set tests, which build no wide mask."""
+    The image is normalized and classified by the public set tests, which
+    build no mask wider than twice its length."""
     elems = as_candidate(elements)
-    if _fits(elems, claimed_m):
-        return _classify(elems, element_mask(elems), claimed_m)
     if isinstance(validate_gapset(elems), Gapset):
         return CLASS_GAPSET
     return CLASS_M_SET_NOT_GAPSET if is_m_set(elems, claimed_m) else CLASS_NOT_M_SET

@@ -1,5 +1,4 @@
 import pickle
-import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -30,6 +29,7 @@ from gapsets.core import (
 from gapsets.verification import _windows_empty
 
 from strategies import gapsets, small_m_sets
+from tracing import traced_peak
 
 # Every subset of [1, 14] with at most 7 elements, the empty one included.
 SMALL_CANDIDATES = [
@@ -140,17 +140,6 @@ class TestValidate:
         result, peak = traced_peak(validate_gapset, (1, 10**8))
         assert tuple(result) == (10**8, 2, 10**8 - 2)
         assert peak < 1 << 20
-
-
-def traced_peak(fn, *args):
-    """fn(*args) and the peak bytes `tracemalloc` saw while it ran."""
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    return result, peak
 
 
 def wrapped_validate(elems, mask):

@@ -1,4 +1,3 @@
-import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -46,6 +45,7 @@ from gapsets.core import (
 from gapsets.verification import memoized_provider
 
 from strategies import gapsets
+from tracing import traced_peak
 
 # worked depth-2 and depth-3 images (input -> image)
 DEPTH2_CASES = [
@@ -160,12 +160,7 @@ class TestClassifyImage:
     def test_memory_follows_the_input_length_not_its_largest_member_or_m(
         self, elements, claimed_m, expected
     ):
-        tracemalloc.start()
-        try:
-            result = classify_image(elements, claimed_m)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        result, peak = traced_peak(classify_image, elements, claimed_m)
         assert result == expected
         assert peak < 1 << 20
 

@@ -17,7 +17,6 @@ from .enumeration import (
     GENUS_CEILING,
     ResourceLimitError,
     _check_genus,
-    _iter_pure,
     _iter_records,
 )
 
@@ -65,8 +64,9 @@ LINE_FORMATS = {"text": (",", _text_line), "json": (", ", _json_line), "csv": ("
 
 def cmd_enumerate(args, out) -> int:
     """Format each kernel record from its text label and write the kept lines
-    in blocks of BLOCK_LINES, one `write` per block.  `--pure` reads the
-    pure-kappa walk, which yields only the records with maximum gap kappa."""
+    in blocks of BLOCK_LINES, one `write` per block.  `--pure` passes kappa
+    to the record walk, which then yields only the records with maximum gap
+    kappa and visits only the nodes that can still end with it."""
     genus, kappa, pure, depth_q = args.genus, args.kappa, args.pure, args.depth
     _check_genus(genus)
     sep, line = LINE_FORMATS[args.format]
@@ -78,11 +78,9 @@ def cmd_enumerate(args, out) -> int:
         write(CSV_HEADER + "\n")
     block = []
     flush_at = 1
-    # the pure walk yields only kappa; the full walk is filtered to <= kappa
-    if pure:
-        records, limit = _iter_pure(genus, kappa, pieces), None
-    else:
-        records, limit = _iter_records(genus, pieces=pieces), kappa
+    # the pruned walk yields only kappa; the full walk is filtered to <= kappa
+    limit = None if pure else kappa
+    records = _iter_records(genus, pieces=pieces, kappa=kappa if pure else None)
     for label, last, m, k, a in records:
         if limit is not None and k > limit:
             continue

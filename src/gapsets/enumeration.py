@@ -24,7 +24,7 @@ past 2j + 1 is not) has a split y = u + v missing G, which must use x, so
 y - x is not in G.  So a new node runs the split test only on the new
 candidates, never on every value in (x, 2j + 3].
 
-Full listings come from one record walk (`_iter_records`): each stack entry
+Listings come from one record walk (`_iter_records`): each stack entry
 carries its node's label, level, last element, multiplicity (once a value
 is skipped), running maximum gap and the index of its last widest pair, so
 every leaf is yielded as a kernel record (label, last, multiplicity, kappa,
@@ -32,26 +32,26 @@ alpha) with no Gapset built and no second pass over its elements.  A label
 grows by one table entry per edge: by default the entry for x is (x,), so
 the label is the elements tuple; the CLI passes sep + str(x), so the label
 is already the gapset's text.  `enumerate_gapsets` wraps the same walk's
-elements in Gapset values.  Aggregates come from one count-only walk
-(`_count_cells`), which `tally.build_count_grid` reads: one pass to the
-largest genus counts every smaller genus by maximum gap, building no
-tuples; at the last level it counts a node's children with no loop: every
-child x <= last + max_gap falls in the parent's cell, so that cell gets a
-popcount of the children mask.  The gapsets with maximum gap exactly K
-come from a pruned record walk (`_iter_pure`) on the same masks, which
-`enumerate --pure` lists and `tally` counts for the diagonal terms t(w)
-(genus 3w, K = 2w).  It starts at the chain [1..K-1], since every gapset
-has K <= m; it drops a child x with x - last > K; and while the running
-maximum gap stays below K it drops x > g - K + j + 1 (x the element at
-level j + 1, g the genus).  That reach bound holds because a later pair
-(e_i, e_{i+1}) with j + 1 <= i <= g - 1 must make the gap K: each prefix
-is a gapset, so e_{i+1} <= 2i + 1, and e_i >= x + i - j - 1, so
-K <= i + j + 2 - x <= g + j + 1 - x.  The slack g + j + 1 - K - x only
-shrinks along a path, as x grows by at least 1 per level.  No walk
-imports `core`: a subtree's root is a kernel record, whose m, kappa and
-alpha the walk reads instead of scanning the root's elements.  Only the
-functions that build or read `Gapset` values import `core`, when called,
-and only the pool imports `multiprocessing`.
+elements in Gapset values.  Given a maximum gap K, the walk yields only
+the gapsets with maximum gap exactly K, which `enumerate --pure` lists and
+`tally` counts for the diagonal terms t(w) (genus 3w, K = 2w), and visits
+only the nodes that can still end there.  It starts at the chain [1..K-1],
+since every gapset has K <= m; it drops a child x with x - last > K; and
+while the running maximum gap stays below K it drops x > g - K + j + 1 (x
+the element at level j + 1, g the genus).  That reach bound holds because
+a later pair (e_i, e_{i+1}) with j + 1 <= i <= g - 1 must make the gap K:
+each prefix is a gapset, so e_{i+1} <= 2i + 1, and e_i >= x + i - j - 1,
+so K <= i + j + 2 - x <= g + j + 1 - x.  The slack g + j + 1 - K - x only
+shrinks along a path, as x grows by at least 1 per level.  Aggregates come
+from one count-only walk (`_count_cells`), which `tally.build_count_grid`
+reads: one pass to the largest genus counts every smaller genus by maximum
+gap, building no tuples; at the last level it counts a node's children
+with no loop: every child x <= last + max_gap falls in the parent's cell,
+so that cell gets a popcount of the children mask.  No walk imports
+`core`: a subtree's root is a kernel record, whose m, kappa and alpha the
+walk reads instead of scanning the root's elements.  Only the functions
+that build or read `Gapset` values import `core`, when called, and only the
+pool imports `multiprocessing`.
 
 Every walk checks its genus against one ceiling, `GENUS_CEILING`.  No
 command and no other module reaches the process pool
@@ -112,9 +112,11 @@ def _iter_records(
     genus: int,
     root: KernelRecord = ((), 0, 1, 0, None),
     pieces: Optional[Sequence[Label]] = None,
+    kappa: Optional[int] = None,
 ) -> Iterator[KernelRecord]:
     """Depth-first walk from `root` yielding the kernel records (label, last,
-    m, kappa, alpha) of its genus-`genus` descendants in lexicographic order.
+    m, kappa, alpha) of its genus-`genus` descendants in lexicographic order;
+    given `kappa` (K), only those with maximum gap exactly K.
 
     `root` is a kernel record with its elements tuple as label, as this walk
     yields them with the default table; the default is the empty gapset's.
@@ -141,15 +143,32 @@ def _iter_records(
     which gives the genus-1 conventions (kappa 1, alpha None) and never
     survives into a longer gapset.  Children of the last inner level are
     yielded by walking ch's bits upwards instead of being pushed.
+
+    With `kappa` set, a node visits only the children that can still end
+    with maximum gap K.  Then `root` is the chain [1..K-1], whose children
+    are K..2K-1; a child x > last + K is dropped; and while the running
+    maximum gap is below K a node keeps only last + K at the last level,
+    and at an inner level also the x <= genus - K + j + 1 (the reach bound
+    of the module docstring).  An inner node walks a copy `visit` of ch, so
+    a child still inherits every child of ch above it, visited or not: a
+    value cut for its parent can be a child of its child.  No gapset has
+    kappa above its genus, and only the empty one has kappa 0.
     """
+    if kappa is not None:
+        if not (0 < kappa <= genus or kappa == genus == 0):
+            return
+        if kappa:
+            j = kappa - 1
+            root = (tuple(range(1, kappa)), j, kappa, min(j, 1), j - 1 if j > 1 else None)
     cap = 2 * genus + 1
     if pieces is None:
         pieces = [(v,) for v in range(cap + 1)]
-    below = [(1 << i) - 1 for i in range(cap + 2)]
+    below = [(1 << i) - 1 for i in range(3 * genus + 3)]
     rclear = [~(1 << (cap - v)) for v in range(cap + 1)]
+    above = [~b for b in below[1:]]  # above[x]: the bits above x
     sm = below[cap + 1] ^ 1  # bits 1..cap
     sr = below[cap]  # bits cap-1..0, i.e. cap - i for i in 1..cap
-    elems, last, m, kappa, alpha = root
+    elems, last, m, k, a = root
     label = pieces[0][:0]  # () or "", the empty label of the table's type
     for v in elems:
         sm ^= 1 << v
@@ -157,16 +176,18 @@ def _iter_records(
         label += pieces[v]
     j = len(elems)
     if j == genus:
-        yield label, last, m, kappa, alpha
+        yield label, last, m, k, a
         return
     ch = 0
     for x in range(last + 1, 2 * j + 2):
         if sm & (sr >> (cap - x)) == 0:
             ch |= 1 << x
-    stack = [(label, j, last, m if m <= j else 0, kappa, alpha or 0, sm, sr, ch)]
+    stack = [(label, j, last, m if m <= j else 0, k, a or 0, sm, sr, ch)]
     while stack:
         label, j, last, m, k, a, sm, sr, ch = stack.pop()
         if j + 1 == genus:
+            if kappa:
+                ch &= below[last + kappa + 1] if k == kappa else 1 << last + kappa
             while ch:
                 b = ch & -ch
                 ch ^= b
@@ -180,12 +201,18 @@ def _iter_records(
                     (j or None) if d >= k else a,
                 )
             continue
+        visit = ch
+        if kappa:
+            top = last + kappa
+            visit &= below[top + 1]
+            if k < kappa:
+                visit &= below[genus - kappa + j + 2] | 1 << top
         window = below[2 * j + 4]
-        rest = 0  # the children above x
-        while ch:
-            x = ch.bit_length() - 1
+        while visit:
+            x = visit.bit_length() - 1
             b = 1 << x
-            ch ^= b
+            visit ^= b
+            rest = ch & above[x]  # the children above x
             sm2 = sm ^ b
             sr2 = sr & rclear[x]
             kids = rest
@@ -207,7 +234,6 @@ def _iter_records(
                 sr2,
                 kids,
             ))
-            rest |= b
 
 
 def _count_cells(max_genus: int) -> list[list[int]]:
@@ -260,94 +286,6 @@ def _count_cells(max_genus: int) -> list[list[int]]:
             stack.append((j + 1, x, k, sm2, sr2, kids))
             rest |= b
     return cells
-
-
-def _iter_pure(
-    genus: int, kappa: int, pieces: Optional[Sequence[Label]] = None
-) -> Iterator[KernelRecord]:
-    """The records of `_iter_records(genus, pieces=pieces)` whose maximum gap
-    is exactly `kappa` (K), in the same order, from a walk that visits only
-    the nodes that can still end with maximum gap K.
-
-    The masks, split test, labels, stack entries and inherited children mask
-    ch are those of `_iter_records`.  The walk prunes a copy `visit` of ch;
-    each child still inherits every child of ch above it, visited or not (a
-    value cut for its parent can be a child of its child).  Three prunes:
-    - multiplicity: every gapset has kappa <= m, so the walk starts at the
-      chain [1..K-1], whose children are K..2K-1;
-    - gap: drop x with x - last > K;
-    - reach: while the running maximum gap stays below K, drop x > genus -
-      K + j + 1, j the parent's level (the module docstring shows that no
-      later gap reaches K from such an x).
-    At the last level a node yields every child in visit if its running
-    maximum gap is already K, else only last + K, if that is a child.  No
-    gapset has kappa above its genus, and only the empty one has kappa 0.
-    """
-    if not 0 < kappa <= genus:
-        if kappa == genus == 0:
-            yield from _iter_records(0, pieces=pieces)
-        return
-    cap = 2 * genus + 1
-    if pieces is None:
-        pieces = [(v,) for v in range(cap + 1)]
-    below = [(1 << i) - 1 for i in range(3 * genus + 2)]
-    rclear = [~(1 << (cap - v)) for v in range(cap + 1)]
-    j = kappa - 1
-    label = pieces[0][:0]
-    for v in range(1, kappa):
-        label += pieces[v]
-    sm = below[cap + 1] ^ below[kappa]
-    chain = below[2 * j + 2] ^ below[j + 1]
-    stack = [(label, j, j, 0, min(j, 1), max(j - 1, 0), sm, below[cap - j], chain)]
-    while stack:
-        label, j, last, m, k, a, sm, sr, ch = stack.pop()
-        top = last + kappa
-        visit = ch & below[top + 1]
-        if j + 1 == genus:
-            if k < kappa:
-                visit &= 1 << top
-            while visit:
-                b = visit & -visit
-                visit ^= b
-                x = b.bit_length() - 1
-                d = x - last
-                yield (
-                    label + pieces[x],
-                    x,
-                    m or (j + 1 if d > 1 else genus + 1),
-                    kappa,
-                    (j or None) if d >= k else a,
-                )
-            continue
-        if k < kappa:
-            visit &= below[genus - kappa + j + 2] | 1 << top
-        window = below[2 * j + 4]
-        while visit:
-            x = visit.bit_length() - 1
-            b = 1 << x
-            visit ^= b
-            rest = ch & ~below[x + 1]  # the children above x
-            sm2 = sm ^ b
-            sr2 = sr & rclear[x]
-            kids = rest
-            new = (sm << x) & window & ~rest
-            while new:
-                yb = new & -new
-                new ^= yb
-                if sm2 & (sr2 >> (cap + 1 - yb.bit_length())) == 0:
-                    kids |= yb
-            d = x - last
-            stack.append((
-                label + pieces[x],
-                j + 1,
-                x,
-                m or (j + 1 if d > 1 else 0),
-                d if d >= k else k,
-                j if d >= k else a,
-                sm2,
-                sr2,
-                kids,
-            ))
 
 
 def _subtree_elements(genus: int, root: KernelRecord) -> list[Elements]:

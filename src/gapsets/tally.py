@@ -8,9 +8,9 @@ itself gives the sequence #{pure 2w-sparse gapsets of genus 3w}.
 
 The grid reads its cells from one count-only tree walk
 (`enumeration._count_cells`) to its largest genus; each diagonal term
-t(w) counts the records of its own pure-kappa walk
-(`enumeration._iter_pure(3w, 2w)`, the walk `enumerate --pure` lists),
-which visits only the gapsets that can end with maximum gap 2w.  No
+t(w) counts the records of its own kappa-pruned record walk
+(`enumeration._iter_records(3w, kappa=2w)`, the walk `enumerate --pure`
+lists), which visits only the gapsets that can end with maximum gap 2w.  No
 `Gapset` objects are built, and the result types are named tuples, so
 this module loads nothing beyond `enumeration`.
 """
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
 
-from .enumeration import _check_genus, _count_cells, _iter_pure
+from .enumeration import _check_genus, _count_cells, _iter_records
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -65,13 +65,15 @@ def build_count_grid(max_genus: int) -> CountGrid:
 
 
 def diagonal_sequence(max_w: int) -> DiagonalSequence:
-    """Diagonal terms for w = 0..max_w, each counted from its own pure-kappa
-    walk to genus 3w; the bounds (genus 3 * max_w) are checked before any
-    walk starts."""
+    """Diagonal terms for w = 0..max_w, each counted from its own
+    kappa-pruned walk to genus 3w; the bounds (genus 3 * max_w) are checked
+    before any walk starts."""
     from fractions import Fraction
 
     _check_genus(3 * max_w)
-    terms = [sum(1 for _ in _iter_pure(3 * w, 2 * w)) for w in range(max_w + 1)]
+    terms = [
+        sum(1 for _ in _iter_records(3 * w, kappa=2 * w)) for w in range(max_w + 1)
+    ]
     ratios: list[Optional[Fraction]] = [None]
     ratios += [Fraction(terms[w], terms[w - 1]) for w in range(1, len(terms))]
     running = 0

@@ -344,7 +344,7 @@ def test_bad_bounds_exit_2(argv):
 
 def patch_walks(monkeypatch):
     """Make every tree walk raise, patched under the name its caller looks up:
-    `enumerate` calls cli._iter_records (cli._iter_pure with --pure),
+    `enumerate` calls cli._iter_records (with kappa under --pure),
     `enumerate_gapsets` enumeration._iter_records, `verify`
     verification._iter_records, and `table` and `sequence` the tally names."""
 
@@ -352,11 +352,10 @@ def patch_walks(monkeypatch):
         raise AssertionError("the tree search started")
 
     monkeypatch.setattr(cli, "_iter_records", entered)
-    monkeypatch.setattr(cli, "_iter_pure", entered)
     monkeypatch.setattr(enumeration, "_iter_records", entered)
     monkeypatch.setattr(verification, "_iter_records", entered)
     monkeypatch.setattr(tally, "_count_cells", entered)
-    monkeypatch.setattr(tally, "_iter_pure", entered)
+    monkeypatch.setattr(tally, "_iter_records", entered)
 
 
 @pytest.mark.parametrize(
@@ -420,11 +419,14 @@ def test_resource_limit_exit_3_before_searching(argv, monkeypatch, capsys):
 def test_pure_kappa_reads_only_the_pure_walk(fmt, monkeypatch, capsys):
     argv = ["enumerate", "--genus", "12", "--kappa", "5", "--pure", "--format", fmt]
     _, expected = run(capsys, *argv)
+    walk = cli._iter_records
 
-    def entered(*_args, **_kwargs):
-        raise AssertionError("the full record walk started")
+    def pruned_only(*args, **kwargs):
+        if kwargs.get("kappa") != 5:
+            raise AssertionError("the full record walk started")
+        return walk(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_iter_records", entered)
+    monkeypatch.setattr(cli, "_iter_records", pruned_only)
     assert run(capsys, *argv) == (0, expected)
     assert expected.count("\n") == COUNTS_BY_KAPPA[12][5] + (fmt == "csv")
 
@@ -462,18 +464,18 @@ def test_no_command_reaches_the_cache_pool_or_filter(argv, monkeypatch, capsys):
 
 
 def test_sequence_gw_walks_to_genus_3w(monkeypatch, capsys):
-    # one pure-kappa walk (genus 3w, kappa 2w) per term, the largest to
-    # genus 30 for --max-w 10; --max-w 11 would need genus 33
+    # one kappa-pruned record walk (genus 3w, kappa 2w) per term, the
+    # largest to genus 30 for --max-w 10; --max-w 11 would need genus 33
     walked = []
 
-    def diagonal(genus, kappa):
+    def diagonal(genus, *, kappa):
         walked.append((genus, kappa))
         return iter([None])
 
     def entered(*_args):
         raise AssertionError("the full count walk started")
 
-    monkeypatch.setattr(tally, "_iter_pure", diagonal)
+    monkeypatch.setattr(tally, "_iter_records", diagonal)
     monkeypatch.setattr(tally, "_count_cells", entered)
     assert main(["sequence", "gw", "--max-w", "10"]) == 0
     assert walked == [(3 * w, 2 * w) for w in range(11)]
@@ -639,10 +641,10 @@ class TestImports:
     def test_walks_load_no_core(self):
         # a subtree root is a kernel record, so no walk scans it with core
         code = (
-            "from gapsets.enumeration import _count_cells, _iter_pure, _iter_records\n"
+            "from gapsets.enumeration import _count_cells, _iter_records\n"
             "root = next(r for r in _iter_records(4) if r[0] == (1, 2, 4, 5))\n"
             "assert len(list(_iter_records(10, root))) > 0\n"
-            "assert _count_cells(8)[8] and list(_iter_pure(6, 4))"
+            "assert _count_cells(8)[8] and list(_iter_records(6, kappa=4))"
         )
         assert loaded_after(code) == set()
 

@@ -20,7 +20,6 @@ from gapsets.enumeration import (
     MissingCacheError,
     ResourceLimitError,
     _count_cells,
-    _iter_pure,
     _iter_records,
     cache_load,
     cache_path,
@@ -140,7 +139,7 @@ class TestCountWalk:
 
 
 def diagonal_term(w):
-    return sum(1 for _ in _iter_pure(3 * w, 2 * w))
+    return sum(1 for _ in _iter_records(3 * w, kappa=2 * w))
 
 
 class TestDiagonalWalk:
@@ -161,8 +160,8 @@ class TestDiagonalWalk:
 
 
 class TestPureWalk:
-    """`_iter_pure(g, K)` yields the records of `_iter_records(g)` with
-    maximum gap K, in the same order, with either kind of label."""
+    """`_iter_records(g, kappa=K)` yields the records of `_iter_records(g)`
+    with maximum gap K, in the same order, with either kind of label."""
 
     def test_records_match_the_filtered_walk(self):
         for g in range(17):
@@ -170,13 +169,15 @@ class TestPureWalk:
             tuples = list(_iter_records(g))
             text = list(_iter_records(g, pieces=pieces))
             for k in [*range(g + 2), 10**6]:
-                assert list(_iter_pure(g, k)) == [r for r in tuples if r[3] == k], (g, k)
-                assert list(_iter_pure(g, k, pieces)) == [r for r in text if r[3] == k], (g, k)
+                pure = list(_iter_records(g, kappa=k))
+                assert pure == [r for r in tuples if r[3] == k], (g, k)
+                pure = list(_iter_records(g, pieces=pieces, kappa=k))
+                assert pure == [r for r in text if r[3] == k], (g, k)
 
     @pytest.mark.slow
     @pytest.mark.parametrize("k", [11, 12, 13])
     def test_genus_22_matches_the_filtered_walk(self, k):
-        assert list(_iter_pure(22, k)) == [r for r in _iter_records(22) if r[3] == k]
+        assert list(_iter_records(22, kappa=k)) == [r for r in _iter_records(22) if r[3] == k]
 
 
 class TestRecordWalk:
@@ -192,9 +193,15 @@ class TestRecordWalk:
                 ), elems
 
     def test_elements_match_brute_force(self, brute):
+        # the kappa-pruned mode too, against the oracle split by kappa_and_alpha
         for g, oracle in enumerate(brute):
             walk = [rec[0] for rec in _iter_records(g)]
             assert walk == [x.elements for x in oracle], g
+            by_kappa = [kappa_and_alpha(x)[0] for x in oracle]
+            for k in range(g + 2):
+                pure = [rec[0] for rec in _iter_records(g, kappa=k)]
+                expected = [x.elements for x, xk in zip(oracle, by_kappa) if xk == k]
+                assert pure == expected, (g, k)
 
     def test_small_genus_conventions(self):
         assert list(_iter_records(0)) == [((), 0, 1, 0, None)]

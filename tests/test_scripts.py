@@ -21,7 +21,7 @@ def walks_raise(monkeypatch):
         raise AssertionError("the tree search started")
 
     monkeypatch.setattr(tally, "_count_cells", entered)
-    monkeypatch.setattr(tally, "_iter_pure", entered)
+    monkeypatch.setattr(tally, "_iter_records", entered)
 
 
 @pytest.mark.parametrize("argv", [["--max-genus", "3"], ["--max-genus", "0", "--max-w", "1"]])

@@ -307,21 +307,6 @@ def is_m_extension(candidate: Iterable[int], m: int) -> bool:
 
 
 def _m_extension(elems: Elements, mask: int, m: int) -> bool:
-    """`is_m_extension` of a normalized candidate with its `element_mask`."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    low = (1 << m) - 2
-    if mask & low != low:
-        return False
-    top = elems[-1] // m if elems else 0
-    prev = low
-    for i in range(1, top + 1):
-        if not prev:  # an empty block leaves every later block empty
-            return not mask >> (i * m)
-        if (mask >> (i * m)) & 1:
-            return False
-        block = mask & (low << (i * m))
-        if block & ~(prev << m):
-            return False
-        prev = block
-    return True
+    """`is_m_extension` of a normalized candidate with its `element_mask`:
+    an m-set with no member v > m whose v - m is missing."""
+    return _m_set(elems, mask, m) and not mask & ~((2 << m) - 1) & ~(mask << m)

@@ -31,7 +31,7 @@ from .core import (
     multiplicity,
     validate_gapset,
 )
-from .enumeration import enumerate_gapsets
+from .enumeration import _check_genus, enumerate_gapsets
 
 CLASS_GAPSET = "gapset"
 CLASS_M_SET_NOT_GAPSET = "m-set-not-gapset"
@@ -240,10 +240,12 @@ def verify_bijection(
 
     Requires 2*genus <= 3*kappa.  Both sides come from enumeration rather
     than from counting, so duplicated or misordered emissions would surface
-    here as failed membership flags.
+    here as failed membership flags.  Genus + 1 is checked against the
+    ceiling before either side is listed.
     """
     if 2 * genus > 3 * kappa:
         raise PreconditionError(f"need 2g <= 3k, got g={genus}, k={kappa}")
+    _check_genus(genus + 1)
     provider = by_genus if by_genus is not None else enumerate_gapsets
     source = [g for g in provider(genus) if kappa_and_alpha(g)[0] == kappa]
     target = [h for h in provider(genus + 1) if kappa_and_alpha(h)[0] == kappa + 1]

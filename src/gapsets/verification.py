@@ -7,12 +7,12 @@ structural facts the rest of the package relies on: invariant bounds and
 consistency, pure-sparse inequalities, behaviour of the gap-widening map,
 and the widening bijection with its count stabilization.
 
-The suites share one provider, which walks each genus once with
-`_iter_records` and keeps every gapset with the multiplicity, kappa and
-alpha the walk found for it.
+The core, sparse and phi suites share one provider, which walks each
+genus once with `_iter_records` and keeps every gapset with the
+multiplicity, kappa and alpha the walk found for it.
 
-Values from the record: the sparse, phi and bijection suites read m,
-kappa and alpha from it.  Sparse and phi pass them to the kernels behind
+Values from the record: the sparse and phi suites read m, kappa and
+alpha from it.  Sparse and phi pass them to the kernels behind
 the public functions, which rescan nothing: phi widens with `maps._widen`
 (alpha) and sparse classifies the widest pair with `maps._widest_pair`
 (m, alpha and the depth it computes from m).  Values from scans: the core
@@ -31,9 +31,11 @@ membership, and `_widen` builds the image's, which `maps._classify` and
 both next-m-set tests read.  Nothing
 here is normalized with `as_candidate` except the candidates of phi's
 small-m-set sweep.  The shifted-gap window test covers every window of
-one shift with a single mask test.  The bijection suite splits each genus
-into its kappa families once and checks every (g, k) pair from that
-split.  No check reads another check's result.
+one shift with a single mask test.  The bijection suite reads no
+provider: it walks each (g, k) family it checks, and the (g + 1, k + 1)
+family it should map onto, with the kappa-pruned `_iter_records`, so it
+never walks genus max_genus + 1 in full.  No check reads another
+check's result.
 """
 
 from __future__ import annotations
@@ -367,24 +369,20 @@ def bijection_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
     """Round-trip the widening bijection on every (g, k) family with
     2g <= 3k <= 3g and g <= max_genus, then check grid stabilization.
 
-    Each genus up to max_genus + 1 is split into its kappa families once,
-    in enumeration order, and every (g, k) check reads its two families
-    from that split."""
+    Each (g, k) check reads its two families, in enumeration order, from
+    the kappa-pruned walks `_iter_records(g, kappa=k)` and
+    `_iter_records(g + 1, kappa=k + 1)`, so no genus is walked in full and
+    one pair of families is held at a time.  `by_genus` is not read: the
+    suite keeps the signature every suite shares."""
     report = SuiteReport("bijection", max_genus)
-    families: list[dict[int, list[Gapset]]] = []
-    for genus in range(max_genus + 2):
-        by_kappa: dict[int, list[Gapset]] = {}
-        for g, _, kappa, _ in by_genus.records(genus):
-            by_kappa.setdefault(kappa, []).append(g)
-        families.append(by_kappa)
     for genus in range(max_genus + 1):
         k_lo = -(-2 * genus // 3)
         for kappa in range(k_lo, genus + 1):
             result = _bijection_report(
                 genus,
                 kappa,
-                families[genus].get(kappa, []),
-                families[genus + 1].get(kappa + 1, []),
+                [Gapset(e) for e, *_ in _iter_records(genus, kappa=kappa)],
+                [Gapset(e) for e, *_ in _iter_records(genus + 1, kappa=kappa + 1)],
             )
             report.gapsets_covered += result.source_size + result.target_size
             pair = f"(g={genus}, k={kappa})"

@@ -564,6 +564,17 @@ class TestVerify:
         assert code == 0
         assert out == report
 
+    @pytest.mark.slow
+    def test_bijection_suite_at_the_largest_accepted_genus(self, capsys):
+        # 165 region pairs of genus <= 29, each read from two kappa-pruned
+        # walks; gapsets=39714 is the sum of their cells in _count_cells(30)
+        code, out = run(capsys, "verify", "--max-genus", "29", "--suite", "bijection")
+        assert code == 0
+        assert out == (
+            "suite bijection: gapsets=39714 checks=661 violations=0\n"
+            "total: suites=1 gapsets=39714 checks=661 violations=0\n"
+        )
+
     def test_violations_exit_1_with_witness(self, capsys, monkeypatch):
         from gapsets import verification
         from gapsets.verification import SuiteReport, Violation

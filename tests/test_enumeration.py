@@ -174,6 +174,14 @@ class TestPureWalk:
                 pure = list(_iter_records(g, pieces=pieces, kappa=k))
                 assert pure == [r for r in text if r[3] == k], (g, k)
 
+    def test_region_families_match_the_count_walk(self):
+        # `verify --max-genus 16` reads the families with 2g <= 3k of
+        # genus <= 17, one past the filtered walk's check above
+        cells = _count_cells(17)
+        for g in range(18):
+            for k in range(-(-2 * g // 3), g + 1):
+                assert sum(1 for _ in _iter_records(g, kappa=k)) == cells[g][k], (g, k)
+
     @pytest.mark.slow
     @pytest.mark.parametrize("k", [11, 12, 13])
     def test_genus_22_matches_the_filtered_walk(self, k):

@@ -17,6 +17,7 @@ from gapsets import (
     verify_bijection,
     widen_max_gap,
 )
+from gapsets import maps
 from gapsets.maps import (
     CLASS_GAPSET,
     CLASS_M_SET_NOT_GAPSET,
@@ -42,6 +43,7 @@ from gapsets.core import (
     multiplicity,
     validate_gapset,
 )
+from gapsets.enumeration import ResourceLimitError
 from gapsets.verification import memoized_provider
 
 from strategies import gapsets
@@ -373,6 +375,14 @@ class TestBijection:
     def test_precondition(self):
         with pytest.raises(PreconditionError):
             verify_bijection(7, 4)
+
+    def test_target_genus_checked_before_the_walk(self, monkeypatch):
+        def entered(*_args, **_kwargs):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(maps, "enumerate_gapsets", entered)
+        with pytest.raises(ResourceLimitError):
+            verify_bijection(30, 20)
 
     def test_grouped_families_give_the_same_report(self):
         # the reference families come from the kappa of the walk's records,

@@ -144,13 +144,19 @@ def test_every_check_runs_as_often_as_before(monkeypatch):
 
 
 def test_every_genus_is_walked_once(monkeypatch):
-    # all four suites read one record walk per genus, the bijection suite's
-    # genus max_genus + 1 included, and build no Gapset stream of their own
-    walked = Counter()
+    # the core, sparse and phi suites read one full record walk per genus
+    # 0..max_genus, and none of genus max_genus + 1; the bijection suite
+    # walks only its region families, with the kappa-pruned walk, and no
+    # suite builds a Gapset stream of its own
+    full = Counter()
+    pruned = Counter()
     walk = verification._iter_records
 
     def counting(genus, *args, **kwargs):
-        walked[genus] += 1
+        if kwargs.get("kappa") is None:
+            full[genus] += 1
+        else:
+            pruned[genus, kwargs["kappa"]] += 1
         return walk(genus, *args, **kwargs)
 
     def forbidden(*_args, **_kwargs):
@@ -161,7 +167,13 @@ def test_every_genus_is_walked_once(monkeypatch):
     monkeypatch.setattr(maps, "enumerate_gapsets", forbidden)
     reports = run_suites(["core", "sparse", "phi", "bijection"], 12)
     assert all(r.ok for r in reports)
-    assert walked == {g: 1 for g in range(14)}
+    assert full == {g: 1 for g in range(13)}
+    region = Counter()
+    for g in range(13):
+        for k in range(-(-2 * g // 3), g + 1):
+            region[g, k] += 1
+            region[g + 1, k + 1] += 1
+    assert pruned == region
 
 
 def test_sparse_and_phi_read_the_record_and_normalize_once(monkeypatch):

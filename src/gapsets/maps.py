@@ -31,7 +31,7 @@ from .core import (
     multiplicity,
     validate_gapset,
 )
-from .enumeration import _check_genus, enumerate_gapsets
+from .enumeration import _check_genus, _iter_records
 
 CLASS_GAPSET = "gapset"
 CLASS_M_SET_NOT_GAPSET = "m-set-not-gapset"
@@ -238,26 +238,25 @@ def verify_bijection(
 ) -> BijectionReport:
     """Materialize both families and check the bijection element by element.
 
-    Requires 2*genus <= 3*kappa.  Both sides come from enumeration rather
-    than from counting, so duplicated or misordered emissions would surface
-    here as failed membership flags.  Genus + 1 is checked against the
-    ceiling before either side is listed.
+    Requires 2*genus <= 3*kappa; genus + 1 is checked against the ceiling
+    before either family is listed.  Each family comes from the kappa-pruned
+    walk, `_iter_records(genus, kappa=kappa)` and `_iter_records(genus + 1,
+    kappa=kappa + 1)`, so no genus is walked in full; given `by_genus`, it
+    comes instead from a `kappa_and_alpha` scan of its genus read from
+    `by_genus`.  Both sides come from enumeration rather than from counting,
+    so duplicated or misordered emissions would surface here as failed
+    membership flags.
     """
     if 2 * genus > 3 * kappa:
         raise PreconditionError(f"need 2g <= 3k, got g={genus}, k={kappa}")
+    _check_genus(genus)
     _check_genus(genus + 1)
-    provider = by_genus if by_genus is not None else enumerate_gapsets
-    source = [g for g in provider(genus) if kappa_and_alpha(g)[0] == kappa]
-    target = [h for h in provider(genus + 1) if kappa_and_alpha(h)[0] == kappa + 1]
-    return _bijection_report(genus, kappa, source, target)
-
-
-def _bijection_report(
-    genus: int, kappa: int, source: list[Gapset], target: list[Gapset]
-) -> BijectionReport:
-    """Check the widening bijection between the pure kappa-sparse gapsets
-    `source` of genus g and the pure (kappa+1)-sparse gapsets `target` of
-    genus g+1, both in enumeration order."""
+    if by_genus is None:
+        source = [Gapset(e) for e, *_ in _iter_records(genus, kappa=kappa)]
+        target = [Gapset(e) for e, *_ in _iter_records(genus + 1, kappa=kappa + 1)]
+    else:
+        source = [g for g in by_genus(genus) if kappa_and_alpha(g)[0] == kappa]
+        target = [h for h in by_genus(genus + 1) if kappa_and_alpha(h)[0] == kappa + 1]
     target_set = {h.elements for h in target}
     source_set = {g.elements for g in source}
 

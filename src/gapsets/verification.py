@@ -7,9 +7,13 @@ structural facts the rest of the package relies on: invariant bounds and
 consistency, pure-sparse inequalities, behaviour of the gap-widening map,
 and the widening bijection with its count stabilization.
 
-The core, sparse and phi suites share one provider, which walks each
-genus once with `_iter_records` and keeps every gapset with the
-multiplicity, kappa and alpha the walk found for it.
+One walk per genus feeds every suite: `run_suites` walks genus 0..G in
+turn with `_iter_records`, passes that genus's rows (each gapset with the
+multiplicity, kappa and alpha the walk found for it) to the per-genus
+body of every selected suite, and drops them before it walks the next
+genus, so it holds one genus at a time.  Phi's small-m-set sweep and the
+bijection suite's grid-stabilization check run once, after the last
+genus.
 
 Values from the record: the sparse and phi suites read m, kappa and
 alpha from it.  Sparse and phi pass them to the kernels behind
@@ -31,11 +35,11 @@ membership, and `_widen` builds the image's, which `maps._classify` and
 both next-m-set tests read.  Nothing
 here is normalized with `as_candidate` except the candidates of phi's
 small-m-set sweep.  The shifted-gap window test covers every window of
-one shift with a single mask test.  The bijection suite reads no
-provider: it walks each (g, k) family it checks, and the (g + 1, k + 1)
-family it should map onto, with the kappa-pruned `_iter_records`, so it
-never walks genus max_genus + 1 in full.  No check reads another
-check's result.
+one shift with a single mask test.  The bijection suite reads no rows:
+it checks each (g, k) family with `maps.verify_bijection`, which lists
+the family and the (g + 1, k + 1) family it should map onto with the
+kappa-pruned `_iter_records`, so `verify` never walks genus
+max_genus + 1 in full.  No check reads another check's result.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional, Protocol
+from typing import Callable, Iterable, NamedTuple, Optional, Protocol
 
 from .core import (
     Elements,
@@ -56,7 +60,7 @@ from .core import (
     validate_gapset,
 )
 from .enumeration import _check_genus, _iter_records
-from .maps import CLASS_GAPSET, _bijection_report, _classify, _widen, _widest_pair
+from .maps import CLASS_GAPSET, _classify, _widen, _widest_pair, verify_bijection
 from .tally import build_count_grid, stabilization_check
 
 # (gapset, multiplicity, kappa, alpha), as the record walk found them
@@ -97,9 +101,14 @@ class SuiteReport:
             self.violations.append(Violation(self.suite, name, elements, detail))
 
 
+def _genus_records(g: int) -> list[Record]:
+    """The rows of one full record walk of genus g, in enumeration order."""
+    return [(Gapset(elems), m, k, a) for elems, _, m, k, a in _iter_records(g)]
+
+
 class _MemoizedProvider:
-    """Per-genus memo of one record walk per genus, so suites sharing a
-    provider walk each genus once; the `Gapset` view is read from it."""
+    """Per-genus memo of `_genus_records`, so suites sharing a provider walk
+    each genus once; the `Gapset` view is read from it."""
 
     def __init__(self) -> None:
         self._memo: dict[int, list[Record]] = {}
@@ -108,9 +117,7 @@ class _MemoizedProvider:
         rows = self._memo.get(g)
         if rows is None:
             _check_genus(g)
-            rows = self._memo[g] = [
-                (Gapset(elems), m, k, a) for elems, _, m, k, a in _iter_records(g)
-            ]
+            rows = self._memo[g] = _genus_records(g)
         return rows
 
     def __call__(self, g: int) -> list[Gapset]:
@@ -141,216 +148,193 @@ def _windows_empty(e: Elements, m: int, c: int) -> bool:
     return True
 
 
-def core_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
+def _core(report: SuiteReport, genus: int, rows: list[Record]) -> None:
     """Invariant bounds, element bounds, partition consistency, shifted-gap
-    windows, and re-validation, for every gapset of genus <= max_genus."""
-    report = SuiteReport("core", max_genus)
-    for genus in range(max_genus + 1):
-        for g, *_ in by_genus.records(genus):
-            report.gapsets_covered += 1
-            e = g.elements
-            rec = invariants(g)
+    windows, and re-validation, for every gapset of the genus."""
+    for g, *_ in rows:
+        report.gapsets_covered += 1
+        e = g.elements
+        rec = invariants(g)
+        report.check(
+            "frobenius-is-conductor-minus-1", rec.frobenius == rec.conductor - 1, e
+        )
+        report.check(
+            "depth-is-ceil-conductor-over-multiplicity",
+            rec.depth == -(-rec.conductor // rec.multiplicity),
+            e,
+        )
+        if genus >= 1:
             report.check(
-                "frobenius-is-conductor-minus-1",
-                rec.frobenius == rec.conductor - 1,
+                "multiplicity-range",
+                2 <= rec.multiplicity <= genus + 1,
+                e,
+                f"m={rec.multiplicity}",
+            )
+            report.check(
+                "conductor-range",
+                genus + 1 <= rec.conductor <= 2 * genus,
+                e,
+                f"c={rec.conductor}",
+            )
+            report.check("depth-range", 1 <= rec.depth <= genus, e, f"q={rec.depth}")
+            report.check(
+                "element-bounds",
+                all(j <= e[j - 1] <= 2 * j - 1 for j in range(1, genus + 1)),
+                e,
+            )
+            part = _partition(e, rec.multiplicity)
+            report.check("partition-block-count", len(part.blocks) == rec.depth, e)
+            report.check(
+                "partition-first-block",
+                part.blocks[0] == tuple(range(1, rec.multiplicity)),
+                e,
+            )
+            flat = tuple(v for block in part.blocks for v in block)
+            report.check("partition-union", flat == e, e)
+            m = rec.multiplicity
+            report.check(
+                "partition-block-ranges",
+                all(
+                    i * m + 1 <= v <= (i + 1) * m - 1
+                    for i, block in enumerate(part.blocks)
+                    for v in block
+                    if i >= 1
+                ),
                 e,
             )
             report.check(
-                "depth-is-ceil-conductor-over-multiplicity",
-                rec.depth == -(-rec.conductor // rec.multiplicity),
+                "shifted-gap-windows-empty",
+                genus < 2 or _windows_empty(e, m, rec.conductor),
                 e,
             )
-            if genus >= 1:
-                report.check(
-                    "multiplicity-range",
-                    2 <= rec.multiplicity <= genus + 1,
-                    e,
-                    f"m={rec.multiplicity}",
-                )
-                report.check(
-                    "conductor-range",
-                    genus + 1 <= rec.conductor <= 2 * genus,
-                    e,
-                    f"c={rec.conductor}",
-                )
-                report.check(
-                    "depth-range", 1 <= rec.depth <= genus, e, f"q={rec.depth}"
-                )
-                report.check(
-                    "element-bounds",
-                    all(j <= e[j - 1] <= 2 * j - 1 for j in range(1, genus + 1)),
-                    e,
-                )
-                part = _partition(e, rec.multiplicity)
-                report.check(
-                    "partition-block-count", len(part.blocks) == rec.depth, e
-                )
-                report.check(
-                    "partition-first-block",
-                    part.blocks[0] == tuple(range(1, rec.multiplicity)),
-                    e,
-                )
-                flat = tuple(v for block in part.blocks for v in block)
-                report.check("partition-union", flat == e, e)
-                m = rec.multiplicity
-                report.check(
-                    "partition-block-ranges",
-                    all(
-                        i * m + 1 <= v <= (i + 1) * m - 1
-                        for i, block in enumerate(part.blocks)
-                        for v in block
-                        if i >= 1
-                    ),
-                    e,
-                )
-                report.check(
-                    "shifted-gap-windows-empty",
-                    genus < 2 or _windows_empty(e, m, rec.conductor),
-                    e,
-                )
-            if rec.alpha is not None:
-                report.check(
-                    "alpha-is-last-widest",
-                    e[rec.alpha] - e[rec.alpha - 1] == rec.kappa
-                    and all(
-                        e[i + 1] - e[i] < rec.kappa
-                        for i in range(rec.alpha, genus - 1)
-                    ),
-                    e,
-                )
+        if rec.alpha is not None:
             report.check(
-                "revalidation-idempotent",
-                isinstance(validate_gapset(e), Gapset),
+                "alpha-is-last-widest",
+                e[rec.alpha] - e[rec.alpha - 1] == rec.kappa
+                and all(
+                    e[i + 1] - e[i] < rec.kappa
+                    for i in range(rec.alpha, genus - 1)
+                ),
                 e,
             )
-    return report
+        report.check(
+            "revalidation-idempotent", isinstance(validate_gapset(e), Gapset), e
+        )
 
 
-def sparse_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
+def _sparse(report: SuiteReport, genus: int, rows: list[Record]) -> None:
     """Pure-sparse inequalities, the widest-pair block trichotomy, and the
     2g <= 3k consequences (depth cap, pair uniqueness, widest-element cap)."""
-    report = SuiteReport("sparse", max_genus)
-    for genus in range(max_genus + 1):
-        for g, m, k, alpha in by_genus.records(genus):
-            report.gapsets_covered += 1
-            e = g.elements
-            c = e[-1] + 1 if e else 0
-            q = -(-c // m)
-            report.check("kappa-at-most-multiplicity", k <= m, e)
-            report.check("kappa-at-most-genus", k <= genus, e)
-            report.check("genus-plus-kappa-at-most-conductor", genus + k <= c, e)
-            if alpha is not None:
+    for g, m, k, alpha in rows:
+        report.gapsets_covered += 1
+        e = g.elements
+        c = e[-1] + 1 if e else 0
+        q = -(-c // m)
+        report.check("kappa-at-most-multiplicity", k <= m, e)
+        report.check("kappa-at-most-genus", k <= genus, e)
+        report.check("genus-plus-kappa-at-most-conductor", genus + k <= c, e)
+        if alpha is not None:
+            report.check(
+                "top-element-within-multiplicity-of-widest",
+                e[-1] <= e[alpha - 1] + m,
+                e,
+            )
+            if q >= 2:
+                try:
+                    _widest_pair(e, m, alpha, q)
+                    report.check("widest-pair-trichotomy", True, e)
+                except RuntimeError as exc:
+                    report.check("widest-pair-trichotomy", False, e, str(exc))
+        if 2 * genus <= 3 * k:
+            report.check("below-diagonal-depth-cap", q <= 3, e)
+            if genus >= 2:
+                pairs = sum(1 for i in range(genus - 1) if e[i + 1] - e[i] == k)
                 report.check(
-                    "top-element-within-multiplicity-of-widest",
-                    e[-1] <= e[alpha - 1] + m,
+                    "widest-pair-unique",
+                    pairs == 1 or e == (1, 3, 5),
+                    e,
+                    f"{pairs} widest pairs",
+                )
+                report.check(
+                    "widest-start-below-twice-multiplicity",
+                    e[alpha - 1] <= 2 * m - 1,
                     e,
                 )
-                if q >= 2:
-                    try:
-                        _widest_pair(e, m, alpha, q)
-                        report.check("widest-pair-trichotomy", True, e)
-                    except RuntimeError as exc:
-                        report.check("widest-pair-trichotomy", False, e, str(exc))
-            if 2 * genus <= 3 * k:
-                report.check("below-diagonal-depth-cap", q <= 3, e)
-                if genus >= 2:
-                    pairs = sum(
-                        1 for i in range(genus - 1) if e[i + 1] - e[i] == k
-                    )
-                    report.check(
-                        "widest-pair-unique",
-                        pairs == 1 or e == (1, 3, 5),
-                        e,
-                        f"{pairs} widest pairs",
-                    )
-                    report.check(
-                        "widest-start-below-twice-multiplicity",
-                        e[alpha - 1] <= 2 * m - 1,
-                        e,
-                    )
-    return report
 
 
-def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
-    """Behaviour of the gap-widening map over every gapset up to max_genus.
+def _phi(report: SuiteReport, genus: int, rows: list[Record]) -> None:
+    """Behaviour of the gap-widening map on every gapset of the genus.
 
     Covers the image shape (size, range, widened maximum gap), the depth-1/2/3
     classification with its stated exception, injectivity per (genus, kappa)
-    family, the depth-2 non-surjectivity witness, the m-extension property of
-    gapsets, and the fact that small m-sets validate.
+    family, the depth-2 non-surjectivity witness, and the m-extension
+    property of gapsets.
     """
-    report = SuiteReport("phi", max_genus)
-    for genus in range(max_genus + 1):
-        images_by_kappa: dict[int, dict[Elements, Elements]] = {}
-        depth2_images: set[Elements] = set()
-        for g, m, kappa, alpha in by_genus.records(genus):
-            report.gapsets_covered += 1
-            e = g.elements
-            c = e[-1] + 1 if e else 0
-            q = -(-c // m)
-            mask = element_mask(e)
-            ie, imask = _widen(e, alpha)
-            irec = invariants(Gapset(ie))
-            is_gapset = _classify(ie, imask, m + 1) == CLASS_GAPSET
-            report.check("image-size", len(ie) == genus + 1, e)
+    images_by_kappa: dict[int, dict[Elements, Elements]] = {}
+    depth2_images: set[Elements] = set()
+    for g, m, kappa, alpha in rows:
+        report.gapsets_covered += 1
+        e = g.elements
+        c = e[-1] + 1 if e else 0
+        q = -(-c // m)
+        mask = element_mask(e)
+        ie, imask = _widen(e, alpha)
+        irec = invariants(Gapset(ie))
+        is_gapset = _classify(ie, imask, m + 1) == CLASS_GAPSET
+        report.check("image-size", len(ie) == genus + 1, e)
+        report.check("image-range", min(ie) >= 1 and max(ie) <= 2 * (genus + 1) - 1, e)
+        report.check("image-kappa-raised", irec.kappa == kappa + 1, e)
+        report.check("gapset-is-m-extension", _m_extension(e, mask, m), e)
+        if q == 1:
             report.check(
-                "image-range",
-                min(ie) >= 1 and max(ie) <= 2 * (genus + 1) - 1,
+                "depth1-image-gapset-of-depth-2", is_gapset and irec.depth == 2, e
+            )
+        elif q == 2:
+            report.check(
+                "depth2-image-is-next-m-set",
+                _m_set(ie, imask, m + 1) and irec.depth == 2,
                 e,
             )
-            report.check("image-kappa-raised", irec.kappa == kappa + 1, e)
             report.check(
-                "gapset-is-m-extension", _m_extension(e, mask, m), e
-            )
-            if q == 1:
-                report.check(
-                    "depth1-image-gapset-of-depth-2",
-                    is_gapset and irec.depth == 2,
-                    e,
-                )
-            elif q == 2:
-                report.check(
-                    "depth2-image-is-next-m-set",
-                    _m_set(ie, imask, m + 1) and irec.depth == 2,
-                    e,
-                )
-                report.check(
-                    "depth2-image-in-next-family",
-                    is_gapset and irec.depth == 2 and irec.kappa == kappa + 1,
-                    e,
-                )
-                depth2_images.add(ie)
-            elif q == 3:
-                exceptional = mask >> (2 * m + 1) & 1 and e[alpha - 1] >= 2 * m + 1
-                if not exceptional:
-                    report.check(
-                        "depth3-image-is-next-m-set",
-                        _m_set(ie, imask, m + 1) and irec.depth == 3,
-                        e,
-                    )
-                if 2 * genus <= 3 * kappa:
-                    report.check(
-                        "depth3-image-in-next-family",
-                        is_gapset and irec.depth == 3 and irec.kappa == kappa + 1,
-                        e,
-                    )
-            previous = images_by_kappa.setdefault(kappa, {}).setdefault(ie, e)
-            report.check(
-                "injective-within-family",
-                previous == e,
+                "depth2-image-in-next-family",
+                is_gapset and irec.depth == 2 and irec.kappa == kappa + 1,
                 e,
-                f"image collides with {previous}",
             )
-        if genus >= 1:
-            witness = tuple(range(1, genus + 1)) + (genus + 2,)
-            report.check(
-                "depth2-witness-has-no-depth2-preimage",
-                witness not in depth2_images,
-                witness,
-            )
-    # Any m-set inside [1, 2m-1] is a gapset of multiplicity m and depth <= 2;
-    # sweep all of them for small m.
-    for m in range(1, min(max_genus, 10) + 1):
+            depth2_images.add(ie)
+        elif q == 3:
+            exceptional = mask >> (2 * m + 1) & 1 and e[alpha - 1] >= 2 * m + 1
+            if not exceptional:
+                report.check(
+                    "depth3-image-is-next-m-set",
+                    _m_set(ie, imask, m + 1) and irec.depth == 3,
+                    e,
+                )
+            if 2 * genus <= 3 * kappa:
+                report.check(
+                    "depth3-image-in-next-family",
+                    is_gapset and irec.depth == 3 and irec.kappa == kappa + 1,
+                    e,
+                )
+        previous = images_by_kappa.setdefault(kappa, {}).setdefault(ie, e)
+        report.check(
+            "injective-within-family",
+            previous == e,
+            e,
+            f"image collides with {previous}",
+        )
+    if genus >= 1:
+        witness = tuple(range(1, genus + 1)) + (genus + 2,)
+        report.check(
+            "depth2-witness-has-no-depth2-preimage",
+            witness not in depth2_images,
+            witness,
+        )
+
+
+def _small_m_sets(report: SuiteReport) -> None:
+    """Any m-set inside [1, 2m-1] is a gapset of multiplicity m and depth
+    <= 2; sweep all of them for small m."""
+    for m in range(1, min(report.max_genus, 10) + 1):
         base = tuple(range(1, m))
         pool = range(m + 1, 2 * m)
         for size in range(len(pool) + 1):
@@ -362,77 +346,90 @@ def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
                     rec = invariants(checked)
                     ok = (not cand or rec.multiplicity == m) and rec.depth <= 2
                 report.check("small-m-set-is-gapset", ok, cand, f"m={m}")
-    return report
 
 
-def bijection_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
-    """Round-trip the widening bijection on every (g, k) family with
-    2g <= 3k <= 3g and g <= max_genus, then check grid stabilization.
+def _bijection(report: SuiteReport, genus: int, rows: list[Record]) -> None:
+    """Round-trip the widening bijection on every (g, k) family of the genus
+    with 2g <= 3k <= 3g.  `verify_bijection` lists both families with the
+    kappa-pruned walk, so `rows` is not read."""
+    for kappa in range(-(-2 * genus // 3), genus + 1):
+        result = verify_bijection(genus, kappa)
+        report.gapsets_covered += result.source_size + result.target_size
+        pair = f"(g={genus}, k={kappa})"
+        report.check(
+            "family-counts-equal",
+            result.counts_equal,
+            (),
+            f"{pair}: {result.source_size} vs {result.target_size}",
+        )
+        report.check("forward-round-trip", all(result.forward_round_trip), (), pair)
+        report.check("backward-round-trip", all(result.backward_round_trip), (), pair)
+        report.check("image-membership", all(result.image_membership), (), pair)
 
-    Each (g, k) check reads its two families, in enumeration order, from
-    the kappa-pruned walks `_iter_records(g, kappa=k)` and
-    `_iter_records(g + 1, kappa=k + 1)`, so no genus is walked in full and
-    one pair of families is held at a time.  `by_genus` is not read: the
-    suite keeps the signature every suite shares."""
-    report = SuiteReport("bijection", max_genus)
-    for genus in range(max_genus + 1):
-        k_lo = -(-2 * genus // 3)
-        for kappa in range(k_lo, genus + 1):
-            result = _bijection_report(
-                genus,
-                kappa,
-                [Gapset(e) for e, *_ in _iter_records(genus, kappa=kappa)],
-                [Gapset(e) for e, *_ in _iter_records(genus + 1, kappa=kappa + 1)],
-            )
-            report.gapsets_covered += result.source_size + result.target_size
-            pair = f"(g={genus}, k={kappa})"
-            report.check(
-                "family-counts-equal",
-                result.counts_equal,
-                (),
-                f"{pair}: {result.source_size} vs {result.target_size}",
-            )
-            report.check(
-                "forward-round-trip",
-                all(result.forward_round_trip),
-                (),
-                pair,
-            )
-            report.check(
-                "backward-round-trip",
-                all(result.backward_round_trip),
-                (),
-                pair,
-            )
-            report.check(
-                "image-membership", all(result.image_membership), (), pair
-            )
-    stab = stabilization_check(build_count_grid(max_genus))
+
+def _stabilization(report: SuiteReport) -> None:
+    """The count grid to max_genus stabilizes below the diagonal."""
+    stab = stabilization_check(build_count_grid(report.max_genus))
     report.check(
         "grid-stabilization",
         stab.ok,
         (),
         "; ".join(f"{cell}: {a} != {b}" for cell, a, b in stab.violations),
     )
-    return report
+
+
+# each suite's per-genus body, and the checks some run once after the last genus
+_BODY = {"core": _core, "sparse": _sparse, "phi": _phi, "bijection": _bijection}
+_FINAL = {"phi": _small_m_sets, "bijection": _stabilization}
+
+
+def _run(
+    names: list[str], max_genus: int, records: Callable[[int], list[Record]]
+) -> list[SuiteReport]:
+    """Run the named suites, one report each, over one pass of genus
+    0..max_genus: each genus is read once with `records` (not at all if
+    only the bijection suite runs), fed to every suite's body, and released
+    before the next genus is read."""
+    for name in names:
+        if name not in _BODY:
+            raise ValueError(f"unknown suite {name!r}")
+    reports = [SuiteReport(name, max_genus) for name in names]
+    walk = any(name != "bijection" for name in names)
+    for genus in range(max_genus + 1):
+        rows = records(genus) if walk else []
+        for report in reports:
+            _BODY[report.suite](report, genus, rows)
+        del rows  # else genus g stays alive while genus g + 1 is walked
+    for report in reports:
+        if report.suite in _FINAL:
+            _FINAL[report.suite](report)
+    return reports
+
+
+def core_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
+    """The core suite alone over `by_genus`: see `_core`."""
+    return _run(["core"], max_genus, by_genus.records)[0]
+
+
+def sparse_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
+    """The sparse suite alone over `by_genus`: see `_sparse`."""
+    return _run(["sparse"], max_genus, by_genus.records)[0]
+
+
+def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
+    """The phi suite alone over `by_genus`: see `_phi` and `_small_m_sets`."""
+    return _run(["phi"], max_genus, by_genus.records)[0]
+
+
+def bijection_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
+    """The bijection suite alone (see `_bijection`); `by_genus` is not read."""
+    return _run(["bijection"], max_genus, by_genus.records)[0]
 
 
 def run_suites(suites: Iterable[str], max_genus: int) -> list[SuiteReport]:
-    """Run the named suites over one shared provider.  The largest genus they
-    read (max_genus + 1 for the bijection suite) is checked against the
-    ceiling before any suite runs."""
+    """Run the named suites over one plain walk per genus, holding one genus
+    at a time.  The largest genus they read (max_genus + 1 for the
+    bijection suite) is checked against the ceiling before any walk."""
     suites = list(suites)
     _check_genus(max_genus + ("bijection" in suites))
-    by_genus = memoized_provider()
-    runners = {
-        "core": core_suite,
-        "sparse": sparse_suite,
-        "phi": phi_suite,
-        "bijection": bijection_suite,
-    }
-    reports = []
-    for name in suites:
-        if name not in runners:
-            raise ValueError(f"unknown suite {name!r}")
-        reports.append(runners[name](max_genus, by_genus))
-    return reports
+    return _run(suites, max_genus, _genus_records)

@@ -10,7 +10,9 @@ import pytest
 
 import gapsets
 import gapsets.cli as cli
-from gapsets import enumerate_gapsets, enumeration, invariants, tally, validate_gapset, verification
+from gapsets import (
+    enumerate_gapsets, enumeration, invariants, maps, tally, validate_gapset, verification,
+)
 from gapsets.cli import BLOCK_LINES, CSV_HEADER, main
 
 from expected_counts import (
@@ -346,7 +348,8 @@ def patch_walks(monkeypatch):
     """Make every tree walk raise, patched under the name its caller looks up:
     `enumerate` calls cli._iter_records (with kappa under --pure),
     `enumerate_gapsets` enumeration._iter_records, `verify`
-    verification._iter_records, and `table` and `sequence` the tally names."""
+    verification._iter_records (maps._iter_records for the bijection
+    suite's families), and `table` and `sequence` the tally names."""
 
     def entered(*_args, **_kwargs):
         raise AssertionError("the tree search started")
@@ -354,6 +357,7 @@ def patch_walks(monkeypatch):
     monkeypatch.setattr(cli, "_iter_records", entered)
     monkeypatch.setattr(enumeration, "_iter_records", entered)
     monkeypatch.setattr(verification, "_iter_records", entered)
+    monkeypatch.setattr(maps, "_iter_records", entered)
     monkeypatch.setattr(tally, "_count_cells", entered)
     monkeypatch.setattr(tally, "_iter_records", entered)
 
@@ -367,6 +371,7 @@ def patch_walks(monkeypatch):
         ["enumerate", "--genus", "3"],
         ["verify", "--max-genus", "1"],
         ["enumerate", "--genus", "3", "--kappa", "2", "--pure"],
+        ["verify", "--max-genus", "1", "--suite", "bijection"],
     ],
 )
 def test_patched_walks_are_reached(argv, monkeypatch):
@@ -573,6 +578,16 @@ class TestVerify:
         assert out == (
             "suite bijection: gapsets=39714 checks=661 violations=0\n"
             "total: suites=1 gapsets=39714 checks=661 violations=0\n"
+        )
+
+    @pytest.mark.slow
+    def test_all_suites_to_genus_20(self, capsys):
+        # one walk per genus 0..20 feeds core, sparse and phi, one genus held
+        # at a time; the bijection suite reads its 84 region family pairs
+        code, out = run(capsys, "verify", "--max-genus", "20", "--suite", "all")
+        assert code == 0
+        assert out.splitlines()[-1] == (
+            "total: suites=4 gapsets=282360 checks=2248811 violations=0"
         )
 
     def test_violations_exit_1_with_witness(self, capsys, monkeypatch):

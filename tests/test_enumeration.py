@@ -188,6 +188,38 @@ class TestPureWalk:
         assert list(_iter_records(22, kappa=k)) == [r for r in _iter_records(22) if r[3] == k]
 
 
+def region_shape(max_genus):
+    """Per genus, the number of gapsets in the region families (2g <= 3k),
+    and those whose record breaks kappa <= m or depth ceil((last+1)/m) <= 3."""
+    read, broken = [], []
+    for g in range(max_genus + 1):
+        read.append(0)
+        for k in range(-(-2 * g // 3), g + 1):
+            for elems, last, m, kappa, _ in _iter_records(g, kappa=k):
+                read[g] += 1
+                if not (kappa == k <= m and -(-(last + 1) // m) <= 3):
+                    broken.append(elems)
+    return read, broken
+
+
+class TestRegionShape:
+    """Every gapset in the theorem's region has kappa <= m and depth <= 3.
+    The region at genus g holds the families kappa = g - d for 3d <= g, so
+    by the theorem it holds t(0) + ... + t(g // 3) gapsets."""
+
+    def test_to_genus_17(self):
+        read, broken = region_shape(17)
+        assert broken == []
+        assert read == [sum(DIAGONAL_TERMS[: g // 3 + 1]) for g in range(18)]
+
+    @pytest.mark.slow
+    def test_to_genus_30(self):
+        read, broken = region_shape(30)
+        assert broken == []
+        assert read == [sum(DIAGONAL_TERMS[: g // 3 + 1]) for g in range(31)]
+        assert read[30] == 9078
+
+
 class TestRecordWalk:
     def test_records_match_invariants(self):
         # the sparse, phi and bijection suites read m, kappa and alpha from

@@ -27,7 +27,6 @@ from gapsets.maps import (
     PAIR_SPLIT,
     PreconditionError,
     UnsupportedDepthError,
-    _bijection_report,
     _classify,
     _widen,
     _widest_pair,
@@ -380,23 +379,20 @@ class TestBijection:
         def entered(*_args, **_kwargs):
             raise AssertionError("the walk started")
 
-        monkeypatch.setattr(maps, "enumerate_gapsets", entered)
+        monkeypatch.setattr(maps, "_iter_records", entered)
+        with pytest.raises(AssertionError, match="the walk started"):
+            verify_bijection(29, 20)
         with pytest.raises(ResourceLimitError):
             verify_bijection(30, 20)
 
     def test_grouped_families_give_the_same_report(self):
-        # the reference families come from the kappa of the walk's records,
-        # not from the kappa_and_alpha pick of verify_bijection under test
+        # two listings of each family: the kappa-pruned walk (no by_genus)
+        # and a kappa_and_alpha scan of the full genus (by_genus)
         by_genus = memoized_provider()
         families = 0
         for genus in range(13):
             for kappa in range(-(-2 * genus // 3), genus + 1):
-                report = _bijection_report(
-                    genus,
-                    kappa,
-                    [g for g, _, k, _ in by_genus.records(genus) if k == kappa],
-                    [h for h, _, k, _ in by_genus.records(genus + 1) if k == kappa + 1],
-                )
+                report = verify_bijection(genus, kappa)
                 assert report == verify_bijection(genus, kappa, by_genus=by_genus)
                 assert report.bijective
                 families += 1

@@ -1,6 +1,7 @@
 """The verify suites keep every check: its name, how often it runs, and
 which planted non-gapsets it flags."""
 
+import weakref
 from collections import Counter
 
 import pytest
@@ -146,25 +147,29 @@ def test_every_check_runs_as_often_as_before(monkeypatch):
 def test_every_genus_is_walked_once(monkeypatch):
     # the core, sparse and phi suites read one full record walk per genus
     # 0..max_genus, and none of genus max_genus + 1; the bijection suite
-    # walks only its region families, with the kappa-pruned walk, and no
-    # suite builds a Gapset stream of its own
+    # walks only its region families, with the kappa-pruned walk that
+    # maps.verify_bijection makes, and no suite builds a Gapset stream of
+    # its own
     full = Counter()
     pruned = Counter()
-    walk = verification._iter_records
 
-    def counting(genus, *args, **kwargs):
-        if kwargs.get("kappa") is None:
-            full[genus] += 1
-        else:
-            pruned[genus, kwargs["kappa"]] += 1
-        return walk(genus, *args, **kwargs)
+    def counting(walk):
+        def count(genus, *args, **kwargs):
+            if kwargs.get("kappa") is None:
+                full[genus] += 1
+            else:
+                pruned[genus, kwargs["kappa"]] += 1
+            return walk(genus, *args, **kwargs)
+
+        return count
 
     def forbidden(*_args, **_kwargs):
         raise AssertionError("enumerate_gapsets was called")
 
-    monkeypatch.setattr(verification, "_iter_records", counting)
+    monkeypatch.setattr(verification, "_iter_records", counting(verification._iter_records))
+    monkeypatch.setattr(maps, "_iter_records", counting(maps._iter_records))
     monkeypatch.setattr(enumeration, "enumerate_gapsets", forbidden)
-    monkeypatch.setattr(maps, "enumerate_gapsets", forbidden)
+    assert not hasattr(maps, "enumerate_gapsets")
     reports = run_suites(["core", "sparse", "phi", "bijection"], 12)
     assert all(r.ok for r in reports)
     assert full == {g: 1 for g in range(13)}
@@ -174,6 +179,33 @@ def test_every_genus_is_walked_once(monkeypatch):
             region[g, k] += 1
             region[g + 1, k + 1] += 1
     assert pruned == region
+
+
+def test_each_genus_is_dropped_before_the_next_walk(monkeypatch):
+    # run_suites holds one genus of rows at a time: when the walk of genus
+    # g + 1 starts, no suite body, `_run` or memo still holds genus g's rows; and
+    # the bijection suite alone starts no full walk
+    class Rows(list):
+        pass
+
+    walk = verification._genus_records
+    held = []
+    alive = []
+
+    def tracked(genus):
+        alive.extend(g for g, ref in enumerate(held) if ref() is not None)
+        rows = Rows(walk(genus))
+        held.append(weakref.ref(rows))
+        return rows
+
+    monkeypatch.setattr(verification, "_genus_records", tracked)
+    reports = run_suites(["core", "sparse", "phi", "bijection"], 12)
+    assert all(r.ok for r in reports)
+    assert len(held) == 13
+    assert alive == []
+    held.clear()
+    assert run_suites(["bijection"], 12)[0].ok
+    assert held == []
 
 
 def test_sparse_and_phi_read_the_record_and_normalize_once(monkeypatch):

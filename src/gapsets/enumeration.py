@@ -152,8 +152,11 @@ def _iter_records(
     of the module docstring).  An inner node walks a copy `visit` of ch, so
     a child still inherits every child of ch above it, visited or not: a
     value cut for its parent can be a child of its child.  No gapset has
-    kappa above its genus, and only the empty one has kappa 0.
+    kappa above its genus, and only the empty one has kappa 0.  A negative
+    genus raises ValueError; the ceiling is the caller's to check.
     """
+    if genus < 0:
+        raise ValueError("genus must be >= 0")
     if kappa is not None:
         if not (0 < kappa <= genus or kappa == genus == 0):
             return
@@ -245,8 +248,11 @@ def _count_cells(max_genus: int) -> list[list[int]]:
     the last level no child is visited for the cell max_gap: the children at
     most last + max_gap all land there, so it gets the popcount of
     ch & below[last + max_gap + 1]; only the wider children go one by one to
-    cell x - last.  Root child 1 gets max_gap 1 - 0 = 1.
+    cell x - last.  Root child 1 gets max_gap 1 - 0 = 1.  A negative genus
+    raises ValueError.
     """
+    if max_genus < 0:
+        raise ValueError("genus must be >= 0")
     cap = 2 * max_genus + 1
     below = [(1 << i) - 1 for i in range(3 * max_genus + 2)]
     rclear = [~(1 << (cap - v)) for v in range(cap + 1)]

@@ -8,38 +8,39 @@ consistency, pure-sparse inequalities, behaviour of the gap-widening map,
 and the widening bijection with its count stabilization.
 
 One walk per genus feeds every suite: `run_suites` walks genus 0..G in
-turn with `_iter_records`, passes that genus's rows (each gapset with the
-multiplicity, kappa and alpha the walk found for it) to the per-genus
+turn with `_iter_records`, passes that genus's records (elements, last,
+m, kappa, alpha), unchanged and wrapped in no `Gapset`, to the per-genus
 body of every selected suite, and drops them before it walks the next
 genus, so it holds one genus at a time.  Phi's small-m-set sweep and the
 bijection suite's grid-stabilization check run once, after the last
 genus.
 
-Values from the record: the sparse and phi suites read m, kappa and
-alpha from it.  Sparse and phi pass them to the kernels behind
-the public functions, which rescan nothing: phi widens with `maps._widen`
-(alpha) and sparse classifies the widest pair with `maps._widest_pair`
-(m, alpha and the depth it computes from m).  Values from scans: the core
-suite recomputes every invariant with `invariants`, so one suite still
-checks every record value against a scan of the elements, and it splits
-the blocks with `core._partition` on that scan's m; its re-validation
-goes through the public `validate_gapset`; and phi scans each widened
-image once, with one `invariants` call whose kappa and depth every image
-check reads (`image-kappa-raised` compares that scan with the walk's
-kappa).
+Values from the record: the sparse and phi suites read last, m, kappa
+and alpha from it and pass them to the kernels behind the public
+functions, which rescan nothing: phi widens with `maps._widen` (alpha)
+and sparse classifies the widest pair with `maps._widest_pair` (m, alpha
+and the depth it computes from m).  Values from scans: the core suite
+builds each row's `Gapset` and recomputes every invariant with
+`invariants`, so one suite still checks every record value against a
+scan of the elements, and it splits the blocks with `core._partition` on
+that scan's m; its re-validation goes through the public
+`validate_gapset`; and phi scans each widened image once, with one
+`invariants` call whose kappa and depth every image check reads
+(`image-kappa-raised` compares that scan with the walk's kappa).
 
 Set tests run on bit masks of the elements (bit v set for member v), and
-each set's mask is built once, inside the loop, and dropped with it: phi
-builds a gapset's mask for its m-extension test and its 2m + 1
-membership, and `_widen` builds the image's, which `maps._classify` and
-both next-m-set tests read.  Nothing
-here is normalized with `as_candidate` except the candidates of phi's
-small-m-set sweep.  The shifted-gap window test covers every window of
-one shift with a single mask test.  The bijection suite reads no rows:
-it checks each (g, k) family with `maps.verify_bijection`, which lists
-the family and the (g + 1, k + 1) family it should map onto with the
-kappa-pruned `_iter_records`, so `verify` never walks genus
-max_genus + 1 in full.  No check reads another check's result.
+each set's mask is built once, inside the loop: phi builds a gapset's
+mask for its m-extension test and its 2m + 1 membership, and `_widen`
+builds the image's, which `maps._classify`, both next-m-set tests and
+the injectivity and depth-2 witness checks read, so phi keeps images as
+masks, not tuples.  Nothing here is normalized with `as_candidate`
+except the candidates of phi's small-m-set sweep.  The shifted-gap
+window test covers every window of one shift with a single mask test.
+The bijection suite reads no rows: it checks each (g, k) family with
+`maps.verify_bijection`, which lists the family and the (g + 1, k + 1)
+family it should map onto with the kappa-pruned `_iter_records`, so
+`verify` never walks genus max_genus + 1 in full.  No check reads
+another check's result.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Protocol
 
 from .core import (
     Elements,
@@ -63,17 +64,17 @@ from .enumeration import _check_genus, _iter_records
 from .maps import CLASS_GAPSET, _classify, _widen, _widest_pair, verify_bijection
 from .tally import build_count_grid, stabilization_check
 
-# (gapset, multiplicity, kappa, alpha), as the record walk found them
-Record = tuple[Gapset, int, int, Optional[int]]
+if TYPE_CHECKING:
+    from .enumeration import KernelRecord
 
 
 class Provider(Protocol):
     """The genus-g gapsets in enumeration order, as `Gapset`s when called
-    and as records from `records`."""
+    and as the walk's records from `records`."""
 
     def __call__(self, g: int) -> list[Gapset]: ...
 
-    def records(self, g: int) -> list[Record]: ...
+    def records(self, g: int) -> list[KernelRecord]: ...
 
 
 class Violation(NamedTuple):
@@ -101,27 +102,29 @@ class SuiteReport:
             self.violations.append(Violation(self.suite, name, elements, detail))
 
 
-def _genus_records(g: int) -> list[Record]:
-    """The rows of one full record walk of genus g, in enumeration order."""
-    return [(Gapset(elems), m, k, a) for elems, _, m, k, a in _iter_records(g)]
+def _genus_records(g: int) -> list[KernelRecord]:
+    """The records of one full walk of genus g, in enumeration order."""
+    return list(_iter_records(g))
 
 
 class _MemoizedProvider:
-    """Per-genus memo of `_genus_records`, so suites sharing a provider walk
-    each genus once; the `Gapset` view is read from it."""
+    """Per-genus memo of `_genus_records` and of its `Gapset` view (built on
+    the first call), so suites sharing a provider walk each genus once."""
 
     def __init__(self) -> None:
-        self._memo: dict[int, list[Record]] = {}
+        self._memo: dict[int, list[KernelRecord]] = {}
+        self._views: dict[int, list[Gapset]] = {}
 
-    def records(self, g: int) -> list[Record]:
-        rows = self._memo.get(g)
-        if rows is None:
+    def records(self, g: int) -> list[KernelRecord]:
+        if g not in self._memo:
             _check_genus(g)
-            rows = self._memo[g] = _genus_records(g)
-        return rows
+            self._memo[g] = _genus_records(g)
+        return self._memo[g]
 
     def __call__(self, g: int) -> list[Gapset]:
-        return [row[0] for row in self.records(g)]
+        if g not in self._views:
+            self._views[g] = [Gapset(row[0]) for row in self.records(g)]
+        return self._views[g]
 
 
 def memoized_provider() -> Provider:
@@ -148,13 +151,12 @@ def _windows_empty(e: Elements, m: int, c: int) -> bool:
     return True
 
 
-def _core(report: SuiteReport, genus: int, rows: list[Record]) -> None:
+def _core(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
     """Invariant bounds, element bounds, partition consistency, shifted-gap
     windows, and re-validation, for every gapset of the genus."""
-    for g, *_ in rows:
+    for e, *_ in rows:
         report.gapsets_covered += 1
-        e = g.elements
-        rec = invariants(g)
+        rec = invariants(Gapset(e))
         report.check(
             "frobenius-is-conductor-minus-1", rec.frobenius == rec.conductor - 1, e
         )
@@ -222,13 +224,12 @@ def _core(report: SuiteReport, genus: int, rows: list[Record]) -> None:
         )
 
 
-def _sparse(report: SuiteReport, genus: int, rows: list[Record]) -> None:
+def _sparse(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
     """Pure-sparse inequalities, the widest-pair block trichotomy, and the
     2g <= 3k consequences (depth cap, pair uniqueness, widest-element cap)."""
-    for g, m, k, alpha in rows:
+    for e, last, m, k, alpha in rows:
         report.gapsets_covered += 1
-        e = g.elements
-        c = e[-1] + 1 if e else 0
+        c = last + 1 if last else 0
         q = -(-c // m)
         report.check("kappa-at-most-multiplicity", k <= m, e)
         report.check("kappa-at-most-genus", k <= genus, e)
@@ -262,7 +263,7 @@ def _sparse(report: SuiteReport, genus: int, rows: list[Record]) -> None:
                 )
 
 
-def _phi(report: SuiteReport, genus: int, rows: list[Record]) -> None:
+def _phi(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
     """Behaviour of the gap-widening map on every gapset of the genus.
 
     Covers the image shape (size, range, widened maximum gap), the depth-1/2/3
@@ -270,12 +271,11 @@ def _phi(report: SuiteReport, genus: int, rows: list[Record]) -> None:
     family, the depth-2 non-surjectivity witness, and the m-extension
     property of gapsets.
     """
-    images_by_kappa: dict[int, dict[Elements, Elements]] = {}
-    depth2_images: set[Elements] = set()
-    for g, m, kappa, alpha in rows:
+    images_by_kappa: dict[int, dict[int, Elements]] = {}
+    depth2_images: set[int] = set()
+    for e, last, m, kappa, alpha in rows:
         report.gapsets_covered += 1
-        e = g.elements
-        c = e[-1] + 1 if e else 0
+        c = last + 1 if last else 0
         q = -(-c // m)
         mask = element_mask(e)
         ie, imask = _widen(e, alpha)
@@ -300,7 +300,7 @@ def _phi(report: SuiteReport, genus: int, rows: list[Record]) -> None:
                 is_gapset and irec.depth == 2 and irec.kappa == kappa + 1,
                 e,
             )
-            depth2_images.add(ie)
+            depth2_images.add(imask)
         elif q == 3:
             exceptional = mask >> (2 * m + 1) & 1 and e[alpha - 1] >= 2 * m + 1
             if not exceptional:
@@ -315,7 +315,7 @@ def _phi(report: SuiteReport, genus: int, rows: list[Record]) -> None:
                     is_gapset and irec.depth == 3 and irec.kappa == kappa + 1,
                     e,
                 )
-        previous = images_by_kappa.setdefault(kappa, {}).setdefault(ie, e)
+        previous = images_by_kappa.setdefault(kappa, {}).setdefault(imask, e)
         report.check(
             "injective-within-family",
             previous == e,
@@ -326,7 +326,7 @@ def _phi(report: SuiteReport, genus: int, rows: list[Record]) -> None:
         witness = tuple(range(1, genus + 1)) + (genus + 2,)
         report.check(
             "depth2-witness-has-no-depth2-preimage",
-            witness not in depth2_images,
+            element_mask(witness) not in depth2_images,
             witness,
         )
 
@@ -348,7 +348,7 @@ def _small_m_sets(report: SuiteReport) -> None:
                 report.check("small-m-set-is-gapset", ok, cand, f"m={m}")
 
 
-def _bijection(report: SuiteReport, genus: int, rows: list[Record]) -> None:
+def _bijection(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
     """Round-trip the widening bijection on every (g, k) family of the genus
     with 2g <= 3k <= 3g.  `verify_bijection` lists both families with the
     kappa-pruned walk, so `rows` is not read."""
@@ -384,7 +384,7 @@ _FINAL = {"phi": _small_m_sets, "bijection": _stabilization}
 
 
 def _run(
-    names: list[str], max_genus: int, records: Callable[[int], list[Record]]
+    names: list[str], max_genus: int, records: Callable[[int], list[KernelRecord]]
 ) -> list[SuiteReport]:
     """Run the named suites, one report each, over one pass of genus
     0..max_genus: each genus is read once with `records` (not at all if

@@ -77,6 +77,17 @@ def test_genus_ceiling():
         list(enumerate_gapsets(31))
 
 
+def test_kernels_reject_a_negative_genus():
+    # the kernels check the sign of the genus, not the ceiling, which their
+    # callers check
+    with pytest.raises(ValueError, match="genus must be >= 0"):
+        list(_iter_records(-1))
+    with pytest.raises(ValueError, match="genus must be >= 0"):
+        list(_iter_records(-1, kappa=0))
+    with pytest.raises(ValueError, match="genus must be >= 0"):
+        _count_cells(-1)
+
+
 def test_workers_do_not_change_the_stream():
     sequential = [g.elements for g in enumerate_gapsets(11, workers=1)]
     parallel = [g.elements for g in enumerate_gapsets(11, workers=3)]

@@ -294,8 +294,8 @@ class TestRecordKernels:
         # the depth from them, as the suites do; the public functions scan
         by_genus = memoized_provider()
         for genus in range(13):
-            for g, m, _, alpha in by_genus.records(genus):
-                e = g.elements
+            for e, _, m, _, alpha in by_genus.records(genus):
+                g = Gapset(e)
                 image, mask = _widen(e, alpha)
                 assert mask == element_mask(image)
                 assert widen_max_gap(g) == (image, m + 1, _classify(image, mask, m + 1))

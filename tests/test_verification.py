@@ -10,10 +10,14 @@ from gapsets import Gapset, core, enumeration, maps, verification
 from gapsets.core import kappa_and_alpha, multiplicity
 from gapsets.verification import SuiteReport, core_suite, phi_suite, run_suites
 
+from expected_counts import GAPSET_COUNTS
+from tracing import traced_peak
+
 # (suite, elements) -> (checks run, violations as (check, detail)), for a
 # provider that yields only Gapset(elements) at its genus, with the record
-# (multiplicity, kappa, alpha) that a scan of its elements gives.  Gapset()
-# checks only that the elements increase, so these are not gapsets.
+# (elements, last, multiplicity, kappa, alpha) that a scan of its elements
+# gives.  Gapset() checks only that the elements increase, so these are not
+# gapsets.
 PLANTED = {
     (core_suite, (1, 3, 4)): (13, [
         ("partition-block-ranges", ""),
@@ -114,7 +118,7 @@ CHECKS_AT_GENUS_12 = {
 )
 def test_planted_non_gapset_is_reported(suite, elements):
     planted = Gapset(elements)
-    record = (planted, multiplicity(planted), *kappa_and_alpha(planted))
+    record = (elements, elements[-1], multiplicity(planted), *kappa_and_alpha(planted))
 
     def by_genus(genus):
         return [planted] if genus == len(elements) else []
@@ -206,6 +210,58 @@ def test_each_genus_is_dropped_before_the_next_walk(monkeypatch):
     held.clear()
     assert run_suites(["bijection"], 12)[0].ok
     assert held == []
+
+
+def test_bodies_read_the_walks_own_records(monkeypatch):
+    # the rows `_run` hands each suite body are the very tuples the walk
+    # yielded, not copies of them
+    walk = verification._iter_records
+    yielded = []
+
+    def capturing(genus, *args, **kwargs):
+        for record in walk(genus, *args, **kwargs):
+            yielded.append(record)
+            yield record
+
+    seen = {}
+
+    def recording(name, body):
+        def run(report, genus, rows):
+            seen.setdefault(name, []).extend(rows)
+            body(report, genus, rows)
+
+        return run
+
+    monkeypatch.setattr(verification, "_iter_records", capturing)
+    for name in ("core", "sparse", "phi"):
+        monkeypatch.setitem(
+            verification._BODY, name, recording(name, verification._BODY[name])
+        )
+    reports = run_suites(["core", "sparse", "phi"], 10)
+    assert all(r.ok for r in reports)
+    assert len(yielded) == sum(GAPSET_COUNTS[:11])
+    for name in ("core", "sparse", "phi"):
+        assert len(seen[name]) == len(yielded), name
+        assert all(row is record for row, record in zip(seen[name], yielded)), name
+
+
+def test_sparse_builds_no_gapset(monkeypatch):
+    def forbidden(self):
+        raise AssertionError(f"Gapset{self.elements} was built")
+
+    monkeypatch.setattr(Gapset, "__post_init__", forbidden)
+    assert run_suites(["sparse"], 12)[0].ok
+    with pytest.raises(AssertionError, match="was built"):
+        Gapset((1,))
+
+
+def test_memory_holds_no_gapset_rows_or_image_tuples():
+    # on CPython 3.11 this run peaked at 2.94 MB while it held rows of
+    # (Gapset, m, kappa, alpha) and phi's image tuples, and peaks at 2.48 MB
+    # with the walk's own records and image masks; the bound sits between
+    reports, peak = traced_peak(run_suites, ["core", "sparse", "phi"], 15)
+    assert all(r.ok for r in reports)
+    assert peak < 2_710_000
 
 
 def test_sparse_and_phi_read_the_record_and_normalize_once(monkeypatch):

@@ -18,6 +18,7 @@ plain tuple of its fields.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
@@ -206,13 +207,15 @@ def kappa_and_alpha(g: Gapset) -> tuple[int, Optional[int]]:
         return 0, None
     if len(elems) == 1:
         return 1, None
-    kappa = 0
-    alpha = 0
-    for i in range(len(elems) - 1):
-        d = elems[i + 1] - elems[i]
+    kappa = alpha = i = 0
+    prev = elems[0]
+    for v in elems[1:]:
+        i += 1
+        d = v - prev
         if d >= kappa:
             kappa = d
-            alpha = i + 1
+            alpha = i
+        prev = v
     return kappa, alpha
 
 
@@ -223,15 +226,7 @@ def invariants(g: Gapset) -> InvariantRecord:
     c = conductor(g)
     m = multiplicity(g)
     kappa, alpha = kappa_and_alpha(g)
-    return InvariantRecord(
-        genus=g.genus,
-        multiplicity=m,
-        conductor=c,
-        frobenius=c - 1,
-        depth=-(-c // m),
-        kappa=kappa,
-        alpha=alpha,
-    )
+    return InvariantRecord(len(g.elements), m, c, c - 1, -(-c // m), kappa, alpha)
 
 
 class CanonicalPartition(NamedTuple):
@@ -252,11 +247,16 @@ def canonical_partition(g: Gapset) -> CanonicalPartition:
 
 def _partition(elems: Elements, m: int) -> CanonicalPartition:
     """`canonical_partition` of non-empty elements whose multiplicity m the
-    caller already has."""
-    blocks: list[list[int]] = [[] for _ in range(-(-(elems[-1] + 1) // m))]
-    for v in elems:
-        blocks[v // m].append(v)
-    return CanonicalPartition(m, tuple(tuple(b) for b in blocks))
+    caller already has: block i is the slice of the sorted elements v with
+    i*m <= v < (i+1)*m (so a multiple of m, which no gapset holds, lands in
+    the block it starts)."""
+    blocks = []
+    start = 0
+    for i in range(1, -(-(elems[-1] + 1) // m) + 1):
+        end = bisect_left(elems, i * m, start)
+        blocks.append(elems[start:end])
+        start = end
+    return CanonicalPartition(m, tuple(blocks))
 
 
 def is_m_set(candidate: Iterable[int], m: int) -> bool:

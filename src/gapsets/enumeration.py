@@ -329,8 +329,10 @@ def brute_force_gapsets(genus: int) -> Iterator[Gapset]:
     Every non-empty gapset contains 1, so 1 is fixed and the remaining
     elements range over [2, 2g-1].  Emission order is lexicographic, the
     same as the tree search.  Guarded: the subset count explodes past
-    genus 12.
+    genus 12, and a negative genus raises ValueError.
     """
+    if genus < 0:
+        raise ValueError("genus must be >= 0")
     from .core import Gapset, validate_gapset
 
     if genus > BRUTE_FORCE_MAX_GENUS:

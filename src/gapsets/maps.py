@@ -72,17 +72,25 @@ def widen_max_gap(g: Gapset) -> WidenImage:
     and classifies with `_classify` on the image's mask.
     """
     _, alpha = kappa_and_alpha(g)
-    image, mask = _widen(g.elements, alpha)
+    image, mask = _widen(g.elements, element_mask(g.elements), alpha)
     claimed_m = multiplicity(g) + 1
     return WidenImage(image, claimed_m, _classify(image, mask, claimed_m))
 
 
-def _widen(elems: Elements, alpha: Optional[int]) -> tuple[Elements, int]:
-    """The widened image of a gapset's elements, given its alpha (None
-    below genus 2), and the image's `element_mask`."""
+def _widen(
+    elems: Elements, mask: int, alpha: Optional[int]
+) -> tuple[Elements, int]:
+    """The widened image of a gapset's elements, given their `element_mask`
+    and alpha (None below genus 2), and the image's `element_mask`.
+
+    The image mask comes from `mask` with two shifts, not from the image:
+    bit 1 for the inserted 1, the bits up to elems[alpha - 1] shifted by
+    one and the rest by two.
+    """
     cut = alpha if alpha is not None else 0
     image = (1, *[v + 1 for v in elems[:cut]], *[v + 2 for v in elems[cut:]])
-    return image, element_mask(image)
+    low = mask & ((2 << elems[cut - 1]) - 1) if cut else 0
+    return image, 2 | low << 1 | (mask ^ low) << 2
 
 
 def classify_image(elements: Iterable[int], claimed_m: int) -> str:

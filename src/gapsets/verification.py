@@ -23,19 +23,23 @@ and the depth it computes from m).  Values from scans: the core suite
 builds each row's `Gapset` and recomputes every invariant with
 `invariants`, so one suite still checks every record value against a
 scan of the elements, and it splits the blocks with `core._partition` on
-that scan's m; its re-validation goes through the public
-`validate_gapset`; and phi scans each widened image once, with one
-`invariants` call whose kappa and depth every image check reads
+that scan's m; its re-validation runs `core._validate`, the check behind
+`validate_gapset`, on the row's tuple, which the walk already yields
+sorted; and phi scans each widened image once, with one `invariants`
+call whose kappa and depth every image check reads
 (`image-kappa-raised` compares that scan with the walk's kappa).
 
 Set tests run on bit masks of the elements (bit v set for member v), and
-each set's mask is built once, inside the loop: phi builds a gapset's
-mask for its m-extension test and its 2m + 1 membership, and `_widen`
-builds the image's, which `maps._classify`, both next-m-set tests and
-the injectivity and depth-2 witness checks read, so phi keeps images as
+each row's mask is built once, inside the loop: core builds it for the
+shifted-gap windows and the re-validation; phi builds it for its
+m-extension test and its 2m + 1 membership, and `_widen` shifts it into
+the image's, which `maps._classify`, both next-m-set tests and the
+injectivity and depth-2 witness checks read, so phi keeps images as
 masks, not tuples.  Nothing here is normalized with `as_candidate`
-except the candidates of phi's small-m-set sweep.  The shifted-gap
-window test covers every window of one shift with a single mask test.
+except the candidates of phi's small-m-set sweep, which alone go through
+`validate_gapset`.  The shifted-gap window test covers every window of
+one shift with a single mask test.  The injectivity check formats its
+collision detail only when it fails.
 The bijection suite reads no rows: it checks each (g, k) family with
 `maps.verify_bijection`, which lists the family and the (g + 1, k + 1)
 family it should map onto with the kappa-pruned `_iter_records`, so
@@ -47,7 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Protocol
 
 from .core import (
@@ -56,6 +60,7 @@ from .core import (
     _m_extension,
     _m_set,
     _partition,
+    _validate,
     element_mask,
     invariants,
     validate_gapset,
@@ -132,16 +137,15 @@ def memoized_provider() -> Provider:
     return _MemoizedProvider()
 
 
-def _windows_empty(e: Elements, m: int, c: int) -> bool:
+def _windows_empty(e: Elements, mask: int, m: int, c: int) -> bool:
     """No element lies strictly between s + e[j] and s + e[j+1] for any
-    multiple s of m with s + e[j+1] <= c.
+    multiple s of m with s + e[j+1] <= c; `mask` is e's `element_mask`.
 
     Shift 0 is skipped: consecutive elements leave its windows empty.  At
     shift s, with J the largest index with s + e[J] <= c, the windows of
     j < J together cover (s + e[0], s + e[J]) less the shifted elements
     s + e[1..J-1], which is one mask test.  Needs len(e) >= 2.
     """
-    mask = element_mask(e)
     s = m
     while s + e[1] <= c:
         top = e[bisect_right(e, c - s) - 1]
@@ -157,6 +161,7 @@ def _core(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
     for e, *_ in rows:
         report.gapsets_covered += 1
         rec = invariants(Gapset(e))
+        mask = element_mask(e)
         report.check(
             "frobenius-is-conductor-minus-1", rec.frobenius == rec.conductor - 1, e
         )
@@ -184,29 +189,28 @@ def _core(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
                 all(j <= e[j - 1] <= 2 * j - 1 for j in range(1, genus + 1)),
                 e,
             )
-            part = _partition(e, rec.multiplicity)
-            report.check("partition-block-count", len(part.blocks) == rec.depth, e)
-            report.check(
-                "partition-first-block",
-                part.blocks[0] == tuple(range(1, rec.multiplicity)),
-                e,
-            )
-            flat = tuple(v for block in part.blocks for v in block)
-            report.check("partition-union", flat == e, e)
             m = rec.multiplicity
+            blocks = _partition(e, m).blocks
+            report.check("partition-block-count", len(blocks) == rec.depth, e)
+            report.check(
+                "partition-first-block", blocks[0] == tuple(range(1, m)), e
+            )
+            report.check(
+                "partition-union", tuple(chain.from_iterable(blocks)) == e, e
+            )
+            # each block is a sorted slice: its ends bound all its members
             report.check(
                 "partition-block-ranges",
                 all(
-                    i * m + 1 <= v <= (i + 1) * m - 1
-                    for i, block in enumerate(part.blocks)
-                    for v in block
-                    if i >= 1
+                    i * m + 1 <= block[0] and block[-1] <= (i + 1) * m - 1
+                    for i, block in enumerate(blocks)
+                    if i >= 1 and block
                 ),
                 e,
             )
             report.check(
                 "shifted-gap-windows-empty",
-                genus < 2 or _windows_empty(e, m, rec.conductor),
+                genus < 2 or _windows_empty(e, mask, m, rec.conductor),
                 e,
             )
         if rec.alpha is not None:
@@ -219,9 +223,7 @@ def _core(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
                 ),
                 e,
             )
-        report.check(
-            "revalidation-idempotent", isinstance(validate_gapset(e), Gapset), e
-        )
+        report.check("revalidation-idempotent", _validate(e, mask) is None, e)
 
 
 def _sparse(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
@@ -278,7 +280,7 @@ def _phi(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
         c = last + 1 if last else 0
         q = -(-c // m)
         mask = element_mask(e)
-        ie, imask = _widen(e, alpha)
+        ie, imask = _widen(e, mask, alpha)
         irec = invariants(Gapset(ie))
         is_gapset = _classify(ie, imask, m + 1) == CLASS_GAPSET
         report.check("image-size", len(ie) == genus + 1, e)
@@ -316,11 +318,12 @@ def _phi(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
                     e,
                 )
         previous = images_by_kappa.setdefault(kappa, {}).setdefault(imask, e)
+        injective = previous == e
         report.check(
             "injective-within-family",
-            previous == e,
+            injective,
             e,
-            f"image collides with {previous}",
+            "" if injective else f"image collides with {previous}",
         )
     if genus >= 1:
         witness = tuple(range(1, genus + 1)) + (genus + 2,)

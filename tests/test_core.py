@@ -292,8 +292,8 @@ class TestInvariants:
 class TestShiftedGapWindows:
     def test_known_verdicts(self):
         # {1, 3, 4} with m = 2: the window (1, 3) shifted by 2 is (3, 5), which holds 4
-        assert not _windows_empty((1, 3, 4), 2, 5)
-        assert _windows_empty((1, 2, 4, 7), 3, 8)
+        assert not _windows_empty((1, 3, 4), element_mask((1, 3, 4)), 2, 5)
+        assert _windows_empty((1, 2, 4, 7), element_mask((1, 2, 4, 7)), 3, 8)
 
     @pytest.mark.parametrize("m", range(1, 8))
     def test_match_the_per_j_loop(self, m):
@@ -304,7 +304,7 @@ class TestShiftedGapWindows:
             if len(e) < 2:
                 continue
             for c in (e[-1], e[-1] + 1, e[-1] + 3):
-                verdict = _windows_empty(e, m, c)
+                verdict = _windows_empty(e, element_mask(e), m, c)
                 assert verdict == reference_windows_empty(e, m, c), (e, m, c)
                 failing += not verdict
         assert failing > 0

@@ -78,14 +78,16 @@ def test_genus_ceiling():
 
 
 def test_kernels_reject_a_negative_genus():
-    # the kernels check the sign of the genus, not the ceiling, which their
-    # callers check
+    # the kernels and the brute-force oracle check the sign of the genus;
+    # the kernels leave the ceiling to their callers
     with pytest.raises(ValueError, match="genus must be >= 0"):
         list(_iter_records(-1))
     with pytest.raises(ValueError, match="genus must be >= 0"):
         list(_iter_records(-1, kappa=0))
     with pytest.raises(ValueError, match="genus must be >= 0"):
         _count_cells(-1)
+    with pytest.raises(ValueError, match="genus must be >= 0"):
+        list(brute_force_gapsets(-1))
 
 
 def test_workers_do_not_change_the_stream():

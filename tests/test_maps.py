@@ -296,7 +296,7 @@ class TestRecordKernels:
         for genus in range(13):
             for e, _, m, _, alpha in by_genus.records(genus):
                 g = Gapset(e)
-                image, mask = _widen(e, alpha)
+                image, mask = _widen(e, element_mask(e), alpha)
                 assert mask == element_mask(image)
                 assert widen_max_gap(g) == (image, m + 1, _classify(image, mask, m + 1))
                 if genus == 0:
@@ -305,6 +305,19 @@ class TestRecordKernels:
                 depth = -(-(e[-1] + 1) // m)
                 if alpha is not None and depth >= 2:
                     assert _widest_pair(e, m, alpha, depth) == classify_widest_pair(g)
+
+    @pytest.mark.parametrize("m", range(1, 9))
+    def test_partition_matches_the_range_split_on_every_candidate(self, m):
+        # the core suite also partitions planted non-gapsets, which can hold
+        # multiples of m and leave middle blocks empty: every non-empty
+        # candidate in [1, 14], against a split by value range
+        for size in range(1, 15):
+            for e in combinations(range(1, 15), size):
+                expected = tuple(
+                    tuple(v for v in e if i * m <= v < (i + 1) * m)
+                    for i in range(-(-(e[-1] + 1) // m))
+                )
+                assert _partition(e, m) == (m, expected), e
 
     def test_impossible_widest_pair_raises(self):
         # (1, 3, 4) is no gapset: with m = 2 its widest pair (1, 3) spans

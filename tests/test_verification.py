@@ -288,3 +288,48 @@ def test_sparse_and_phi_read_the_record_and_normalize_once(monkeypatch):
     reports = run_suites(["sparse", "phi"], 12)
     assert all(r.ok for r in reports)
     assert normalized["calls"] == sum(2 ** (m - 1) for m in range(1, 11)) == 1023
+
+
+def test_core_and_phi_build_each_mask_once(monkeypatch):
+    # core builds one mask per row, which its shifted-gap windows and its
+    # re-validation share; phi builds one per row, which `_widen` shifts
+    # into the image's, and one per depth-2 witness (genus 1..12); the
+    # rest are the small-m-set sweep's 1023 candidates, the only ones
+    # normalized, through validate_gapset
+    calls = Counter()
+
+    def counting(name, fn):
+        def count(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return count
+
+    mask = counting("mask", core.element_mask)
+    for module in (verification, maps, core):
+        monkeypatch.setattr(module, "element_mask", mask)
+    monkeypatch.setattr(core, "as_candidate", counting("normalize", core.as_candidate))
+    reports = run_suites(["core", "phi"], 12)
+    assert all(r.ok for r in reports)
+    rows = sum(GAPSET_COUNTS[:13])
+    assert rows == 1413
+    assert calls == {"mask": 2 * rows + 12 + 1023, "normalize": 1023}
+
+
+def test_injectivity_names_the_colliding_gapset():
+    # planted in one kappa = 1 family, (1, 2) and (1, 3) both widen to
+    # (1, 2, 4): the second is flagged with the first, whose repr is
+    # formatted only for this failure, and (1, 2, 4), the depth-2 witness,
+    # gets a depth-2 preimage
+    records = [((1, 2), 2, 3, 1, 1), ((1, 3), 3, 2, 1, 2)]
+
+    def by_genus(genus):
+        return []
+
+    by_genus.records = lambda genus: records if genus == 2 else []
+    report = phi_suite(2, by_genus)
+    assert report.checks_run == 18
+    assert [(v.check, v.elements, v.detail) for v in report.violations] == [
+        ("injective-within-family", (1, 3), "image collides with (1, 2)"),
+        ("depth2-witness-has-no-depth2-preimage", (1, 2, 4), ""),
+    ]

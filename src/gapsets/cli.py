@@ -41,38 +41,68 @@ CSV_HEADER = "gaps,genus,multiplicity,conductor,frobenius,depth,kappa,alpha"
 BLOCK_LINES = 256
 
 
-def _text_line(gaps, genus, c, m, k, a) -> str:
-    return gaps + "\n"
+def _text_mid(genus, c, m) -> str:
+    return ""
 
 
-def _json_line(gaps, genus, c, m, k, a) -> str:
-    """The bytes `json.dumps` gives for the record's dict (keys in this order)."""
+def _text_end(k, a) -> str:
+    return "\n"
+
+
+def _json_mid(genus, c, m) -> str:
+    """With the head and `_json_end`, the bytes `json.dumps` gives for the
+    record's dict (keys in this order)."""
     return (
-        f'{{"gaps": [{gaps}], "genus": {genus}, '
-        f'"multiplicity": {m}, "conductor": {c}, "frobenius": {c - 1}, '
-        f'"depth": {-(-c // m)}, "kappa": {k}, "alpha": {"null" if a is None else a}}}\n'
+        f'], "genus": {genus}, "multiplicity": {m}, "conductor": {c}, '
+        f'"frobenius": {c - 1}, "depth": {-(-c // m)}, '
     )
 
 
-def _csv_line(gaps, genus, c, m, k, a) -> str:
-    return f'{gaps},{genus},{m},{c},{c - 1},{-(-c // m)},{k},{"" if a is None else a}\n'
+def _json_end(k, a) -> str:
+    return f'"kappa": {k}, "alpha": {"null" if a is None else a}}}\n'
 
 
-# format -> (element separator, line formatter taking the joined elements)
-LINE_FORMATS = {"text": (",", _text_line), "json": (", ", _json_line), "csv": (" ", _csv_line)}
+def _csv_mid(genus, c, m) -> str:
+    return f",{genus},{m},{c},{c - 1},{-(-c // m)},"
+
+
+def _csv_end(k, a) -> str:
+    return f'{k},{"" if a is None else a}\n'
+
+
+# format -> (element separator, text before the elements, text of the fields
+# that depend on (genus, conductor, multiplicity), text of the rest, which
+# depend on (kappa, alpha))
+LINE_FORMATS = {
+    "text": (",", "", _text_mid, _text_end),
+    "json": (", ", '{"gaps": [', _json_mid, _json_end),
+    "csv": (" ", "", _csv_mid, _csv_end),
+}
 
 
 def cmd_enumerate(args, out) -> int:
-    """Format each kernel record from its text label and write the kept lines
-    in blocks of BLOCK_LINES, one `write` per block.  `--pure` passes kappa
-    to the record walk, which then yields only the records with maximum gap
-    kappa and visits only the nodes that can still end with it."""
+    """Build each kernel record's line from its text label and two tables,
+    and write the kept lines in blocks of BLOCK_LINES, one `write` per block.
+
+    A line is head + label + mids[last][m] + ends[kappa][alpha or 0]: the
+    text after the elements depends only on (last, m) and on (kappa, alpha).
+    Each table slot is formatted the first time a record needs it, so the
+    tables hold at most (2g + 2)(g + 2) + (g + 1)^2 short strings, however
+    many lines there are.  alpha is None or in [1, g - 1], so slot 0 of an
+    `ends` row stands for None.  The label needs no slicing: 1 is every
+    non-empty gapset's first element, so its piece carries no separator.
+
+    `--pure` passes kappa to the record walk, which then yields only the
+    records with maximum gap kappa and visits only the nodes that can still
+    end with it."""
     genus, kappa, pure, depth_q = args.genus, args.kappa, args.pure, args.depth
     _check_genus(genus)
-    sep, line = LINE_FORMATS[args.format]
-    cut = len(sep)
+    sep, head, mid_text, end_text = LINE_FORMATS[args.format]
     pieces = [sep + str(v) for v in range(2 * genus + 2)]
+    pieces[1] = "1"
     bump = 1 if genus else 0  # c = last + 1, and 0 for the empty gapset
+    mids = [[None] * (genus + 2) for _ in range(2 * genus + 2)]
+    ends = [[None] * (genus + 1) for _ in range(genus + 1)]
     write = out.write
     if args.format == "csv":
         write(CSV_HEADER + "\n")
@@ -84,10 +114,17 @@ def cmd_enumerate(args, out) -> int:
     for label, last, m, k, a in records:
         if limit is not None and k > limit:
             continue
-        c = last + bump
-        if depth_q is not None and -(-c // m) != depth_q:
+        if depth_q is not None and -(-(last + bump) // m) != depth_q:
             continue
-        block.append(line(label[cut:], genus, c, m, k, a))
+        row = mids[last]
+        mid = row[m]
+        if mid is None:
+            mid = row[m] = mid_text(genus, last + bump, m)
+        row = ends[k]
+        end = row[a or 0]
+        if end is None:
+            end = row[a or 0] = end_text(k, a)
+        block.append(head + label + mid + end)
         if len(block) >= flush_at:
             write("".join(block))
             block.clear()

@@ -42,12 +42,29 @@ the element at level j + 1, g the genus).  That reach bound holds because
 a later pair (e_i, e_{i+1}) with j + 1 <= i <= g - 1 must make the gap K:
 each prefix is a gapset, so e_{i+1} <= 2i + 1, and e_i >= x + i - j - 1,
 so K <= i + j + 2 - x <= g + j + 1 - x.  The slack g + j + 1 - K - x only
-shrinks along a path, as x grows by at least 1 per level.  Aggregates come
-from one count-only walk (`_count_cells`), which `tally.build_count_grid`
-reads: one pass to the largest genus counts every smaller genus by maximum
-gap, building no tuples; at the last level it counts a node's children
-with no loop: every child x <= last + max_gap falls in the parent's cell,
-so that cell gets a popcount of the children mask.  No walk imports
+shrinks along a path, as x grows by at least 1 per level.
+
+The pruned walk also makes a sumset reach test, which uses only that a
+semigroup is closed under addition.  Lemma: take a child x whose running
+maximum gap is below K, and S = [1, x] minus the child's elements.  If a
+descendant F of genus g has maximum gap K, then F has a consecutive pair
+(a, a + K) with a >= x, a + K <= 2g - 1, a + K not in S + S, and a not in
+S + S when a > x.  Proof: every pair of F up to x is the child's and
+narrower than K, so the pair of width K starts at some a >= x; a + K is
+an element of F, so at most 2g - 1, as F's complement holds every value
+from 2g on; S is outside F, so S + S lies in F's semigroup, which holds no
+element of F, and a + K > x and any a > x are elements of F.  So the walk
+drops the child when no such a exists.  At the last inner level F is the
+child plus one element, so a = x and the test asks only whether x + K is
+in S + S.  The test does not replace the reach bound, which reads element
+indices, not sums.
+
+Aggregates come from one count-only walk (`_count_cells`), which
+`tally.build_count_grid` reads: one pass to the largest genus counts every
+smaller genus by maximum gap, building no tuples; at the last level it
+counts a node's children with no loop: every child x <= last + max_gap
+falls in the parent's cell, so that cell gets a popcount of the children
+mask.  No walk imports
 `core`: a subtree's root is a kernel record, whose m, kappa and alpha the
 walk reads instead of scanning the root's elements.  Only the functions
 that build or read `Gapset` values import `core`, when called, and only the
@@ -127,18 +144,21 @@ def _iter_records(
     appends.  The default table pieces[v] = (v,) makes the label the elements
     tuple; a table of strings sep + str(v) (indices 0..2 * genus + 1) makes it
     the elements' text, each element preceded by sep, so a listing converts
-    no element to text twice.  `last` is the largest element (0 for the empty
-    gapset), which a text label cannot give back.
+    no element to text twice (with pieces[1] = "1" the label is the joined
+    text, as 1 is every non-empty gapset's first element).  `last` is the
+    largest element (0 for the empty gapset), which a text label cannot
+    give back.
 
     Masks are plain ints over [1, cap] with cap = 2 * genus + 1: bit i of
     sm tracks membership of i in the node's semigroup, sr mirrors sm at
     position cap - i (which turns the split test for y into one AND), and ch
     holds the node's children.  Stack entries are (label, level, last, m,
-    kappa, alpha, sm, sr, ch).  A child inherits its children from its parent
-    (the module docstring shows why this is exact): a `root`'s ch comes from
-    the split test over (last, 2j + 1], and a child's ch is its parent's
-    children above x plus the candidates (sm << x) & window & ~rest that pass
-    the split test on the child's masks.  m stays 0 until the first skipped
+    kappa, alpha, sm, sr, ch, sums), sums for the sumset reach test below.  A
+    child inherits its children from its parent (the module docstring shows
+    why this is exact): a `root`'s ch comes from the split test over
+    (last, 2j + 1], and a child's ch is its parent's children above x plus
+    the candidates (sm << x) & window & ~rest that pass the split test on
+    the child's masks.  m stays 0 until the first skipped
     value, and the root's child 1 counts as a gap of 1 - 0 = 1 at index 0,
     which gives the genus-1 conventions (kappa 1, alpha None) and never
     survives into a longer gapset.  Children of the last inner level are
@@ -151,9 +171,30 @@ def _iter_records(
     and at an inner level also the x <= genus - K + j + 1 (the reach bound
     of the module docstring).  An inner node walks a copy `visit` of ch, so
     a child still inherits every child of ch above it, visited or not: a
-    value cut for its parent can be a child of its child.  No gapset has
-    kappa above its genus, and only the empty one has kappa 0.  A negative
-    genus raises ValueError; the ceiling is the caller's to check.
+    value cut for its parent can be a child of its child.
+
+    The sumset reach test (the lemma of the module docstring) drops a child
+    x whose running maximum gap stays below K before its children are
+    computed.  Each stack entry carries sums = S + S as a mask, S the values
+    below the node's last element outside the node; the chain root has no
+    such value, so sums = 0.  A child x of a node with last element l adds
+    D = [l + 1, x - 1] to S, so the child's sumset is sums | (T + D) with T
+    the child's S (T + D holds S + D and D + D).  D is empty when x = l + 1;
+    otherwise T + D is T shifted by l + 1 and smeared over |D| bits by
+    doubling.  With free the bits above x outside the child's sumset, the
+    child is dropped when ((A << K) & free & below[2g]) == 0 for
+    A = (1 << x) | (free & below[2g - K]), the starts a the lemma allows.
+    Every child tested has x + K <= 2g - 1 (the reach bound gives
+    x <= g - K + j + 1 under a parent at level j <= g - 2), so a = x
+    passes unless bit x + K of the sumset is set, and only then is the test
+    made.  A child at the last inner level has only leaves below it, so its
+    sumset is never read: it is pushed as 0, and the child is dropped when
+    x + K lies in sums or in T + D, that is when T has a bit in
+    [K + 1, K + |D|].  The full walk makes no test, as K is 0 there.
+
+    No gapset has kappa above its genus, and only the empty one has kappa
+    0.  A negative genus raises ValueError; the ceiling is the caller's to
+    check.
     """
     if genus < 0:
         raise ValueError("genus must be >= 0")
@@ -185,9 +226,12 @@ def _iter_records(
     for x in range(last + 1, 2 * j + 2):
         if sm & (sr >> (cap - x)) == 0:
             ch |= 1 << x
-    stack = [(label, j, last, m if m <= j else 0, k, a or 0, sm, sr, ch)]
+    stack = [(label, j, last, m if m <= j else 0, k, a or 0, sm, sr, ch, 0)]
+    K = kappa or 0
+    within = below[2 * genus]  # the values below 2g: a gapset's largest is 2g - 1
+    starts = below[2 * genus - K]  # the a with a + K <= 2g - 1
     while stack:
-        label, j, last, m, k, a, sm, sr, ch = stack.pop()
+        label, j, last, m, k, a, sm, sr, ch, sums = stack.pop()
         if j + 1 == genus:
             if kappa:
                 ch &= below[last + kappa + 1] if k == kappa else 1 << last + kappa
@@ -215,8 +259,29 @@ def _iter_records(
             x = visit.bit_length() - 1
             b = 1 << x
             visit ^= b
-            rest = ch & above[x]  # the children above x
+            d = x - last
+            k2 = d if d >= k else k
             sm2 = sm ^ b
+            sums2 = 0
+            if k2 < K:  # the sumset reach test (see the docstring)
+                if j + 2 == genus:
+                    # the one leaf left would be x + K
+                    if sums >> x + K & 1 or (sm2 & below[x]) >> K + 1 & below[d - 1]:
+                        continue
+                else:
+                    sums2 = sums
+                    if d > 1:  # add T + D, D = [last + 1, x - 1]
+                        u = (sm2 & below[x]) << last + 1
+                        w = 1
+                        while w + w < d:
+                            u |= u << w
+                            w += w
+                        sums2 |= u | u << d - 1 - w
+                    if sums2 >> x + K & 1:
+                        free = ~sums2 & above[x]
+                        if ((b | free & starts) << K) & free & within == 0:
+                            continue
+            rest = ch & above[x]  # the children above x
             sr2 = sr & rclear[x]
             kids = rest
             new = (sm << x) & window & ~rest
@@ -225,17 +290,17 @@ def _iter_records(
                 new ^= yb
                 if sm2 & (sr2 >> (cap + 1 - yb.bit_length())) == 0:
                     kids |= yb
-            d = x - last
             stack.append((
                 label + pieces[x],
                 j + 1,
                 x,
                 m or (j + 1 if d > 1 else 0),
-                d if d >= k else k,
+                k2,
                 j if d >= k else a,
                 sm2,
                 sr2,
                 kids,
+                sums2,
             ))
 
 

@@ -171,19 +171,13 @@ def _core(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
             e,
         )
         if genus >= 1:
-            report.check(
-                "multiplicity-range",
-                2 <= rec.multiplicity <= genus + 1,
-                e,
-                f"m={rec.multiplicity}",
-            )
-            report.check(
-                "conductor-range",
-                genus + 1 <= rec.conductor <= 2 * genus,
-                e,
-                f"c={rec.conductor}",
-            )
-            report.check("depth-range", 1 <= rec.depth <= genus, e, f"q={rec.depth}")
+            # a detail is formatted only for a failing check
+            ok = 2 <= rec.multiplicity <= genus + 1
+            report.check("multiplicity-range", ok, e, "" if ok else f"m={rec.multiplicity}")
+            ok = genus + 1 <= rec.conductor <= 2 * genus
+            report.check("conductor-range", ok, e, "" if ok else f"c={rec.conductor}")
+            ok = 1 <= rec.depth <= genus
+            report.check("depth-range", ok, e, "" if ok else f"q={rec.depth}")
             report.check(
                 "element-bounds",
                 all(j <= e[j - 1] <= 2 * j - 1 for j in range(1, genus + 1)),
@@ -252,12 +246,8 @@ def _sparse(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
             report.check("below-diagonal-depth-cap", q <= 3, e)
             if genus >= 2:
                 pairs = sum(1 for i in range(genus - 1) if e[i + 1] - e[i] == k)
-                report.check(
-                    "widest-pair-unique",
-                    pairs == 1 or e == (1, 3, 5),
-                    e,
-                    f"{pairs} widest pairs",
-                )
+                ok = pairs == 1 or e == (1, 3, 5)
+                report.check("widest-pair-unique", ok, e, "" if ok else f"{pairs} widest pairs")
                 report.check(
                     "widest-start-below-twice-multiplicity",
                     e[alpha - 1] <= 2 * m - 1,

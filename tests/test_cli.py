@@ -23,6 +23,7 @@ from expected_counts import (
     GENUS_16_TEXT,
     STREAM_DIGESTS,
 )
+from tracing import traced_peak
 
 GOLDEN = Path(__file__).parent / "golden" / "table3_g19.md"
 
@@ -255,6 +256,26 @@ class TestBlockWrites:
     def test_nothing_kept(self, monkeypatch, fmt, expected):
         argv = ("enumerate", "--genus", "8", "--kappa", "20", "--pure", "--format", fmt)
         assert write_calls(monkeypatch, *argv) == expected
+
+
+class Discard:
+    """A stdout stand-in that drops what it is given."""
+
+    def write(self, s):
+        return len(s)
+
+
+def test_enumerate_memory_does_not_grow_with_the_listing(monkeypatch):
+    # on CPython 3.11 the genus-14 and genus-18 JSON listings (1,693 and
+    # 13,467 lines) peak near 148 kB and 188 kB: a block of lines, the walk's
+    # stack and the O(g^2) text tables; keeping every genus-18 line would
+    # add megabytes
+    monkeypatch.setattr(sys, "stdout", Discard())
+    peaks = {}
+    for genus in (14, 18):
+        code, peaks[genus] = traced_peak(main, ["enumerate", "--genus", str(genus), "--format", "json"])
+        assert code == 0
+    assert peaks[18] < peaks[14] + 100_000
 
 
 def test_unbuffered_pipe_matches_in_process(capsys):

@@ -177,7 +177,7 @@ class TestPureWalk:
     with maximum gap K, in the same order, with either kind of label."""
 
     def test_records_match_the_filtered_walk(self):
-        for g in range(17):
+        for g in range(19):
             pieces = [" " + str(v) for v in range(2 * g + 2)]
             tuples = list(_iter_records(g))
             text = list(_iter_records(g, pieces=pieces))
@@ -199,6 +199,27 @@ class TestPureWalk:
     @pytest.mark.parametrize("k", [11, 12, 13])
     def test_genus_22_matches_the_filtered_walk(self, k):
         assert list(_iter_records(22, kappa=k)) == [r for r in _iter_records(22) if r[3] == k]
+
+    @pytest.mark.slow
+    def test_genus_24_matches_the_filtered_walk(self):
+        full = list(_iter_records(24))
+        for k in range(12, 17):
+            assert list(_iter_records(24, kappa=k)) == [r for r in full if r[3] == k], k
+
+    def test_sumset_reach_test_cuts_the_walk(self):
+        # one table lookup per pushed node or yielded leaf: the walk without
+        # the sumset reach test looked up 85,469 labels for these records
+        class Counting(list):
+            lookups = 0
+
+            def __getitem__(self, i):
+                Counting.lookups += 1
+                return list.__getitem__(self, i)
+
+        pieces = Counting((v,) for v in range(2 * 22 + 2))
+        records = list(_iter_records(22, pieces=pieces, kappa=11))
+        assert len(records) == COUNTS_BY_KAPPA[22][11] == 2745
+        assert Counting.lookups <= 20_000
 
 
 def region_shape(max_genus):

@@ -8,7 +8,7 @@ import pytest
 
 from gapsets import Gapset, core, enumeration, maps, verification
 from gapsets.core import kappa_and_alpha, multiplicity
-from gapsets.verification import SuiteReport, core_suite, phi_suite, run_suites
+from gapsets.verification import SuiteReport, core_suite, phi_suite, run_suites, sparse_suite
 
 from expected_counts import GAPSET_COUNTS
 from tracing import traced_peak
@@ -45,6 +45,7 @@ PLANTED = {
         ("shifted-gap-windows-empty", ""),
         ("revalidation-idempotent", ""),
     ]),
+    (sparse_suite, (1, 2, 5, 8)): (8, [("widest-pair-unique", "2 widest pairs")]),
     (phi_suite, (1, 3, 4)): (17, [
         ("gapset-is-m-extension", ""),
         ("depth3-image-is-next-m-set", ""),

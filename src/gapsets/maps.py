@@ -93,6 +93,15 @@ def _widen(
     return image, 2 | low << 1 | (mask ^ low) << 2
 
 
+def _narrow(image: Elements, mask: int, alpha: Optional[int]) -> int:
+    """The `element_mask` of `narrow_max_gap`'s result for a widened image,
+    given the image's `element_mask` and its own alpha (None below genus 2):
+    the bits up to image[alpha - 1] shift down by one and the rest by two,
+    and bit 0, the inserted 1's, is dropped.  It undoes `_widen`."""
+    low = mask & ((2 << image[alpha - 1]) - 1) if alpha else mask
+    return (low >> 1 | (mask ^ low) >> 2) & -2
+
+
 def classify_image(elements: Iterable[int], claimed_m: int) -> str:
     """Classify a map's raw image: CLASS_GAPSET if it is a gapset, else
     CLASS_M_SET_NOT_GAPSET if it is a claimed_m-set, else CLASS_NOT_M_SET.

@@ -7,44 +7,41 @@ structural facts the rest of the package relies on: invariant bounds and
 consistency, pure-sparse inequalities, behaviour of the gap-widening map,
 and the widening bijection with its count stabilization.
 
-One walk per genus feeds every suite: `run_suites` walks genus 0..G in
-turn with `_iter_records`, passes that genus's records (elements, last,
-m, kappa, alpha), unchanged and wrapped in no `Gapset`, to the per-genus
-body of every selected suite, and drops them before it walks the next
-genus, so it holds one genus at a time.  Phi's small-m-set sweep and the
-bijection suite's grid-stabilization check run once, after the last
-genus.
+One walk per genus feeds every suite, and it is the only way rows reach
+a suite: `_run(names, max_genus, records)` reads genus 0..G in turn with
+`records` (for `run_suites`, one `_iter_records` walk), passes that
+genus's records (elements, last, m, kappa, alpha), unchanged and wrapped
+in no `Gapset`, to the body of every selected suite, and drops them
+before it reads the next genus.  No body keeps anything of a genus past
+its loop, so a run holds one genus at a time.  Phi's small-m-set sweep
+and the bijection suite's grid-stabilization check run once, after the
+last genus.
 
 Values from the record: the sparse and phi suites read last, m, kappa
-and alpha from it and pass them to the kernels behind the public
-functions, which rescan nothing: phi widens with `maps._widen` (alpha)
-and sparse classifies the widest pair with `maps._widest_pair` (m, alpha
-and the depth it computes from m).  Values from scans: the core suite
-builds each row's `Gapset` and recomputes every invariant with
-`invariants`, so one suite still checks every record value against a
-scan of the elements, and it splits the blocks with `core._partition` on
-that scan's m; its re-validation runs `core._validate`, the check behind
-`validate_gapset`, on the row's tuple, which the walk already yields
-sorted; and phi scans each widened image once, with one `invariants`
-call whose kappa and depth every image check reads
-(`image-kappa-raised` compares that scan with the walk's kappa).
+and alpha from it, so the kernels they call (`maps._widen`,
+`maps._widest_pair`) rescan nothing.  Values from scans: the core suite
+recomputes every invariant with `invariants`, so one suite still checks
+every record value against a scan of the elements, splits the blocks
+with `core._partition` on that scan's m, and re-validates with
+`core._validate`, the check behind `validate_gapset`; phi scans each
+widened image once with `invariants`, whose kappa, depth and alpha
+every image check reads.
 
-Set tests run on bit masks of the elements (bit v set for member v), and
-each row's mask is built once, inside the loop: core builds it for the
-shifted-gap windows and the re-validation; phi builds it for its
-m-extension test and its 2m + 1 membership, and `_widen` shifts it into
-the image's, which `maps._classify`, both next-m-set tests and the
-injectivity and depth-2 witness checks read, so phi keeps images as
-masks, not tuples.  Nothing here is normalized with `as_candidate`
-except the candidates of phi's small-m-set sweep, which alone go through
-`validate_gapset`.  The shifted-gap window test covers every window of
-one shift with a single mask test.  The injectivity check formats its
-collision detail only when it fails.
-The bijection suite reads no rows: it checks each (g, k) family with
-`maps.verify_bijection`, which lists the family and the (g + 1, k + 1)
-family it should map onto with the kappa-pruned `_iter_records`, so
-`verify` never walks genus max_genus + 1 in full.  No check reads
-another check's result.
+Set tests run on bit masks of the elements (bit v set for member v),
+each built once per row: core's feeds the shifted-gap windows (one mask
+test per shift) and the re-validation; phi's feeds its m-extension and
+2m + 1 tests, and `_widen` shifts it into the image's, which
+`maps._classify` and both next-m-set tests read.  Phi checks injectivity
+by a left inverse: `maps._narrow` shifts the image's mask back by the
+image's own alpha, and the check passes when that gives the row's mask
+(its failure detail names the gapset the image narrows back to).  The
+depth-2 witness check sets a flag when a depth-2 row's image mask equals
+the witness's.  Only the candidates of phi's small-m-set sweep are
+normalized, through `validate_gapset`.  The bijection suite reads no
+rows: `maps.verify_bijection` lists each (g, k) family and the
+(g + 1, k + 1) family it should map onto with the kappa-pruned
+`_iter_records`, so `verify` never walks genus max_genus + 1 in full.
+No check reads another check's result.
 """
 
 from __future__ import annotations
@@ -52,7 +49,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .core import (
     Elements,
@@ -66,20 +63,11 @@ from .core import (
     validate_gapset,
 )
 from .enumeration import _check_genus, _iter_records
-from .maps import CLASS_GAPSET, _classify, _widen, _widest_pair, verify_bijection
+from .maps import CLASS_GAPSET, _classify, _narrow, _widen, _widest_pair, verify_bijection
 from .tally import build_count_grid, stabilization_check
 
 if TYPE_CHECKING:
     from .enumeration import KernelRecord
-
-
-class Provider(Protocol):
-    """The genus-g gapsets in enumeration order, as `Gapset`s when called
-    and as the walk's records from `records`."""
-
-    def __call__(self, g: int) -> list[Gapset]: ...
-
-    def records(self, g: int) -> list[KernelRecord]: ...
 
 
 class Violation(NamedTuple):
@@ -112,29 +100,19 @@ def _genus_records(g: int) -> list[KernelRecord]:
     return list(_iter_records(g))
 
 
-class _MemoizedProvider:
-    """Per-genus memo of `_genus_records` and of its `Gapset` view (built on
-    the first call), so suites sharing a provider walk each genus once."""
+def memoized_provider() -> Callable[[int], list[Gapset]]:
+    """A per-genus memo of the genus-g gapsets in enumeration order.  No
+    suite reads it; it is kept only for the benchmark's call shape, until
+    the benchmark times `run_suites` instead (ROADMAP item 5a)."""
+    memo: dict[int, list[Gapset]] = {}
 
-    def __init__(self) -> None:
-        self._memo: dict[int, list[KernelRecord]] = {}
-        self._views: dict[int, list[Gapset]] = {}
-
-    def records(self, g: int) -> list[KernelRecord]:
-        if g not in self._memo:
+    def by_genus(g: int) -> list[Gapset]:
+        if g not in memo:
             _check_genus(g)
-            self._memo[g] = _genus_records(g)
-        return self._memo[g]
+            memo[g] = [Gapset(e) for e, *_ in _iter_records(g)]
+        return memo[g]
 
-    def __call__(self, g: int) -> list[Gapset]:
-        if g not in self._views:
-            self._views[g] = [Gapset(row[0]) for row in self.records(g)]
-        return self._views[g]
-
-
-def memoized_provider() -> Provider:
-    """A provider whose suites walk each genus once, however many read it."""
-    return _MemoizedProvider()
+    return by_genus
 
 
 def _windows_empty(e: Elements, mask: int, m: int, c: int) -> bool:
@@ -261,10 +239,14 @@ def _phi(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
     Covers the image shape (size, range, widened maximum gap), the depth-1/2/3
     classification with its stated exception, injectivity per (genus, kappa)
     family, the depth-2 non-surjectivity witness, and the m-extension
-    property of gapsets.
+    property of gapsets.  No image is kept past its row: injectivity holds
+    if `maps._narrow`, a left inverse of widening, takes every image back
+    to its row, and the witness check sets a flag when a depth-2 row's
+    image mask equals the witness's.
     """
-    images_by_kappa: dict[int, dict[int, Elements]] = {}
-    depth2_images: set[int] = set()
+    witness = tuple(range(1, genus + 1)) + (genus + 2,)
+    wmask = element_mask(witness) if genus >= 1 else 0  # no image mask is 0
+    hit = False
     for e, last, m, kappa, alpha in rows:
         report.gapsets_covered += 1
         c = last + 1 if last else 0
@@ -292,7 +274,8 @@ def _phi(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
                 is_gapset and irec.depth == 2 and irec.kappa == kappa + 1,
                 e,
             )
-            depth2_images.add(imask)
+            if imask == wmask:
+                hit = True
         elif q == 3:
             exceptional = mask >> (2 * m + 1) & 1 and e[alpha - 1] >= 2 * m + 1
             if not exceptional:
@@ -307,21 +290,15 @@ def _phi(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
                     is_gapset and irec.depth == 3 and irec.kappa == kappa + 1,
                     e,
                 )
-        previous = images_by_kappa.setdefault(kappa, {}).setdefault(imask, e)
-        injective = previous == e
+        back = _narrow(ie, imask, irec.alpha)
+        ok = back == mask
+        if not ok:  # name the gapset the image narrows back to
+            back = tuple(v for v in range(back.bit_length()) if back >> v & 1)
         report.check(
-            "injective-within-family",
-            injective,
-            e,
-            "" if injective else f"image collides with {previous}",
+            "injective-within-family", ok, e, "" if ok else f"image narrows back to {back}"
         )
     if genus >= 1:
-        witness = tuple(range(1, genus + 1)) + (genus + 2,)
-        report.check(
-            "depth2-witness-has-no-depth2-preimage",
-            element_mask(witness) not in depth2_images,
-            witness,
-        )
+        report.check("depth2-witness-has-no-depth2-preimage", not hit, witness)
 
 
 def _small_m_sets(report: SuiteReport) -> None:
@@ -399,24 +376,29 @@ def _run(
     return reports
 
 
-def core_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
-    """The core suite alone over `by_genus`: see `_core`."""
-    return _run(["core"], max_genus, by_genus.records)[0]
+def core_suite(max_genus: int, by_genus: object) -> SuiteReport:
+    """The core suite alone (see `_core`); `by_genus` is not read, and is
+    kept only for the benchmark's call shape until ROADMAP item 5a."""
+    return run_suites(["core"], max_genus)[0]
 
 
-def sparse_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
-    """The sparse suite alone over `by_genus`: see `_sparse`."""
-    return _run(["sparse"], max_genus, by_genus.records)[0]
+def sparse_suite(max_genus: int, by_genus: object) -> SuiteReport:
+    """The sparse suite alone (see `_sparse`); `by_genus` is not read, and
+    is kept only for the benchmark's call shape until ROADMAP item 5a."""
+    return run_suites(["sparse"], max_genus)[0]
 
 
-def phi_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
-    """The phi suite alone over `by_genus`: see `_phi` and `_small_m_sets`."""
-    return _run(["phi"], max_genus, by_genus.records)[0]
+def phi_suite(max_genus: int, by_genus: object) -> SuiteReport:
+    """The phi suite alone (see `_phi` and `_small_m_sets`); `by_genus` is
+    not read, and is kept only for the benchmark's call shape until ROADMAP
+    item 5a."""
+    return run_suites(["phi"], max_genus)[0]
 
 
-def bijection_suite(max_genus: int, by_genus: Provider) -> SuiteReport:
-    """The bijection suite alone (see `_bijection`); `by_genus` is not read."""
-    return _run(["bijection"], max_genus, by_genus.records)[0]
+def bijection_suite(max_genus: int, by_genus: object) -> SuiteReport:
+    """The bijection suite alone (see `_bijection`); `by_genus` is not read,
+    and is kept only for the benchmark's call shape until ROADMAP item 5a."""
+    return run_suites(["bijection"], max_genus)[0]
 
 
 def run_suites(suites: Iterable[str], max_genus: int) -> list[SuiteReport]:

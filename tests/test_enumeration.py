@@ -254,6 +254,47 @@ class TestRegionShape:
         assert read[30] == 9078
 
 
+def border_defects(max_genus):
+    """(b, g, delta) for delta(g, k) = n(g+1, k+1) - n(g, k) on the bands
+    2g = 3k + b, b = 1..4, just past the theorem's region, for every k >= 1
+    with g + 1 <= max_genus, read from `_count_cells(max_genus)`."""
+    cells = _count_cells(max_genus)
+    for g in range(max_genus):
+        for b in range(1, 5):
+            k, r = divmod(2 * g - b, 3)
+            if r == 0 and k >= 1:
+                yield b, g, cells[g + 1][k + 1] - cells[g][k]
+
+
+def expected_border_defect(b, g):
+    if b == 1:
+        return 2 ** ((g - 2) // 3)
+    if b == 2:
+        return 0
+    if b == 3:
+        n = g // 3 - 1
+        return n * 2 ** (n - 1) if g >= 6 else 2
+    return 2 ** ((g - 8) // 3) if g >= 8 else 2
+
+
+class TestBorderBands:
+    """Computed data, not theorems: the count form n(g, k) = n(g+1, k+1)
+    fails on the first band past 2g <= 3k by a power of two, holds on the
+    second, and fails on the third and fourth by regular amounts."""
+
+    @pytest.mark.parametrize(
+        "max_genus, cells",
+        [
+            (23, {1: 7, 2: 7, 3: 7, 4: 6}),
+            pytest.param(30, {1: 10, 2: 9, 3: 9, 4: 9}, marks=pytest.mark.slow),
+        ],
+    )
+    def test_defects_follow_the_band_formulas(self, max_genus, cells):
+        defects = list(border_defects(max_genus))
+        assert Counter(b for b, _, _ in defects) == cells
+        assert [(b, g, d) for b, g, d in defects if d != expected_border_defect(b, g)] == []
+
+
 class TestRecordWalk:
     def test_records_match_invariants(self):
         # the sparse, phi and bijection suites read m, kappa and alpha from

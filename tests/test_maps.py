@@ -17,7 +17,7 @@ from gapsets import (
     verify_bijection,
     widen_max_gap,
 )
-from gapsets import maps
+from gapsets import enumeration, maps
 from gapsets.maps import (
     CLASS_GAPSET,
     CLASS_M_SET_NOT_GAPSET,
@@ -28,6 +28,7 @@ from gapsets.maps import (
     PreconditionError,
     UnsupportedDepthError,
     _classify,
+    _narrow,
     _widen,
     _widest_pair,
     classify_image,
@@ -291,13 +292,15 @@ class TestPartitionReference:
 class TestRecordKernels:
     def test_record_fed_kernels_match_the_scanning_functions(self):
         # the kernels read m and alpha from the walk's records and compute
-        # the depth from them, as the suites do; the public functions scan
-        by_genus = memoized_provider()
+        # the depth from them, as the suites do; the public functions scan.
+        # `_narrow`, on the image's own alpha, takes every image back to its
+        # gapset's mask, which is how the phi suite checks injectivity
         for genus in range(13):
-            for e, _, m, _, alpha in by_genus.records(genus):
+            for e, _, m, _, alpha in enumeration._iter_records(genus):
                 g = Gapset(e)
                 image, mask = _widen(e, element_mask(e), alpha)
                 assert mask == element_mask(image)
+                assert _narrow(image, mask, invariants(Gapset(image)).alpha) == element_mask(e)
                 assert widen_max_gap(g) == (image, m + 1, _classify(image, mask, m + 1))
                 if genus == 0:
                     continue

@@ -13,10 +13,10 @@ from gapsets.verification import SuiteReport, core_suite, phi_suite, run_suites,
 from expected_counts import GAPSET_COUNTS
 from tracing import traced_peak
 
-# (suite, elements) -> (checks run, violations as (check, detail)), for a
-# provider that yields only Gapset(elements) at its genus, with the record
-# (elements, last, multiplicity, kappa, alpha) that a scan of its elements
-# gives.  Gapset() checks only that the elements increase, so these are not
+# (suite, elements) -> (checks run, violations as (check, detail)), when
+# `_run` feeds the suite only the record (elements, last, multiplicity,
+# kappa, alpha) that a scan of the elements gives, at their genus.
+# Gapset() checks only that the elements increase, so these are not
 # gapsets.
 PLANTED = {
     (core_suite, (1, 3, 4)): (13, [
@@ -120,12 +120,9 @@ CHECKS_AT_GENUS_12 = {
 def test_planted_non_gapset_is_reported(suite, elements):
     planted = Gapset(elements)
     record = (elements, elements[-1], multiplicity(planted), *kappa_and_alpha(planted))
-
-    def by_genus(genus):
-        return [planted] if genus == len(elements) else []
-
-    by_genus.records = lambda genus: [record] if genus == len(elements) else []
-    report = suite(len(elements), by_genus)
+    name = suite.__name__.removesuffix("_suite")
+    genus = len(elements)
+    [report] = verification._run([name], genus, lambda g: [record] if g == genus else [])
     checks, expected = PLANTED[suite, elements]
     assert report.checks_run == checks
     assert [(v.check, v.detail) for v in report.violations] == expected
@@ -258,11 +255,23 @@ def test_sparse_builds_no_gapset(monkeypatch):
 
 def test_memory_holds_no_gapset_rows_or_image_tuples():
     # on CPython 3.11 this run peaked at 2.94 MB while it held rows of
-    # (Gapset, m, kappa, alpha) and phi's image tuples, and peaks at 2.48 MB
-    # with the walk's own records and image masks; the bound sits between
+    # (Gapset, m, kappa, alpha) and phi's image tuples, at 2.16 MB with the
+    # walk's own records and a dict of phi's image masks, and at 1.93 MB
+    # with no per-genus collection in phi; the bound is left where the
+    # first change set it
     reports, peak = traced_peak(run_suites, ["core", "sparse", "phi"], 15)
     assert all(r.ok for r in reports)
     assert peak < 2_710_000
+
+
+def test_phi_holds_no_more_than_the_rows_of_a_genus():
+    # phi keeps nothing of a genus but the rows `_run` hands it, as sparse
+    # does, so the two peak alike; with a dict of every image mask of the
+    # genus phi peaked at 1.23 times sparse on CPython 3.11
+    phi, phi_peak = traced_peak(run_suites, ["phi"], 16)
+    sparse, sparse_peak = traced_peak(run_suites, ["sparse"], 16)
+    assert phi[0].ok and sparse[0].ok
+    assert phi_peak <= 1.05 * sparse_peak
 
 
 def test_sparse_and_phi_read_the_record_and_normalize_once(monkeypatch):
@@ -319,18 +328,13 @@ def test_core_and_phi_build_each_mask_once(monkeypatch):
 
 def test_injectivity_names_the_colliding_gapset():
     # planted in one kappa = 1 family, (1, 2) and (1, 3) both widen to
-    # (1, 2, 4): the second is flagged with the first, whose repr is
-    # formatted only for this failure, and (1, 2, 4), the depth-2 witness,
-    # gets a depth-2 preimage
+    # (1, 2, 4), which narrows back to (1, 2) only: the second is flagged
+    # with the gapset its image narrows back to, formatted only for this
+    # failure, and (1, 2, 4), the depth-2 witness, gets a depth-2 preimage
     records = [((1, 2), 2, 3, 1, 1), ((1, 3), 3, 2, 1, 2)]
-
-    def by_genus(genus):
-        return []
-
-    by_genus.records = lambda genus: records if genus == 2 else []
-    report = phi_suite(2, by_genus)
+    [report] = verification._run(["phi"], 2, lambda g: records if g == 2 else [])
     assert report.checks_run == 18
     assert [(v.check, v.elements, v.detail) for v in report.violations] == [
-        ("injective-within-family", (1, 3), "image collides with (1, 2)"),
+        ("injective-within-family", (1, 3), "image narrows back to (1, 2)"),
         ("depth2-witness-has-no-depth2-preimage", (1, 2, 4), ""),
     ]

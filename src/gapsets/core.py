@@ -46,10 +46,10 @@ class Gapset:
     """A validated gapset.  Construct via :func:`validate_gapset` or :func:`gapset`.
 
     Instances are immutable, slotted values holding only their elements: they
-    hash, compare lexicographically on elements and pickle, so they can be
-    shared between workers.  `in` tests membership by iterating over the
-    elements.  Nothing can change one: assigning or deleting `elements`
-    raises `dataclasses.FrozenInstanceError`.  Assigning any other name
+    hash, compare lexicographically on elements and pickle.  `in` tests
+    membership by iterating over the elements.  Nothing can change one:
+    assigning or deleting `elements` raises
+    `dataclasses.FrozenInstanceError`.  Assigning any other name
     raises `TypeError` ("super(type, obj): obj must be an instance or
     subtype of type") on Python 3.11, not `FrozenInstanceError`, because
     its frozen `__setattr__` names the class that `slots=True` replaces.

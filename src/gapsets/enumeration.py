@@ -64,19 +64,15 @@ Aggregates come from one count-only walk (`_count_cells`), which
 smaller genus by maximum gap, building no tuples; at the last level it
 counts a node's children with no loop: every child x <= last + max_gap
 falls in the parent's cell, so that cell gets a popcount of the children
-mask.  No walk imports
-`core`: a subtree's root is a kernel record, whose m, kappa and alpha the
-walk reads instead of scanning the root's elements.  Only the functions
-that build or read `Gapset` values import `core`, when called, and only the
-pool imports `multiprocessing`.
+mask.  No walk imports `core`: only the functions that build or read
+`Gapset` values import it, when called.
 
 Every walk checks its genus against one ceiling, `GENUS_CEILING`.  No
-command and no other module reaches the process pool
-(`enumerate_gapsets(workers=)`, `SPLIT_DEPTH`, `_subtree_elements`), the
-disk cache (`cache_path`, `cache_store`, `cache_load`, the `CacheError`
-classes) or the `Gapset` filters (`filter_gapsets`, `filter_pure_sparse`),
-and the package namespace does not export them: they stay as library code
-only until the benchmark stops timing them as layers, and then go.
+command and no other module reaches the disk cache (`cache_path`,
+`cache_store`, `cache_load`, the `CacheError` classes) or the `Gapset`
+filters (`filter_gapsets`, `filter_pure_sparse`), and the package namespace
+does not export them: they stay as library code only until the benchmark
+stops timing them as layers, and then go.
 """
 
 from __future__ import annotations
@@ -97,7 +93,6 @@ if TYPE_CHECKING:
 
 GENUS_CEILING = 30
 BRUTE_FORCE_MAX_GENUS = 12
-SPLIT_DEPTH = 8
 
 CACHE_FILE_TEMPLATE = "gapsets-g{genus}.txt"
 
@@ -127,18 +122,20 @@ def _check_genus(genus: int) -> None:
 
 def _iter_records(
     genus: int,
-    root: KernelRecord = ((), 0, 1, 0, None),
     pieces: Optional[Sequence[Label]] = None,
     kappa: Optional[int] = None,
 ) -> Iterator[KernelRecord]:
-    """Depth-first walk from `root` yielding the kernel records (label, last,
-    m, kappa, alpha) of its genus-`genus` descendants in lexicographic order;
-    given `kappa` (K), only those with maximum gap exactly K.
+    """Depth-first walk yielding the kernel records (label, last, m, kappa,
+    alpha) of the genus-`genus` gapsets in lexicographic order; given
+    `kappa` (K), only those with maximum gap exactly K.
 
-    `root` is a kernel record with its elements tuple as label, as this walk
-    yields them with the default table; the default is the empty gapset's.
-    The walk reads the root's m, kappa and alpha from the record and scans
-    no element for them, so it imports nothing.
+    The walk starts at the chain [1..j]: j = K - 1 given K, and j = 0 (the
+    empty gapset) otherwise.  Every split x = u + v of an x <= 2j + 1 has
+    its smaller part u <= j, in the chain, so the chain's children are
+    exactly j + 1..2j + 1 and need no split test.  Its stack entry needs no
+    scan either: m is 0 (no value is skipped yet), the running maximum gap
+    is 1 (0 for the empty chain) and the last widest pair is (j - 1, j) at
+    index j - 1 (index 0 below j = 2; see m below).
 
     A node's label is its parent's label + pieces[x], x the element it
     appends.  The default table pieces[v] = (v,) makes the label the elements
@@ -155,23 +152,23 @@ def _iter_records(
     holds the node's children.  Stack entries are (label, level, last, m,
     kappa, alpha, sm, sr, ch, sums), sums for the sumset reach test below.  A
     child inherits its children from its parent (the module docstring shows
-    why this is exact): a `root`'s ch comes from the split test over
-    (last, 2j + 1], and a child's ch is its parent's children above x plus
-    the candidates (sm << x) & window & ~rest that pass the split test on
-    the child's masks.  m stays 0 until the first skipped
-    value, and the root's child 1 counts as a gap of 1 - 0 = 1 at index 0,
-    which gives the genus-1 conventions (kappa 1, alpha None) and never
-    survives into a longer gapset.  Children of the last inner level are
-    yielded by walking ch's bits upwards instead of being pushed.
+    why this is exact): the chain's ch is the closed form above, and a
+    child's ch is its parent's children above x plus the candidates
+    (sm << x) & window & ~rest that pass the split test on the child's
+    masks.  m stays 0 until the first skipped value, and the empty
+    gapset's child 1 counts as a gap of 1 - 0 = 1 at index 0, which gives
+    the genus-1 conventions (kappa 1, alpha None) and never survives into a
+    longer gapset.  Children of the last inner level are yielded by walking
+    ch's bits upwards instead of being pushed.
 
     With `kappa` set, a node visits only the children that can still end
-    with maximum gap K.  Then `root` is the chain [1..K-1], whose children
-    are K..2K-1; a child x > last + K is dropped; and while the running
-    maximum gap is below K a node keeps only last + K at the last level,
-    and at an inner level also the x <= genus - K + j + 1 (the reach bound
-    of the module docstring).  An inner node walks a copy `visit` of ch, so
-    a child still inherits every child of ch above it, visited or not: a
-    value cut for its parent can be a child of its child.
+    with maximum gap K.  Then the walk starts at the chain [1..K-1], whose
+    children are K..2K-1; a child x > last + K is dropped; and while the
+    running maximum gap is below K a node keeps only last + K at the last
+    level, and at an inner level also the x <= genus - K + j + 1 (the reach
+    bound of the module docstring).  An inner node walks a copy `visit` of
+    ch, so a child still inherits every child of ch above it, visited or
+    not: a value cut for its parent can be a child of its child.
 
     The sumset reach test (the lemma of the module docstring) drops a child
     x whose running maximum gap stays below K before its children are
@@ -198,12 +195,11 @@ def _iter_records(
     """
     if genus < 0:
         raise ValueError("genus must be >= 0")
+    j = 0
     if kappa is not None:
         if not (0 < kappa <= genus or kappa == genus == 0):
             return
-        if kappa:
-            j = kappa - 1
-            root = (tuple(range(1, kappa)), j, kappa, min(j, 1), j - 1 if j > 1 else None)
+        j = max(kappa - 1, 0)
     cap = 2 * genus + 1
     if pieces is None:
         pieces = [(v,) for v in range(cap + 1)]
@@ -212,21 +208,16 @@ def _iter_records(
     above = [~b for b in below[1:]]  # above[x]: the bits above x
     sm = below[cap + 1] ^ 1  # bits 1..cap
     sr = below[cap]  # bits cap-1..0, i.e. cap - i for i in 1..cap
-    elems, last, m, k, a = root
     label = pieces[0][:0]  # () or "", the empty label of the table's type
-    for v in elems:
+    for v in range(1, j + 1):
         sm ^= 1 << v
         sr &= rclear[v]
         label += pieces[v]
-    j = len(elems)
-    if j == genus:
-        yield label, last, m, k, a
+    if genus == 0:
+        yield label, 0, 1, 0, None
         return
-    ch = 0
-    for x in range(last + 1, 2 * j + 2):
-        if sm & (sr >> (cap - x)) == 0:
-            ch |= 1 << x
-    stack = [(label, j, last, m if m <= j else 0, k, a or 0, sm, sr, ch, 0)]
+    ch = below[2 * j + 2] ^ below[j + 1]  # the chain's children j + 1..2j + 1
+    stack = [(label, j, j, 0, min(j, 1), j - 1 if j > 1 else 0, sm, sr, ch, 0)]
     K = kappa or 0
     within = below[2 * genus]  # the values below 2g: a gapset's largest is 2g - 1
     starts = below[2 * genus - K]  # the a with a + K <= 2g - 1
@@ -359,33 +350,19 @@ def _count_cells(max_genus: int) -> list[list[int]]:
     return cells
 
 
-def _subtree_elements(genus: int, root: KernelRecord) -> list[Elements]:
-    return [rec[0] for rec in _iter_records(genus, root)]
-
-
 def enumerate_gapsets(genus: int, *, workers: int = 1) -> Iterator[Gapset]:
     """Emit every gapset of the given genus, once, in lexicographic order.
 
-    With workers > 1 the tree is split at a fixed shallow depth and the
-    subtrees run in a process pool; ordered merging keeps the output
-    identical to the single-worker stream.
+    `workers` is not read: one process walks the tree.  The keyword stays
+    only because the benchmark's pool layer still calls
+    `enumerate_gapsets(genus, workers=2)`, until ROADMAP item 5a retires
+    that layer.
     """
     from .core import Gapset
 
     _check_genus(genus)
-    split = min(genus, SPLIT_DEPTH)
-    if workers <= 1 or split == genus:
-        for rec in _iter_records(genus):
-            yield Gapset(rec[0])
-        return
-    import multiprocessing
-
-    roots = list(_iter_records(split))
-    with multiprocessing.Pool(workers) as pool:
-        args = [(genus, root) for root in roots]
-        for chunk in pool.starmap(_subtree_elements, args):
-            for elems in chunk:
-                yield Gapset(elems)
+    for rec in _iter_records(genus):
+        yield Gapset(rec[0])
 
 
 def brute_force_gapsets(genus: int) -> Iterator[Gapset]:

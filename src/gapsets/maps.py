@@ -15,7 +15,7 @@ gap-widening map.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .core import (
     Elements,
@@ -251,29 +251,25 @@ def verify_bijection(
     genus: int,
     kappa: int,
     *,
-    by_genus: Optional[Callable[[int], Iterable[Gapset]]] = None,
+    by_genus: object = None,
 ) -> BijectionReport:
     """Materialize both families and check the bijection element by element.
 
     Requires 2*genus <= 3*kappa; genus + 1 is checked against the ceiling
     before either family is listed.  Each family comes from the kappa-pruned
     walk, `_iter_records(genus, kappa=kappa)` and `_iter_records(genus + 1,
-    kappa=kappa + 1)`, so no genus is walked in full; given `by_genus`, it
-    comes instead from a `kappa_and_alpha` scan of its genus read from
-    `by_genus`.  Both sides come from enumeration rather than from counting,
-    so duplicated or misordered emissions would surface here as failed
-    membership flags.
+    kappa=kappa + 1)`, so no genus is walked in full.  `by_genus` is not
+    read: it stays only because the benchmark's maps layer passes it, until
+    ROADMAP item 5a.  Both sides come from enumeration rather than from
+    counting, so duplicated or misordered emissions would surface here as
+    failed membership flags.
     """
     if 2 * genus > 3 * kappa:
         raise PreconditionError(f"need 2g <= 3k, got g={genus}, k={kappa}")
     _check_genus(genus)
     _check_genus(genus + 1)
-    if by_genus is None:
-        source = [Gapset(e) for e, *_ in _iter_records(genus, kappa=kappa)]
-        target = [Gapset(e) for e, *_ in _iter_records(genus + 1, kappa=kappa + 1)]
-    else:
-        source = [g for g in by_genus(genus) if kappa_and_alpha(g)[0] == kappa]
-        target = [h for h in by_genus(genus + 1) if kappa_and_alpha(h)[0] == kappa + 1]
+    source = [Gapset(e) for e, *_ in _iter_records(genus, kappa=kappa)]
+    target = [Gapset(e) for e, *_ in _iter_records(genus + 1, kappa=kappa + 1)]
     target_set = {h.elements for h in target}
     source_set = {g.elements for g in source}
 

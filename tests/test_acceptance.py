@@ -26,7 +26,7 @@ from gapsets.maps import (
     CLASS_NOT_M_SET,
 )
 from gapsets.tally import format_cumulative, format_ratio
-from gapsets.verification import memoized_provider, run_suites
+from gapsets.verification import run_suites
 
 from expected_counts import (
     COUNTS_BY_KAPPA,
@@ -98,13 +98,12 @@ def test_criterion_3_extended_diagonal():
 
 def test_criterion_4_bijection():
     t0 = perf_counter()
-    by_genus = memoized_provider()
     failures = []
     pairs = 0
     for g in range(16):
         for kappa in range(-(-2 * g // 3), g + 1):
             pairs += 1
-            result = verify_bijection(g, kappa, by_genus=by_genus)
+            result = verify_bijection(g, kappa)
             if not result.bijective:
                 failures.append((g, kappa))
     elapsed = perf_counter() - t0

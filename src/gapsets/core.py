@@ -220,13 +220,42 @@ def kappa_and_alpha(g: Gapset) -> tuple[int, Optional[int]]:
 
 
 def invariants(g: Gapset) -> InvariantRecord:
-    """Compute every invariant from three calls: `conductor` reads the last
-    element, and `multiplicity` and `kappa_and_alpha` each scan the
-    elements."""
-    c = conductor(g)
-    m = multiplicity(g)
-    kappa, alpha = kappa_and_alpha(g)
-    return InvariantRecord(len(g.elements), m, c, c - 1, -(-c // m), kappa, alpha)
+    """Compute every invariant in one scan of the elements (`_invariants`)."""
+    return _invariants(g.elements)
+
+
+def _invariants(elems: Elements) -> InvariantRecord:
+    """`invariants` of strictly increasing positive elements, in one loop.
+
+    The loop takes kappa and alpha as `kappa_and_alpha` does, and the
+    multiplicity m from the first step above 1, the step from 0 to the
+    first element included: the elements before it are 1, 2, ..., m - 1.
+    So m is 1 when the first element is not 1, and the largest element
+    plus 1 when no step exceeds 1, which is `multiplicity` on any such
+    tuple, gapset or not.  The first step above 1 is a new widest step, so
+    m is tested only where kappa is updated.
+    """
+    g = len(elems)
+    if g < 2:
+        # no consecutive pair: kappa is g by convention and alpha is absent
+        c = elems[0] + 1 if g else 0
+        m = 2 if c == 2 else 1
+        return InvariantRecord(g, m, c, c - 1, -(-c // m), g, None)
+    prev = elems[0]
+    m = 0 if prev == 1 else 1  # 0: no step above 1 yet
+    kappa = alpha = i = 0
+    for v in elems[1:]:
+        i += 1
+        d = v - prev
+        if d >= kappa:
+            if d > 1 and not m:
+                m = prev + 1
+            kappa = d
+            alpha = i
+        prev = v
+    m = m or prev + 1
+    c = prev + 1
+    return InvariantRecord(g, m, c, prev, -(-c // m), kappa, alpha)
 
 
 class CanonicalPartition(NamedTuple):

@@ -20,12 +20,14 @@ last genus.
 Values from the record: the sparse and phi suites read last, m, kappa
 and alpha from it, so the kernels they call (`maps._widen`,
 `maps._widest_pair`) rescan nothing.  Values from scans: the core suite
-recomputes every invariant with `invariants`, so one suite still checks
-every record value against a scan of the elements, splits the blocks
-with `core._partition` on that scan's m, and re-validates with
+recomputes every invariant with `core._invariants`, the one-loop scan
+behind `invariants`, so one suite still checks every record value
+against a scan of the elements, splits the blocks with
+`core._partition` on that scan's m, and re-validates with
 `core._validate`, the check behind `validate_gapset`; phi scans each
-widened image once with `invariants`, whose kappa, depth and alpha
-every image check reads.
+widened image once with `core._invariants`, whose kappa, depth and
+alpha every image check reads.  Both scan the bare elements: no row or
+image is wrapped in a `Gapset`.
 
 Set tests run on bit masks of the elements (bit v set for member v),
 each built once per row: core's feeds the shifted-gap windows (one mask
@@ -48,12 +50,14 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
+from operator import le
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .core import (
     Elements,
     Gapset,
+    _invariants,
     _m_extension,
     _m_set,
     _partition,
@@ -77,7 +81,7 @@ class Violation(NamedTuple):
     detail: str
 
 
-@dataclass
+@dataclass(slots=True)
 class SuiteReport:
     suite: str
     max_genus: int
@@ -138,7 +142,7 @@ def _core(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
     windows, and re-validation, for every gapset of the genus."""
     for e, *_ in rows:
         report.gapsets_covered += 1
-        rec = invariants(Gapset(e))
+        rec = _invariants(e)
         mask = element_mask(e)
         report.check(
             "frobenius-is-conductor-minus-1", rec.frobenius == rec.conductor - 1, e
@@ -158,7 +162,8 @@ def _core(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
             report.check("depth-range", ok, e, "" if ok else f"q={rec.depth}")
             report.check(
                 "element-bounds",
-                all(j <= e[j - 1] <= 2 * j - 1 for j in range(1, genus + 1)),
+                all(map(le, range(1, genus + 1), e))
+                and all(map(le, e, range(1, 2 * genus, 2))),
                 e,
             )
             m = rec.multiplicity
@@ -167,9 +172,7 @@ def _core(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
             report.check(
                 "partition-first-block", blocks[0] == tuple(range(1, m)), e
             )
-            report.check(
-                "partition-union", tuple(chain.from_iterable(blocks)) == e, e
-            )
+            report.check("partition-union", sum(blocks, ()) == e, e)
             # each block is a sorted slice: its ends bound all its members
             report.check(
                 "partition-block-ranges",
@@ -253,7 +256,7 @@ def _phi(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
         q = -(-c // m)
         mask = element_mask(e)
         ie, imask = _widen(e, mask, alpha)
-        irec = invariants(Gapset(ie))
+        irec = _invariants(ie)
         is_gapset = _classify(ie, imask, m + 1) == CLASS_GAPSET
         report.check("image-size", len(ie) == genus + 1, e)
         report.check("image-range", min(ie) >= 1 and max(ie) <= 2 * (genus + 1) - 1, e)
@@ -315,7 +318,7 @@ def _small_m_sets(report: SuiteReport) -> None:
                 if ok:
                     rec = invariants(checked)
                     ok = (not cand or rec.multiplicity == m) and rec.depth <= 2
-                report.check("small-m-set-is-gapset", ok, cand, f"m={m}")
+                report.check("small-m-set-is-gapset", ok, cand, "" if ok else f"m={m}")
 
 
 def _bijection(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
@@ -324,17 +327,20 @@ def _bijection(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> Non
     kappa-pruned walk, so `rows` is not read."""
     for kappa in range(-(-2 * genus // 3), genus + 1):
         result = verify_bijection(genus, kappa)
-        report.gapsets_covered += result.source_size + result.target_size
-        pair = f"(g={genus}, k={kappa})"
+        # a detail is formatted only for a failing check
+        ok = result.counts_equal
+        n, n_next = result.source_size, result.target_size
+        report.gapsets_covered += n + n_next
         report.check(
-            "family-counts-equal",
-            result.counts_equal,
-            (),
-            f"{pair}: {result.source_size} vs {result.target_size}",
+            "family-counts-equal", ok, (), "" if ok else f"(g={genus}, k={kappa}): {n} vs {n_next}"
         )
-        report.check("forward-round-trip", all(result.forward_round_trip), (), pair)
-        report.check("backward-round-trip", all(result.backward_round_trip), (), pair)
-        report.check("image-membership", all(result.image_membership), (), pair)
+        for name, trips in (
+            ("forward-round-trip", result.forward_round_trip),
+            ("backward-round-trip", result.backward_round_trip),
+            ("image-membership", result.image_membership),
+        ):
+            ok = all(trips)
+            report.check(name, ok, (), "" if ok else f"(g={genus}, k={kappa})")
 
 
 def _stabilization(report: SuiteReport) -> None:

@@ -3,6 +3,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from gapsets import (
     Gapset,
@@ -21,11 +22,15 @@ from gapsets import (
 )
 from gapsets.core import (
     EmptyPartitionError,
+    _invariants,
     _m_extension,
     _m_set,
     _validate,
+    conductor,
     element_mask,
+    multiplicity,
 )
+from gapsets.enumeration import _iter_records
 from gapsets.verification import _windows_empty
 
 from strategies import gapsets, small_m_sets
@@ -287,6 +292,35 @@ class TestInvariants:
             while shift + e[j + 1] <= rec.conductor:
                 assert not any(shift + e[j] < v < shift + e[j + 1] for v in e)
                 shift += rec.multiplicity
+
+
+def three_call_invariants(e):
+    """The invariants of a strictly increasing positive tuple from the three
+    separate scans, the oracle for `_invariants`' one loop."""
+    g = Gapset(e)
+    c, m = conductor(g), multiplicity(g)
+    return (len(e), m, c, c - 1, -(-c // m), *kappa_and_alpha(g))
+
+
+class TestOneScanKernel:
+    @pytest.mark.parametrize(
+        "e", [(), (1,), (2,), (2, 3), (1, 3, 6), (1, 2, 3)], ids=str
+    )
+    def test_small_cases(self, e):
+        assert _invariants(e) == three_call_invariants(e)
+
+    @pytest.mark.parametrize(
+        "max_genus", [12, pytest.param(20, marks=pytest.mark.slow)]
+    )
+    def test_every_gapset(self, max_genus):
+        for genus in range(max_genus + 1):
+            for e, *_ in _iter_records(genus):
+                assert _invariants(e) == three_call_invariants(e), e
+
+    # mostly not gapsets: the kernel needs only increasing positive elements
+    @given(st.sets(st.integers(1, 40), max_size=20).map(sorted).map(tuple))
+    def test_increasing_tuples(self, e):
+        assert _invariants(e) == three_call_invariants(e)
 
 
 class TestShiftedGapWindows:

@@ -3,6 +3,7 @@ which planted non-gapsets it flags."""
 
 import weakref
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -251,6 +252,78 @@ def test_sparse_builds_no_gapset(monkeypatch):
     assert run_suites(["sparse"], 12)[0].ok
     with pytest.raises(AssertionError, match="was built"):
         Gapset((1,))
+
+
+def test_core_and_phi_build_no_gapset_for_a_row_or_image(monkeypatch):
+    # core scans each row, and phi each widened image, from the bare
+    # elements; the only Gapset values built are the small-m-set sweep's
+    # candidates that validate_gapset accepts, which is every one of them
+    built = []
+    post_init = Gapset.__post_init__
+
+    def recording(self):
+        built.append(self.elements)
+        post_init(self)
+
+    monkeypatch.setattr(Gapset, "__post_init__", recording)
+    reports = run_suites(["core", "phi"], 12)
+    assert all(r.ok for r in reports)
+    candidates = [
+        tuple(range(1, m)) + extra
+        for m in range(1, 11)
+        for size in range(m)
+        for extra in combinations(range(m + 1, 2 * m), size)
+    ]
+    assert len(candidates) == 1023
+    assert built == candidates
+
+
+def test_passing_checks_format_no_detail(monkeypatch):
+    details = Counter()
+    check = SuiteReport.check
+
+    def recording(self, name, condition, elements, detail=""):
+        details[self.suite, detail] += 1
+        check(self, name, condition, elements, detail)
+
+    monkeypatch.setattr(SuiteReport, "check", recording)
+    reports = run_suites(["core", "sparse", "phi", "bijection"], 12)
+    assert all(r.ok for r in reports)
+    assert details == {(r.suite, ""): r.checks_run for r in reports}
+
+
+def test_bijection_details_name_the_failing_family(monkeypatch):
+    # a detail is formatted only for a failing check, with the text it
+    # always had: the family, and for unequal counts both sizes
+    verify_bijection = verification.verify_bijection
+
+    def failing(genus, kappa):
+        if (genus, kappa) != (2, 2):
+            return verify_bijection(genus, kappa)
+        return maps.BijectionReport(2, 2, 2, 3, (True, False), (True,) * 3, (False, True, True))
+
+    monkeypatch.setattr(verification, "verify_bijection", failing)
+    [report] = run_suites(["bijection"], 2)
+    assert report.checks_run == 4 * 3 + 1
+    assert [(v.check, v.elements, v.detail) for v in report.violations] == [
+        ("family-counts-equal", (), "(g=2, k=2): 2 vs 3"),
+        ("forward-round-trip", (), "(g=2, k=2)"),
+        ("image-membership", (), "(g=2, k=2)"),
+    ]
+
+
+def test_small_m_set_detail_names_m(monkeypatch):
+    # a rejected small-m-set candidate is reported with its m
+    validate_gapset = verification.validate_gapset
+
+    def rejecting(cand):
+        return core.GapsetRejection(4, 2, 2) if cand == (1, 2, 4) else validate_gapset(cand)
+
+    monkeypatch.setattr(verification, "validate_gapset", rejecting)
+    [report] = run_suites(["phi"], 3)
+    assert [(v.check, v.elements, v.detail) for v in report.violations] == [
+        ("small-m-set-is-gapset", (1, 2, 4), "m=3")
+    ]
 
 
 def test_memory_holds_no_gapset_rows_or_image_tuples():

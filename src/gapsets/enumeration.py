@@ -61,11 +61,13 @@ indices, not sums.
 
 Aggregates come from one count-only walk (`_count_cells`), which
 `tally.build_count_grid` reads: one pass to the largest genus counts every
-smaller genus by maximum gap, building no tuples; at the last level it
-counts a node's children with no loop: every child x <= last + max_gap
-falls in the parent's cell, so that cell gets a popcount of the children
-mask.  No walk imports `core`: only the functions that build or read
-`Gapset` values import it, when called.
+smaller genus by maximum gap, building no tuples.  It pushes no childless
+node, and a node two levels above the leaves finishes its children in
+place: for each child x it reads the children above x off the bits of the
+children mask still left, and counts x's own children, the leaves, with
+no loop: every leaf y <= x + max_gap falls in x's cell, so that cell gets
+a popcount of x's children mask.  No walk imports `core`: only the
+functions that build or read `Gapset` values import it, when called.
 
 Every walk checks its genus against one ceiling, `GENUS_CEILING`.  No
 command and no other module reaches the disk cache (`cache_path`,
@@ -299,35 +301,64 @@ def _count_cells(max_genus: int) -> list[list[int]]:
     """cells[g][k] = #{genus-g gapsets with maximum gap k}, from one walk.
 
     Stack entries are (level, last, max_gap, sm, sr, ch), with the masks,
-    split test and inherited children masks of `_iter_records`; each child
-    is counted where it is found and pushed only below the last level.  At
-    the last level no child is visited for the cell max_gap: the children at
-    most last + max_gap all land there, so it gets the popcount of
-    ch & below[last + max_gap + 1]; only the wider children go one by one to
-    cell x - last.  Root child 1 gets max_gap 1 - 0 = 1.  A negative genus
-    raises ValueError.
+    split test and inherited children masks of `_iter_records`.  A popped
+    node counts each child in its cell as it finds it and pushes only the
+    children that have children of their own, so no node of the last two
+    levels is pushed.  A node at level max_genus - 2 finishes its children
+    in place: it walks ch lowest-first, so the children above x are the
+    bits of ch still left, and it split-tests only x's new candidates,
+    building the child's masks only when there are any.  The child's own
+    children (the leaves) are added to the last row without a visit: every
+    one at most x + max_gap falls in the child's cell max_gap, which gets
+    the popcount of those, and only the wider ones go one by one to cell
+    y - x.  Root child 1 gets max_gap 1 - 0 = 1; genus 0 and 1 are
+    returned before the walk, as the root is at or past that level there.
+    A negative genus raises ValueError.
     """
     if max_genus < 0:
         raise ValueError("genus must be >= 0")
+    cells = [[0] * (g + 1) for g in range(max_genus + 1)]
+    cells[0][0] = 1
+    if max_genus < 2:
+        if max_genus:
+            cells[1][1] = 1
+        return cells
     cap = 2 * max_genus + 1
     below = [(1 << i) - 1 for i in range(3 * max_genus + 2)]
     rclear = [~(1 << (cap - v)) for v in range(cap + 1)]
-    cells = [[0] * (g + 1) for g in range(max_genus + 1)]
-    cells[0][0] = 1
-    stack = [(0, 0, 0, below[cap + 1] ^ 1, below[cap], 2)] if max_genus else []
+    leaves = cells[max_genus]
+    stack = [(0, 0, 0, below[cap + 1] ^ 1, below[cap], 2)]
     while stack:
         j, last, mg, sm, sr, ch = stack.pop()
         row = cells[j + 1]
-        if j + 1 == max_genus:
-            narrow = ch & below[last + mg + 1]
-            row[mg] += narrow.bit_count()
-            wide = (ch ^ narrow) >> last  # bit d: the child last + d
-            while wide:
-                b = wide & -wide
-                wide ^= b
-                row[b.bit_length() - 1] += 1
-            continue
         window = below[2 * j + 4]
+        if j + 2 == max_genus:  # finish the last two levels in place
+            while ch:
+                b = ch & -ch
+                ch ^= b  # now the children above x
+                x = b.bit_length() - 1
+                d = x - last
+                k = d if d > mg else mg
+                row[k] += 1
+                kids = ch
+                new = (sm << x) & window & ~ch
+                if new:
+                    sm2 = sm ^ b
+                    sr2 = sr & rclear[x]
+                    while new:
+                        yb = new & -new
+                        new ^= yb
+                        if sm2 & (sr2 >> (cap + 1 - yb.bit_length())) == 0:
+                            kids |= yb
+                if kids:
+                    narrow = kids & below[x + k + 1]
+                    leaves[k] += narrow.bit_count()
+                    wide = (kids ^ narrow) >> x  # bit d: the child x + d
+                    while wide:
+                        yb = wide & -wide
+                        wide ^= yb
+                        leaves[yb.bit_length() - 1] += 1
+            continue
         rest = 0  # the children above x
         while ch:
             x = ch.bit_length() - 1
@@ -345,7 +376,8 @@ def _count_cells(max_genus: int) -> list[list[int]]:
                 new ^= yb
                 if sm2 & (sr2 >> (cap + 1 - yb.bit_length())) == 0:
                     kids |= yb
-            stack.append((j + 1, x, k, sm2, sr2, kids))
+            if kids:
+                stack.append((j + 1, x, k, sm2, sr2, kids))
             rest |= b
     return cells
 

@@ -32,8 +32,9 @@ image is wrapped in a `Gapset`.
 Set tests run on bit masks of the elements (bit v set for member v),
 each built once per row: core's feeds the shifted-gap windows (one mask
 test per shift) and the re-validation; phi's feeds its m-extension and
-2m + 1 tests, and `_widen` shifts it into the image's, which
-`maps._classify` and both next-m-set tests read.  Phi checks injectivity
+2m + 1 tests, and `_widen` shifts it into the image's, which both
+next-m-set tests read, and `maps._classify` too, called only by the three
+checks that ask whether the image is a gapset.  Phi checks injectivity
 by a left inverse: `maps._narrow` shifts the image's mask back by the
 image's own alpha, and the check passes when that gives the row's mask
 (its failure detail names the gapset the image narrows back to).  The
@@ -257,14 +258,15 @@ def _phi(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
         mask = element_mask(e)
         ie, imask = _widen(e, mask, alpha)
         irec = _invariants(ie)
-        is_gapset = _classify(ie, imask, m + 1) == CLASS_GAPSET
         report.check("image-size", len(ie) == genus + 1, e)
         report.check("image-range", min(ie) >= 1 and max(ie) <= 2 * (genus + 1) - 1, e)
         report.check("image-kappa-raised", irec.kappa == kappa + 1, e)
         report.check("gapset-is-m-extension", _m_extension(e, mask, m), e)
         if q == 1:
             report.check(
-                "depth1-image-gapset-of-depth-2", is_gapset and irec.depth == 2, e
+                "depth1-image-gapset-of-depth-2",
+                _classify(ie, imask, m + 1) == CLASS_GAPSET and irec.depth == 2,
+                e,
             )
         elif q == 2:
             report.check(
@@ -274,7 +276,9 @@ def _phi(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
             )
             report.check(
                 "depth2-image-in-next-family",
-                is_gapset and irec.depth == 2 and irec.kappa == kappa + 1,
+                _classify(ie, imask, m + 1) == CLASS_GAPSET
+                and irec.depth == 2
+                and irec.kappa == kappa + 1,
                 e,
             )
             if imask == wmask:
@@ -290,7 +294,9 @@ def _phi(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
             if 2 * genus <= 3 * kappa:
                 report.check(
                     "depth3-image-in-next-family",
-                    is_gapset and irec.depth == 3 and irec.kappa == kappa + 1,
+                    _classify(ie, imask, m + 1) == CLASS_GAPSET
+                    and irec.depth == 3
+                    and irec.kappa == kappa + 1,
                     e,
                 )
         back = _narrow(ie, imask, irec.alpha)

@@ -128,6 +128,14 @@ def kappa_rows(max_genus):
     return [{k: n for k, n in enumerate(row) if n} for row in _count_cells(max_genus)]
 
 
+def record_row(genus):
+    """The genus's count row, tallied by kappa from the record walk."""
+    row = [0] * (genus + 1)
+    for rec in _iter_records(genus):
+        row[rec[3]] += 1
+    return row
+
+
 class TestCountWalk:
     def test_rows_match_the_tuple_search(self):
         rows = kappa_rows(16)
@@ -151,6 +159,23 @@ class TestCountWalk:
         grid = build_count_grid(22)
         assert grid.cells == {(g, k): n for g in range(23) for k, n in COUNTS_BY_KAPPA[g].items()}
         assert kappa_rows(1) == [{0: 1}, {1: 1}]
+
+    def test_every_genus_matches_the_rows_of_genus_18(self):
+        # each G puts the walk's in-place level at its own depth; at G = 0
+        # and 1 the root is already past it
+        rows = _count_cells(18)
+        for g in range(19):
+            assert _count_cells(g) == rows[: g + 1], g
+
+    def test_last_rows_match_the_record_walk(self):
+        # the last two rows are the ones the walk fills in place
+        cells = _count_cells(20)
+        assert cells[19:] == [record_row(19), record_row(20)]
+
+    @pytest.mark.slow
+    def test_last_rows_match_the_record_walk_at_genus_24(self):
+        cells = _count_cells(24)
+        assert cells[23:] == [record_row(23), record_row(24)]
 
     def test_row_sums_to_genus_24(self):
         row_sums = build_count_grid(24).row_sums

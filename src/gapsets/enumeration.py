@@ -31,8 +31,11 @@ every leaf is yielded as a kernel record (label, last, multiplicity, kappa,
 alpha) with no Gapset built and no second pass over its elements.  A label
 grows by one table entry per edge: by default the entry for x is (x,), so
 the label is the elements tuple; the CLI passes sep + str(x), so the label
-is already the gapset's text.  `enumerate_gapsets` wraps the same walk's
-elements in Gapset values.  Given a maximum gap K, the walk yields only
+is already the gapset's text.  Like the count walk below, it pushes no
+childless node, and a node two levels above the leaves finishes its
+children in place, yielding their children, the leaves, as it finds
+them.  `enumerate_gapsets` wraps the same walk's elements in Gapset
+values.  Given a maximum gap K, the walk yields only
 the gapsets with maximum gap exactly K, which `enumerate --pure` lists and
 `tally` counts for the diagonal terms t(w) (genus 3w, K = 2w), and visits
 only the nodes that can still end there.  It starts at the chain [1..K-1],
@@ -56,8 +59,12 @@ from 2g on; S is outside F, so S + S lies in F's semigroup, which holds no
 element of F, and a + K > x and any a > x are elements of F.  So the walk
 drops the child when no such a exists.  At the last inner level F is the
 child plus one element, so a = x and the test asks only whether x + K is
-in S + S.  The test does not replace the reach bound, which reads element
-indices, not sums.
+in S + S.  There it is only a shortcut: x + K = u + v with u, v in S fails
+the split test on the child, which would drop the same leaf, but the
+shortcut skips the child's split tests: without it the walks given K at
+genus 22 (K = 11..13) ran 8-14 % slower, and those of the diagonal terms
+to w = 10 about 23 % slower.  The test does not replace the reach bound,
+which reads element indices, not sums.
 
 Aggregates come from one count-only walk (`_count_cells`), which
 `tally.build_count_grid` reads: one pass to the largest genus counts every
@@ -158,19 +165,30 @@ def _iter_records(
     child's ch is its parent's children above x plus the candidates
     (sm << x) & window & ~rest that pass the split test on the child's
     masks.  m stays 0 until the first skipped value, and the empty
-    gapset's child 1 counts as a gap of 1 - 0 = 1 at index 0, which gives
-    the genus-1 conventions (kappa 1, alpha None) and never survives into a
-    longer gapset.  Children of the last inner level are yielded by walking
-    ch's bits upwards instead of being pushed.
+    gapset's child 1 counts as a gap of 1 - 0 = 1 at index 0, which never
+    survives into a longer gapset; genus 1, like the one gapset of genus
+    K = genus, is yielded before the walk.
+
+    A node pushes only the children that have children of their own.  A
+    node at level genus - 2 pushes none: as `_count_cells` does, it walks
+    `visit` lowest-first, so the bits still left are the children above
+    x (on the full walk; given K, ch above x), split-tests only x's new
+    candidates, building x's masks only when there are any, and yields
+    x's children, the leaves, upwards, looking up x's label piece only
+    when x has one.
 
     With `kappa` set, a node visits only the children that can still end
     with maximum gap K.  Then the walk starts at the chain [1..K-1], whose
     children are K..2K-1; a child x > last + K is dropped; and while the
     running maximum gap is below K a node keeps only last + K at the last
     level, and at an inner level also the x <= genus - K + j + 1 (the reach
-    bound of the module docstring).  An inner node walks a copy `visit` of
-    ch, so a child still inherits every child of ch above it, visited or
-    not: a value cut for its parent can be a child of its child.
+    bound of the module docstring).  These cuts are masked into `visit`
+    once per popped node.  A node walks `visit`, not ch, so a child still
+    inherits every child of ch above it, visited or not: a value cut for
+    its parent can be a child of its child.  At the last inner level a
+    child's leaves are cut to those that give gap K, with one mask.  On
+    the full walk (K = 0) all of this sits behind one `if K` per popped
+    node and per child.
 
     The sumset reach test (the lemma of the module docstring) drops a child
     x whose running maximum gap stays below K before its children are
@@ -186,10 +204,13 @@ def _iter_records(
     Every child tested has x + K <= 2g - 1 (the reach bound gives
     x <= g - K + j + 1 under a parent at level j <= g - 2), so a = x
     passes unless bit x + K of the sumset is set, and only then is the test
-    made.  A child at the last inner level has only leaves below it, so its
-    sumset is never read: it is pushed as 0, and the child is dropped when
-    x + K lies in sums or in T + D, that is when T has a bit in
-    [K + 1, K + |D|].  The full walk makes no test, as K is 0 there.
+    made.  A child whose running maximum gap reaches K pushes its parent's
+    sums, which no descendant reads.  At the last inner level the one leaf
+    left is x + K and no sumset is built: the node drops from `visit`, in
+    one mask, every x < last + K with bit x + K of sums set, then each x
+    with x + K in T + D, that is when T has a bit in [K + 1, K + |D|].
+    That is only a shortcut: the split test on x + K would drop the same
+    leaf (the module docstring says why it stays).
 
     No gapset has kappa above its genus, and only the empty one has kappa
     0.  A negative genus raises ValueError; the ceiling is the caller's to
@@ -218,36 +239,72 @@ def _iter_records(
     if genus == 0:
         yield label, 0, 1, 0, None
         return
+    if j + 1 == genus:  # K = genus (or genus 1): the one gapset [1..j, 2j + 1]
+        x = 2 * j + 1
+        yield label + pieces[x], x, j + 1 if j else 2, x - j, j or None
+        return
     ch = below[2 * j + 2] ^ below[j + 1]  # the chain's children j + 1..2j + 1
     stack = [(label, j, j, 0, min(j, 1), j - 1 if j > 1 else 0, sm, sr, ch, 0)]
     K = kappa or 0
     within = below[2 * genus]  # the values below 2g: a gapset's largest is 2g - 1
     starts = below[2 * genus - K]  # the a with a + K <= 2g - 1
+    lj = genus - 1  # the level of the leaves' parents
     while stack:
         label, j, last, m, k, a, sm, sr, ch, sums = stack.pop()
-        if j + 1 == genus:
-            if kappa:
-                ch &= below[last + kappa + 1] if k == kappa else 1 << last + kappa
-            while ch:
-                b = ch & -ch
-                ch ^= b
+        window = below[2 * j + 4]
+        visit = ch
+        if K:  # the top cut, and below gap K the reach bound
+            top = last + K
+            visit &= below[top + 1]
+            if k < K:
+                visit &= below[genus - K + j + 2] | 1 << top
+                if j + 2 == genus:  # the sumset shortcut: x + K in S + S
+                    visit &= ~(sums >> K) | 1 << top
+        if j + 2 == genus:  # finish the last two levels in place
+            while visit:
+                b = visit & -visit
+                visit ^= b  # on the full walk, now the children above x
                 x = b.bit_length() - 1
                 d = x - last
-                yield (
-                    label + pieces[x],
-                    x,
-                    m or (j + 1 if d > 1 else genus + 1),
-                    d if d >= k else k,
-                    (j or None) if d >= k else a,
-                )
+                k2 = d if d >= k else k
+                if K:
+                    if k2 < K:
+                        # the one leaf left would be x + K: is it in T + D?
+                        if (sm & below[x]) >> K + 1 & below[d - 1]:
+                            continue
+                        cut = 1 << x + K
+                    else:
+                        cut = below[x + K + 1]
+                    kids = ch & above[x] & cut
+                    new = (sm << x) & window & cut & ~kids
+                else:
+                    kids = visit
+                    new = (sm << x) & window & ~visit
+                if new:
+                    sm2 = sm ^ b
+                    sr2 = sr & rclear[x]
+                    while new:
+                        yb = new & -new
+                        new ^= yb
+                        if sm2 & (sr2 >> (cap + 1 - yb.bit_length())) == 0:
+                            kids |= yb
+                if kids:
+                    label2 = label + pieces[x]
+                    m2 = m or (lj if d > 1 else 0)
+                    a2 = j if d >= k else a
+                    while kids:
+                        yb = kids & -kids
+                        kids ^= yb
+                        y = yb.bit_length() - 1
+                        d = y - x
+                        yield (
+                            label2 + pieces[y],
+                            y,
+                            m2 or (genus if d > 1 else genus + 1),
+                            d if d >= k2 else k2,
+                            lj if d >= k2 else a2,
+                        )
             continue
-        visit = ch
-        if kappa:
-            top = last + kappa
-            visit &= below[top + 1]
-            if k < kappa:
-                visit &= below[genus - kappa + j + 2] | 1 << top
-        window = below[2 * j + 4]
         while visit:
             x = visit.bit_length() - 1
             b = 1 << x
@@ -255,25 +312,19 @@ def _iter_records(
             d = x - last
             k2 = d if d >= k else k
             sm2 = sm ^ b
-            sums2 = 0
-            if k2 < K:  # the sumset reach test (see the docstring)
-                if j + 2 == genus:
-                    # the one leaf left would be x + K
-                    if sums >> x + K & 1 or (sm2 & below[x]) >> K + 1 & below[d - 1]:
+            sums2 = sums
+            if K and k2 < K:  # the sumset reach test (see the docstring)
+                if d > 1:  # add T + D, D = [last + 1, x - 1]
+                    u = (sm2 & below[x]) << last + 1
+                    w = 1
+                    while w + w < d:
+                        u |= u << w
+                        w += w
+                    sums2 |= u | u << d - 1 - w
+                if sums2 >> x + K & 1:
+                    free = ~sums2 & above[x]
+                    if ((b | free & starts) << K) & free & within == 0:
                         continue
-                else:
-                    sums2 = sums
-                    if d > 1:  # add T + D, D = [last + 1, x - 1]
-                        u = (sm2 & below[x]) << last + 1
-                        w = 1
-                        while w + w < d:
-                            u |= u << w
-                            w += w
-                        sums2 |= u | u << d - 1 - w
-                    if sums2 >> x + K & 1:
-                        free = ~sums2 & above[x]
-                        if ((b | free & starts) << K) & free & within == 0:
-                            continue
             rest = ch & above[x]  # the children above x
             sr2 = sr & rclear[x]
             kids = rest
@@ -283,18 +334,19 @@ def _iter_records(
                 new ^= yb
                 if sm2 & (sr2 >> (cap + 1 - yb.bit_length())) == 0:
                     kids |= yb
-            stack.append((
-                label + pieces[x],
-                j + 1,
-                x,
-                m or (j + 1 if d > 1 else 0),
-                k2,
-                j if d >= k else a,
-                sm2,
-                sr2,
-                kids,
-                sums2,
-            ))
+            if kids:
+                stack.append((
+                    label + pieces[x],
+                    j + 1,
+                    x,
+                    m or (j + 1 if d > 1 else 0),
+                    k2,
+                    j if d >= k else a,
+                    sm2,
+                    sr2,
+                    kids,
+                    sums2,
+                ))
 
 
 def _count_cells(max_genus: int) -> list[list[int]]:

@@ -21,11 +21,11 @@ Values from the record: the sparse and phi suites read last, m, kappa
 and alpha from it, so the kernels they call (`maps._widen`,
 `maps._widest_pair`) rescan nothing.  Values from scans: the core suite
 recomputes every invariant with `core._invariants`, the one-loop scan
-behind `invariants`, so one suite still checks every record value
-against a scan of the elements, splits the blocks with
-`core._partition` on that scan's m, and re-validates with
-`core._validate`, the check behind `validate_gapset`; phi scans each
-widened image once with `core._invariants`, whose kappa, depth and
+behind `invariants`, from the row's elements alone (no suite yet
+compares the record's last, m, kappa or alpha with that scan), splits
+the blocks with `core._partition` on that scan's m, and re-validates
+with `core._validate`, the check behind `validate_gapset`; phi scans
+each widened image once with `core._invariants`, whose kappa, depth and
 alpha every image check reads.  Both scan the bare elements: no row or
 image is wrapped in a `Gapset`.
 

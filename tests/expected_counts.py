@@ -16,6 +16,7 @@ GENUS_16_TEXT and GENUS_16_CSV are the same for `--format text` and
 `--format csv`, recorded from the CLI before the writes moved to blocks.
 STREAM_DIGESTS holds (line count, sha256) for the larger `enumerate`
 commands of the benchmark's stream workload, copied from perfbench/expected.py.
+RECORDS_TO_GENUS_16_SHA256 freezes every record walk to genus 16.
 """
 
 GAPSET_COUNTS = [
@@ -85,3 +86,8 @@ STREAM_DIGESTS = {
     ("enumerate", "--genus", "22", "--kappa", "13", "--pure", "--format", "csv"):
         (1157, "f0a04c69d55b3cbbeb6ab6a748f8edf4dacefd1cdd9ae56cb54c9066e1d887a8"),
 }
+
+# sha256 over repr of every record, in order, of `_iter_records(g, pieces,
+# K)` for g <= 16, K in (None, 0..g + 1) and pieces None or "," + str(v),
+# taken from the walk that pushed every node
+RECORDS_TO_GENUS_16_SHA256 = "f5213d748ff00f84039efff5d7991bf0b662caa5c6f870f120d9fa64822fbcc1"

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -32,7 +33,13 @@ from gapsets.enumeration import (
 from gapsets.core import element_mask
 from gapsets.maps import _widen
 
-from expected_counts import COUNTS_BY_KAPPA, DIAGONAL_TERMS, GAPSET_COUNTS, LARGE_GAPSET_COUNTS
+from expected_counts import (
+    COUNTS_BY_KAPPA,
+    DIAGONAL_TERMS,
+    GAPSET_COUNTS,
+    LARGE_GAPSET_COUNTS,
+    RECORDS_TO_GENUS_16_SHA256,
+)
 
 
 def test_counts_match_published_sequence():
@@ -211,6 +218,8 @@ class TestDiagonalWalk:
         cells = _count_cells(30)
         terms = [diagonal_term(w) for w in range(11)]
         assert terms == [cells[3 * w][2 * w] for w in range(11)] == DIAGONAL_TERMS
+        # the same walk's last rows against OEIS A007323
+        assert [sum(cells[g]) for g in (28, 29, 30)] == [2091030, 3437839, 5646773]
 
 
 class TestPureWalk:
@@ -248,19 +257,23 @@ class TestPureWalk:
             assert list(_iter_records(24, kappa=k)) == [r for r in full if r[3] == k], k
 
     def test_sumset_reach_test_cuts_the_walk(self):
-        # one table lookup per pushed node or yielded leaf: the walk without
-        # the sumset reach test looked up 85,469 labels for these records
-        class Counting(list):
-            lookups = 0
-
-            def __getitem__(self, i):
-                Counting.lookups += 1
-                return list.__getitem__(self, i)
-
-        pieces = Counting((v,) for v in range(2 * 22 + 2))
+        # one table lookup per yielded leaf and per visited node with
+        # children: the walk without the sumset reach test looked up 85,469
+        # labels for these records
+        pieces = CountingPieces((v,) for v in range(2 * 22 + 2))
         records = list(_iter_records(22, pieces=pieces, kappa=11))
         assert len(records) == COUNTS_BY_KAPPA[22][11] == 2745
-        assert Counting.lookups <= 20_000
+        assert pieces.lookups <= 20_000
+
+
+class CountingPieces(list):
+    """A label table for `_iter_records` that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        return list.__getitem__(self, i)
 
 
 def region_shape(max_genus):
@@ -394,6 +407,25 @@ class TestRecordWalk:
     def test_small_genus_conventions(self):
         assert list(_iter_records(0)) == [((), 0, 1, 0, None)]
         assert list(_iter_records(1)) == [((1,), 1, 2, 1, None)]
+
+    def test_records_are_frozen(self):
+        # every record, in order, of every walk to genus 16 with either kind
+        # of label
+        digest = sha256()
+        for g in range(17):
+            text = ["," + str(v) for v in range(2 * g + 2)]
+            for pieces in (None, text):
+                for k in (None, *range(g + 2)):
+                    for rec in _iter_records(g, pieces, k):
+                        digest.update(repr(rec).encode())
+        assert digest.hexdigest() == RECORDS_TO_GENUS_16_SHA256
+
+    def test_pushes_no_leaf_parent_and_no_childless_node(self):
+        # one table lookup per leaf and per node with children; the walk
+        # that pushed every node made one per node, 33,282 at genus 18
+        pieces = CountingPieces((v,) for v in range(2 * 18 + 2))
+        assert sum(1 for _ in _iter_records(18, pieces=pieces)) == GAPSET_COUNTS[18]
+        assert pieces.lookups == 26_203
 
     @pytest.mark.parametrize("sep", [",", ", ", " "])
     def test_text_labels_match_the_tuple_walk(self, sep):

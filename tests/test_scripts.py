@@ -1,6 +1,8 @@
-"""scripts/reproduce_tables.py checks its bounds before any walk."""
+"""scripts/reproduce_tables.py checks its bounds before any walk, and its
+stdout holds no wall time."""
 
 import importlib.util
+from itertools import count
 from pathlib import Path
 
 import pytest
@@ -55,3 +57,16 @@ def test_small_run(capsys):
     out = capsys.readouterr().out
     assert "stabilization below the diagonal" in out
     assert out.endswith("w,g_w,ratio,cumulative\n0,1,-,1\n1,2,2.000,1.5\n2,5,2.500,1.6\n")
+
+
+def test_stdout_is_byte_stable(monkeypatch, capsys):
+    # a clock whose steps grow, so each build reads a new wall time
+    ticks = (t * t for t in count())
+    monkeypatch.setattr(reproduce_tables, "perf_counter", lambda: next(ticks))
+    runs = []
+    for _ in range(2):
+        assert reproduce_tables.main(["--max-genus", "6", "--max-w", "2"]) == 0
+        runs.append(capsys.readouterr())
+    assert runs[0].out == runs[1].out
+    assert runs[0].err != runs[1].err
+    assert runs[0].err == "# count grid to genus 6: 1.00s\n# diagonal sequence to w = 2: 5.00s\n"

@@ -4,7 +4,7 @@
 Defaults reproduce the full (genus x maximum-gap) grid up to genus 19 and
 the diagonal sequence through w = 7.  Each diagonal term has its own walk
 that visits only the gapsets that can end on the diagonal, so --max-w 10
-(the genus-30 ceiling, t = 5248) takes about a second.
+(the genus-30 ceiling, t = 5248) takes about 0.2 s.
 
 Both bounds are checked before any walk starts: a negative one exits 2,
 and a genus past the ceiling (--max-genus, or 3 * --max-w for the

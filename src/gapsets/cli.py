@@ -41,42 +41,22 @@ CSV_HEADER = "gaps,genus,multiplicity,conductor,frobenius,depth,kappa,alpha"
 BLOCK_LINES = 256
 
 
-def _text_mid(genus, c, m) -> str:
-    return ""
-
-
-def _text_end(k, a) -> str:
-    return "\n"
-
-
-def _json_mid(genus, c, m) -> str:
-    """With the head and `_json_end`, the bytes `json.dumps` gives for the
-    record's dict (keys in this order)."""
-    return (
-        f'], "genus": {genus}, "multiplicity": {m}, "conductor": {c}, '
-        f'"frobenius": {c - 1}, "depth": {-(-c // m)}, '
-    )
-
-
-def _json_end(k, a) -> str:
-    return f'"kappa": {k}, "alpha": {"null" if a is None else a}}}\n'
-
-
-def _csv_mid(genus, c, m) -> str:
-    return f",{genus},{m},{c},{c - 1},{-(-c // m)},"
-
-
-def _csv_end(k, a) -> str:
-    return f'{k},{"" if a is None else a}\n'
-
-
-# format -> (element separator, text before the elements, text of the fields
-# that depend on (genus, conductor, multiplicity), text of the rest, which
-# depend on (kappa, alpha))
+# format -> (element separator, text before the elements, template of the
+# fields that depend on (genus, conductor, multiplicity), template of the
+# rest, which depend on (kappa, alpha), text of an absent alpha).  With the
+# head, the JSON templates give the bytes `json.dumps` gives for the
+# record's dict (keys in this order).
 LINE_FORMATS = {
-    "text": (",", "", _text_mid, _text_end),
-    "json": (", ", '{"gaps": [', _json_mid, _json_end),
-    "csv": (" ", "", _csv_mid, _csv_end),
+    "text": (",", "", "", "\n", ""),
+    "json": (
+        ", ",
+        '{"gaps": [',
+        '], "genus": {g}, "multiplicity": {m}, "conductor": {c}, '
+        '"frobenius": {f}, "depth": {d}, ',
+        '"kappa": {k}, "alpha": {a}}}\n',
+        "null",
+    ),
+    "csv": (" ", "", ",{g},{m},{c},{f},{d},", "{k},{a}\n", ""),
 }
 
 
@@ -86,10 +66,10 @@ def cmd_enumerate(args, out) -> int:
 
     A line is head + label + mids[last][m] + ends[kappa][alpha or 0]: the
     text after the elements depends only on (last, m) and on (kappa, alpha).
-    Each table slot is formatted the first time a record needs it, so the
-    tables hold at most (2g + 2)(g + 2) + (g + 1)^2 short strings, however
-    many lines there are.  alpha is None or in [1, g - 1], so slot 0 of an
-    `ends` row stands for None.  The label needs no slicing: 1 is every
+    Both tables are filled before the walk, (2g + 2)(g + 2) + (g + 1)^2
+    short strings however many lines there are.  m >= 1, so slot 0 of a
+    `mids` row is never read; alpha is None or in [1, g - 1], so slot 0 of
+    an `ends` row stands for None.  The label needs no slicing: 1 is every
     non-empty gapset's first element, so its piece carries no separator.
 
     `--pure` passes kappa to the record walk, which then yields only the
@@ -97,12 +77,16 @@ def cmd_enumerate(args, out) -> int:
     end with it."""
     genus, kappa, pure, depth_q = args.genus, args.kappa, args.pure, args.depth
     _check_genus(genus)
-    sep, head, mid_text, end_text = LINE_FORMATS[args.format]
+    sep, head, mid, end, absent = LINE_FORMATS[args.format]
     pieces = [sep + str(v) for v in range(2 * genus + 2)]
     pieces[1] = "1"
-    bump = 1 if genus else 0  # c = last + 1, and 0 for the empty gapset
-    mids = [[None] * (genus + 2) for _ in range(2 * genus + 2)]
-    ends = [[None] * (genus + 1) for _ in range(genus + 1)]
+    # conductor by last element: last + 1, and 0 for the empty gapset
+    conductors = [0, *range(2, 2 * genus + 3)]
+    mids = [
+        [""] + [mid.format(g=genus, m=m, c=c, f=c - 1, d=-(-c // m)) for m in range(1, genus + 2)]
+        for c in conductors
+    ]
+    ends = [[end.format(k=k, a=a or absent) for a in range(genus + 1)] for k in range(genus + 1)]
     write = out.write
     if args.format == "csv":
         write(CSV_HEADER + "\n")
@@ -114,17 +98,9 @@ def cmd_enumerate(args, out) -> int:
     for label, last, m, k, a in records:
         if limit is not None and k > limit:
             continue
-        if depth_q is not None and -(-(last + bump) // m) != depth_q:
+        if depth_q is not None and -(-conductors[last] // m) != depth_q:
             continue
-        row = mids[last]
-        mid = row[m]
-        if mid is None:
-            mid = row[m] = mid_text(genus, last + bump, m)
-        row = ends[k]
-        end = row[a or 0]
-        if end is None:
-            end = row[a or 0] = end_text(k, a)
-        block.append(head + label + mid + end)
+        block.append(head + label + mids[last][m] + ends[k][a or 0])
         if len(block) >= flush_at:
             write("".join(block))
             block.clear()

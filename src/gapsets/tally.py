@@ -71,8 +71,10 @@ def diagonal_sequence(max_w: int) -> DiagonalSequence:
     from fractions import Fraction
 
     _check_genus(3 * max_w)
+    # empty label pieces: the walk's labels are never read, only counted
     terms = [
-        sum(1 for _ in _iter_records(3 * w, kappa=2 * w)) for w in range(max_w + 1)
+        sum(1 for _ in _iter_records(3 * w, pieces=[""] * (6 * w + 2), kappa=2 * w))
+        for w in range(max_w + 1)
     ]
     ratios: list[Optional[Fraction]] = [None]
     ratios += [Fraction(terms[w], terms[w - 1]) for w in range(1, len(terms))]

@@ -267,9 +267,9 @@ class Discard:
 
 def test_enumerate_memory_does_not_grow_with_the_listing(monkeypatch):
     # on CPython 3.11 the genus-14 and genus-18 JSON listings (1,693 and
-    # 13,467 lines) peak near 148 kB and 188 kB: a block of lines, the walk's
-    # stack and the O(g^2) text tables; keeping every genus-18 line would
-    # add megabytes
+    # 13,467 lines) peak near 256 kB and 334 kB: a block of lines, the walk's
+    # stack and the O(g^2) text tables, filled before the walk (about 85 kB
+    # and 136 kB); keeping every genus-18 line would add megabytes
     monkeypatch.setattr(sys, "stdout", Discard())
     peaks = {}
     for genus in (14, 18):
@@ -494,7 +494,7 @@ def test_sequence_gw_walks_to_genus_3w(monkeypatch, capsys):
     # largest to genus 30 for --max-w 10; --max-w 11 would need genus 33
     walked = []
 
-    def diagonal(genus, *, kappa):
+    def diagonal(genus, *, pieces, kappa):
         walked.append((genus, kappa))
         return iter([None])
 

@@ -265,6 +265,27 @@ class TestPureWalk:
         assert len(records) == COUNTS_BY_KAPPA[22][11] == 2745
         assert pieces.lookups <= 20_000
 
+    def test_sumset_shortcut_cuts_the_last_inner_level(self):
+        # the shortcut drops leaves the split test would drop too, so only
+        # the work shows it: without the per-pop `sums` mask the walk makes
+        # 43,229 `int.bit_length` calls, without the per-child T + D test
+        # 36,763, and without both 43,665
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            if event == "c_call" and getattr(arg, "__name__", None) == "bit_length":
+                calls += 1
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            records = list(_iter_records(22, kappa=11))
+        finally:
+            sys.setprofile(previous)
+        assert len(records) == COUNTS_BY_KAPPA[22][11]
+        assert calls == 36_471
+
 
 class CountingPieces(list):
     """A label table for `_iter_records` that counts its lookups."""

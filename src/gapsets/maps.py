@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple, Optional
 from .core import (
     Elements,
     Gapset,
+    _invariants,
     _m_set,
     _validate,
     as_candidate,
@@ -27,8 +28,6 @@ from .core import (
     element_mask,
     invariants,
     is_m_set,
-    kappa_and_alpha,
-    multiplicity,
     validate_gapset,
 )
 from .enumeration import _check_genus, _iter_records
@@ -67,13 +66,13 @@ def widen_max_gap(g: Gapset) -> WidenImage:
     """Insert 1 and widen the last widest gap by one.
 
     Small cases: the empty gapset maps to {1} and {1} maps to {1,3} (no
-    element precedes the widest gap, so everything shifts by +2).  Scans
-    the gapset for alpha and its multiplicity, then widens with `_widen`
-    and classifies with `_classify` on the image's mask.
+    element precedes the widest gap, so everything shifts by +2).  Takes
+    alpha and the multiplicity from one `_invariants` scan, then widens
+    with `_widen` and classifies with `_classify` on the image's mask.
     """
-    _, alpha = kappa_and_alpha(g)
-    image, mask = _widen(g.elements, element_mask(g.elements), alpha)
-    claimed_m = multiplicity(g) + 1
+    rec = _invariants(g.elements)
+    image, mask = _widen(g.elements, element_mask(g.elements), rec.alpha)
+    claimed_m = rec.multiplicity + 1
     return WidenImage(image, claimed_m, _classify(image, mask, claimed_m))
 
 
@@ -130,14 +129,15 @@ def narrow_max_gap(h: Gapset, max_gap: int) -> Gapset:
     `max_gap` is the expected maximum gap of the input (taken explicitly so
     a mismatch is reported instead of silently reinterpreted).  Requires
     2g <= 3*kappa for the output's genus g and maximum gap kappa; narrowing
-    is only guaranteed to land on a gapset in that regime.
+    is only guaranteed to land on a gapset in that regime.  The shift is
+    `_narrow` on the input's mask, with alpha from one `_invariants` scan.
     """
     if h.genus == 0:
         raise PreconditionError("the empty gapset is not a widened image")
-    kappa_h, alpha = kappa_and_alpha(h)
-    if kappa_h != max_gap:
+    rec = _invariants(h.elements)
+    if rec.kappa != max_gap:
         raise PreconditionError(
-            f"input has maximum gap {kappa_h}, expected {max_gap}"
+            f"input has maximum gap {rec.kappa}, expected {max_gap}"
         )
     out_genus = h.genus - 1
     out_kappa = max_gap - 1
@@ -146,14 +146,8 @@ def narrow_max_gap(h: Gapset, max_gap: int) -> Gapset:
             f"narrowing to genus {out_genus} with maximum gap {out_kappa} "
             f"violates 2g <= 3k"
         )
-    elems = h.elements
-    if h.genus == 1:
-        narrowed: Elements = ()
-    else:
-        assert alpha is not None
-        narrowed = tuple(v - 1 for v in elems[1:alpha]) + tuple(
-            v - 2 for v in elems[alpha:]
-        )
+    back = _narrow(h.elements, element_mask(h.elements), rec.alpha)
+    narrowed = tuple(v for v in range(back.bit_length()) if back >> v & 1)
     result = validate_gapset(narrowed)
     if isinstance(result, Gapset):
         return result
@@ -221,8 +215,8 @@ class BijectionReport(NamedTuple):
     """Result of checking the widening bijection between one (genus, kappa)
     family and its (genus+1, kappa+1) counterpart.
 
-    Flag tuples are ordered like the enumerations: forward flags follow the
-    source family, backward and membership flags follow the target family.
+    Flag tuples are ordered like the enumerations: forward and membership
+    flags follow the source family, backward flags the target family.
     """
 
     genus: int
@@ -253,51 +247,51 @@ def verify_bijection(
     *,
     by_genus: object = None,
 ) -> BijectionReport:
-    """Materialize both families and check the bijection element by element.
+    """List both families and check the bijection gapset by gapset.
 
     Requires 2*genus <= 3*kappa; genus + 1 is checked against the ceiling
     before either family is listed.  Each family comes from the kappa-pruned
     walk, `_iter_records(genus, kappa=kappa)` and `_iter_records(genus + 1,
     kappa=kappa + 1)`, so no genus is walked in full.  `by_genus` is not
     read: it stays only because the benchmark's maps layer passes it, until
-    ROADMAP item 5a.  Both sides come from enumeration rather than from
-    counting, so duplicated or misordered emissions would surface here as
-    failed membership flags.
+    ROADMAP item 5a.
+
+    Each gapset's `element_mask` is built once, and its m and alpha come
+    from an `_invariants` scan, not from the walk.  A source's `_widen`
+    image is a member if its mask is a target's, and round-trips if
+    `_classify` finds it a gapset of maximum gap kappa + 1 that `_narrow`
+    takes back to the source.  A target round-trips if it has maximum gap
+    kappa + 1 and `_narrow` takes it to a source whose image it is.  A
+    broken map fails flags and raises nothing; no flag reads the order of
+    either family.
     """
     if 2 * genus > 3 * kappa:
         raise PreconditionError(f"need 2g <= 3k, got g={genus}, k={kappa}")
     _check_genus(genus)
     _check_genus(genus + 1)
-    source = [Gapset(e) for e, *_ in _iter_records(genus, kappa=kappa)]
-    target = [Gapset(e) for e, *_ in _iter_records(genus + 1, kappa=kappa + 1)]
-    target_set = {h.elements for h in target}
-    source_set = {g.elements for g in source}
-
+    sources = [(e, element_mask(e)) for e, *_ in _iter_records(genus, kappa=kappa)]
+    targets = [(h, element_mask(h)) for h, *_ in _iter_records(genus + 1, kappa=kappa + 1)]
+    target_masks = {mask for _, mask in targets}
     forward = []
     membership = []
-    for g in source:
-        image = widen_max_gap(g)
-        membership.append(image.elements in target_set)
-        ok = False
-        if image.classification == CLASS_GAPSET:
-            back = narrow_max_gap(Gapset(image.elements), kappa + 1)
-            ok = back.elements == g.elements
-        forward.append(ok)
-
-    backward = []
-    for h in target:
-        pre = narrow_max_gap(h, kappa + 1)
-        backward.append(
-            pre.elements in source_set
-            and widen_max_gap(pre).elements == h.elements
+    widened = {}  # a source's mask -> its image's mask
+    for e, mask in sources:
+        rec = _invariants(e)
+        image, imask = _widen(e, mask, rec.alpha)
+        widened[mask] = imask
+        membership.append(imask in target_masks)
+        irec = _invariants(image)
+        forward.append(
+            _classify(image, imask, rec.multiplicity + 1) == CLASS_GAPSET
+            and irec.kappa == kappa + 1
+            and _narrow(image, imask, irec.alpha) == mask
         )
-
+    backward = []
+    for h, mask in targets:
+        rec = _invariants(h)
+        backward.append(
+            rec.kappa == kappa + 1 and widened.get(_narrow(h, mask, rec.alpha)) == mask
+        )
     return BijectionReport(
-        genus=genus,
-        kappa=kappa,
-        source_size=len(source),
-        target_size=len(target),
-        forward_round_trip=tuple(forward),
-        backward_round_trip=tuple(backward),
-        image_membership=tuple(membership),
+        genus, kappa, len(sources), len(targets), tuple(forward), tuple(backward), tuple(membership)
     )

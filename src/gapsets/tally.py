@@ -122,18 +122,11 @@ def format_ratio(value: Optional[Fraction]) -> str:
 def format_cumulative(value: Fraction) -> str:
     """Shortest exact decimal up to three places, else three-decimal half-up.
 
-    Whole values render bare ('1'), exact tenths and hundredths keep their
-    width ('1.5', '1.6'); everything else rounds to three places ('1.667').
+    An exact value drops `format_ratio`'s trailing zeros ('1', '1.5',
+    '1.125'); everything else rounds to three places ('1.667').
     """
-    for digits in range(0, 3):
-        scaled = value * 10**digits
-        if scaled.denominator == 1:
-            if digits == 0:
-                return str(scaled.numerator)
-            return f"{value.numerator // value.denominator}." + str(
-                scaled.numerator % 10**digits
-            ).rjust(digits, "0")
-    return format_ratio(value)
+    text = format_ratio(value)
+    return text.rstrip("0").rstrip(".") if (value * 1000).denominator == 1 else text
 
 
 def sequence_lines(seq: DiagonalSequence) -> Iterator[str]:

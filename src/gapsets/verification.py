@@ -43,7 +43,9 @@ the witness's.  Only the candidates of phi's small-m-set sweep are
 normalized, through `validate_gapset`.  The bijection suite reads no
 rows: `maps.verify_bijection` lists each (g, k) family and the
 (g + 1, k + 1) family it should map onto with the kappa-pruned
-`_iter_records`, so `verify` never walks genus max_genus + 1 in full.
+`_iter_records`, so `verify` never walks genus max_genus + 1 in full, and
+round-trips every record's mask through `_widen` and `_narrow`, as phi
+does, with no `Gapset`.  A broken map fails checks in both suites.
 No check reads another check's result.
 """
 

@@ -174,6 +174,15 @@ class TestClassifyImage:
             classify_image((1, 4), 0)
 
 
+def reference_narrow(elements):
+    """Narrowing as a tuple shift: drop the 1, shift the elements before
+    the last widest gap down by one and the rest down by two."""
+    _, alpha = kappa_and_alpha(Gapset(elements))
+    if alpha is None:
+        return ()
+    return tuple(v - 1 for v in elements[1:alpha]) + tuple(v - 2 for v in elements[alpha:])
+
+
 class TestNarrow:
     def test_worked_preimages(self):
         assert narrow_max_gap(gapset([1, 2, 4, 7]), 3).elements == (1, 3, 5)
@@ -198,6 +207,13 @@ class TestNarrow:
         if 2 * rec.genus > 3 * rec.kappa:
             return  # narrowing is only defined inside the regime
         assert narrow_max_gap(gapset(image), rec.kappa + 1).elements == source
+
+    def test_matches_the_tuple_shift_on_every_region_target(self):
+        # every target of every (g, k) family with 2g <= 3k, to genus 16
+        for genus in range(16):
+            for kappa in range(-(-2 * genus // 3), genus + 1):
+                for h, *_ in enumeration._iter_records(genus + 1, kappa=kappa + 1):
+                    assert narrow_max_gap(Gapset(h), kappa + 1).elements == reference_narrow(h)
 
 
 class TestShiftBlocks:

@@ -7,7 +7,7 @@ from itertools import combinations
 
 import pytest
 
-from gapsets import Gapset, core, enumeration, maps, verification
+from gapsets import Gapset, cli, core, enumeration, maps, verification
 from gapsets.core import kappa_and_alpha, multiplicity
 from gapsets.verification import SuiteReport, core_suite, phi_suite, run_suites, sparse_suite
 
@@ -254,6 +254,29 @@ def test_sparse_builds_no_gapset(monkeypatch):
         Gapset((1,))
 
 
+def test_bijection_builds_no_gapset(monkeypatch):
+    def forbidden(self):
+        raise AssertionError(f"Gapset{self.elements} was built")
+
+    monkeypatch.setattr(Gapset, "__post_init__", forbidden)
+    assert run_suites(["bijection"], 12)[0].ok
+
+
+def test_a_broken_map_is_reported(monkeypatch, capsys):
+    # widening that shifts the tail by +1 instead of +2 fails phi's checks
+    # and the bijection's round trips, as violations: nothing raises, and
+    # verify prints its total line and exits 1
+    def shifted_by_one(elems, mask, alpha):
+        return (1, *[v + 1 for v in elems]), 2 | mask << 1
+
+    for module in (maps, verification):
+        monkeypatch.setattr(module, "_widen", shifted_by_one)
+    phi, bijection = run_suites(["phi", "bijection"], 6)
+    assert phi.violations and bijection.violations
+    assert cli.main(["verify", "--max-genus", "6"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1].startswith("total: suites=4 ")
+
+
 def test_core_and_phi_build_no_gapset_for_a_row_or_image(monkeypatch):
     # core scans each row, and phi each widened image, from the bare
     # elements; the only Gapset values built are the small-m-set sweep's
@@ -358,7 +381,7 @@ def test_sparse_and_phi_read_the_record_and_normalize_once(monkeypatch):
 
         return fail
 
-    for name in ("kappa_and_alpha", "multiplicity", "invariants"):
+    for name in ("_invariants", "invariants"):
         monkeypatch.setattr(maps, name, forbidden(name))
     normalized = Counter()
     as_candidate = core.as_candidate

@@ -80,12 +80,16 @@ Every walk checks its genus against one ceiling, `GENUS_CEILING`.  No
 command and no other module reaches the disk cache (`cache_path`,
 `cache_store`, `cache_load`, the `CacheError` classes) or the `Gapset`
 filters (`filter_gapsets`, `filter_pure_sparse`), and the package namespace
-does not export them: they stay as library code only until the benchmark
-stops timing them as layers, and then go.
+does not export them.  They are kept, cut to the calls the benchmark
+makes, only until the benchmark stops timing them as layers (ROADMAP
+item 5a), and then go (item 1): the cache is one checksummed file per
+genus, written whole and moved into place; the filters keep a stream of
+`Gapset` values by their maximum gap alone.
 """
 
 from __future__ import annotations
 
+import os
 import tempfile
 import zlib
 from itertools import combinations
@@ -475,15 +479,12 @@ def brute_force_gapsets(genus: int) -> Iterator[Gapset]:
 
 
 def filter_gapsets(
-    stream: Iterable[Gapset],
-    *,
-    kappa: Optional[int] = None,
-    pure: bool = True,
-    depth_q: Optional[int] = None,
+    stream: Iterable[Gapset], *, kappa: Optional[int] = None, pure: bool = True
 ) -> Iterator[Gapset]:
-    """Keep gapsets by maximum gap (exactly kappa when pure, <= kappa
-    otherwise) and optionally by depth."""
-    from .core import invariants, kappa_and_alpha
+    """Keep gapsets by maximum gap: exactly kappa when pure, <= kappa
+    otherwise.  One `kappa_and_alpha` scan per gapset; kept only for the
+    benchmark's filter layer (see the module docstring)."""
+    from .core import kappa_and_alpha
 
     for g in stream:
         if kappa is not None:
@@ -492,18 +493,14 @@ def filter_gapsets(
                 continue
             if not pure and k > kappa:
                 continue
-        if depth_q is not None and invariants(g).depth != depth_q:
-            continue
         yield g
 
 
-def filter_pure_sparse(
-    stream: Iterable[Gapset], kappa: int, depth_q: Optional[int] = None
-) -> Iterator[Gapset]:
+def filter_pure_sparse(stream: Iterable[Gapset], kappa: int) -> Iterator[Gapset]:
     """Keep exactly the gapsets whose maximum consecutive gap equals kappa."""
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    return filter_gapsets(stream, kappa=kappa, pure=True, depth_q=depth_q)
+    return filter_gapsets(stream, kappa=kappa, pure=True)
 
 
 def cache_path(cache_dir: str | Path, genus: int) -> Path:
@@ -513,34 +510,27 @@ def cache_path(cache_dir: str | Path, genus: int) -> Path:
 def cache_store(genus: int, gapsets: Iterable[Gapset], cache_dir: str | Path) -> Path:
     """Write a cache file: genus/count header, one gapset per line, crc32 trailer.
 
-    The body spools through a temporary file so arbitrarily large genera
-    stream without being held in memory; the checksum covers every byte
-    before the trailer line.
+    The whole file is built in memory (its one caller stores a list it
+    already holds, and `cache_load` reads the whole file back), written to
+    a temporary file in the cache directory and moved onto the target with
+    `os.replace`, so a reader sees the old file or the new one, never part
+    of one; a store that fails leaves the old file and no temporary file.
+    The checksum covers every byte before the trailer line.
     """
+    lines = [",".join(map(str, g.elements)) + "\n" for g in gapsets]
+    body = f"genus={genus}\ncount={len(lines)}\n{''.join(lines)}".encode("ascii")
+    data = body + f"crc32={zlib.crc32(body):08x}\n".encode("ascii")
     directory = Path(cache_dir)
     directory.mkdir(parents=True, exist_ok=True)
     target = cache_path(directory, genus)
-    count = 0
-    with tempfile.NamedTemporaryFile(
-        "wb", dir=directory, delete=False, suffix=".tmp"
-    ) as body:
-        for g in gapsets:
-            body.write(",".join(map(str, g.elements)).encode("ascii") + b"\n")
-            count += 1
-        body_path = Path(body.name)
+    out = tempfile.NamedTemporaryFile(dir=directory, suffix=".tmp", delete=False)
     try:
-        with open(target, "wb") as out:
-            crc = 0
-            header = f"genus={genus}\ncount={count}\n".encode("ascii")
-            out.write(header)
-            crc = zlib.crc32(header, crc)
-            with open(body_path, "rb") as src:
-                while chunk := src.read(1 << 20):
-                    out.write(chunk)
-                    crc = zlib.crc32(chunk, crc)
-            out.write(f"crc32={crc & 0xFFFFFFFF:08x}\n".encode("ascii"))
-    finally:
-        body_path.unlink(missing_ok=True)
+        with out:
+            out.write(data)
+        os.replace(out.name, target)
+    except BaseException:
+        os.unlink(out.name)
+        raise
     return target
 
 

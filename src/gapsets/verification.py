@@ -53,6 +53,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from operator import le
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
@@ -69,7 +70,7 @@ from .core import (
     invariants,
     validate_gapset,
 )
-from .enumeration import _check_genus, _iter_records
+from .enumeration import _check_genus, _iter_records, enumerate_gapsets
 from .maps import CLASS_GAPSET, _classify, _narrow, _widen, _widest_pair, verify_bijection
 from .tally import build_count_grid, stabilization_check
 
@@ -108,18 +109,10 @@ def _genus_records(g: int) -> list[KernelRecord]:
 
 
 def memoized_provider() -> Callable[[int], list[Gapset]]:
-    """A per-genus memo of the genus-g gapsets in enumeration order.  No
-    suite reads it; it is kept only for the benchmark's call shape, until
-    the benchmark times `run_suites` instead (ROADMAP item 5a)."""
-    memo: dict[int, list[Gapset]] = {}
-
-    def by_genus(g: int) -> list[Gapset]:
-        if g not in memo:
-            _check_genus(g)
-            memo[g] = [Gapset(e) for e, *_ in _iter_records(g)]
-        return memo[g]
-
-    return by_genus
+    """A memo of `list(enumerate_gapsets(g))` per genus g.  No suite reads
+    it; it is kept only for the benchmark's call shape, and goes once the
+    benchmark times `run_suites` instead (ROADMAP items 1 and 5a)."""
+    return cache(lambda g: list(enumerate_gapsets(g)))
 
 
 def _windows_empty(e: Elements, mask: int, m: int, c: int) -> bool:

@@ -578,6 +578,11 @@ class TestVerify:
         assert code == 0
         assert out.count("violations=0") >= 4
 
+    def test_all_runs_every_suite(self):
+        # `--suite all` runs SUITE_NAMES: a suite added only to the
+        # verification module would be skipped without a word
+        assert list(cli.SUITE_NAMES) == list(verification._BODY)
+
     @pytest.mark.parametrize(
         "max_genus, report",
         [

@@ -13,13 +13,13 @@ empty gapset.
 
 Values are a slotted `Gapset` and named-tuple records (`GapsetRejection`,
 `InvariantRecord`, `CanonicalPartition`); a record compares equal to the
-plain tuple of its fields.
+plain tuple of its fields.  The private kernels `_invariants` and
+`_partition` return those plain tuples, which the public functions wrap.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 Elements = tuple[int, ...]
@@ -41,21 +41,23 @@ def as_candidate(values: Iterable[int]) -> Elements:
     return elems
 
 
-@dataclass(frozen=True, order=True, slots=True)
 class Gapset:
     """A validated gapset.  Construct via :func:`validate_gapset` or :func:`gapset`.
 
     Instances are immutable, slotted values holding only their elements: they
-    hash, compare lexicographically on elements and pickle.  `in` tests
-    membership by iterating over the elements.  Nothing can change one:
-    assigning or deleting `elements` raises
-    `dataclasses.FrozenInstanceError`.  Assigning any other name
-    raises `TypeError` ("super(type, obj): obj must be an instance or
-    subtype of type") on Python 3.11, not `FrozenInstanceError`, because
-    its frozen `__setattr__` names the class that `slots=True` replaces.
+    hash, compare lexicographically on elements (only with other gapsets)
+    and pickle.  `in` tests membership by iterating over the elements.
+    Nothing can change one: assigning or deleting any attribute raises
+    `AttributeError`.
     """
 
+    __slots__ = ("elements",)
+
     elements: Elements
+
+    def __init__(self, elements: Elements) -> None:
+        object.__setattr__(self, "elements", elements)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         prev = 0
@@ -63,6 +65,46 @@ class Gapset:
             if v <= prev:
                 raise ValueError("elements must be strictly increasing and >= 1")
             prev = v
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a Gapset is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a Gapset is immutable")
+
+    def __reduce__(self) -> tuple[type[Gapset], tuple[Elements]]:
+        return Gapset, (self.elements,)
+
+    def __repr__(self) -> str:
+        return f"Gapset(elements={self.elements!r})"
+
+    def __hash__(self) -> int:
+        return hash((self.elements,))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.elements == other.elements
+        return NotImplemented
+
+    def __lt__(self, other: Gapset) -> bool:
+        if other.__class__ is self.__class__:
+            return self.elements < other.elements
+        return NotImplemented
+
+    def __le__(self, other: Gapset) -> bool:
+        if other.__class__ is self.__class__:
+            return self.elements <= other.elements
+        return NotImplemented
+
+    def __gt__(self, other: Gapset) -> bool:
+        if other.__class__ is self.__class__:
+            return self.elements > other.elements
+        return NotImplemented
+
+    def __ge__(self, other: Gapset) -> bool:
+        if other.__class__ is self.__class__:
+            return self.elements >= other.elements
+        return NotImplemented
 
     @property
     def genus(self) -> int:
@@ -221,11 +263,14 @@ def kappa_and_alpha(g: Gapset) -> tuple[int, Optional[int]]:
 
 def invariants(g: Gapset) -> InvariantRecord:
     """Compute every invariant in one scan of the elements (`_invariants`)."""
-    return _invariants(g.elements)
+    return InvariantRecord(*_invariants(g.elements))
 
 
-def _invariants(elems: Elements) -> InvariantRecord:
-    """`invariants` of strictly increasing positive elements, in one loop.
+def _invariants(
+    elems: Elements,
+) -> tuple[int, int, int, int, int, int, Optional[int]]:
+    """`invariants` of strictly increasing positive elements, in one loop,
+    as a plain tuple in `InvariantRecord` field order.
 
     The loop takes kappa and alpha as `kappa_and_alpha` does, and the
     multiplicity m from the first step above 1, the step from 0 to the
@@ -240,7 +285,7 @@ def _invariants(elems: Elements) -> InvariantRecord:
         # no consecutive pair: kappa is g by convention and alpha is absent
         c = elems[0] + 1 if g else 0
         m = 2 if c == 2 else 1
-        return InvariantRecord(g, m, c, c - 1, -(-c // m), g, None)
+        return g, m, c, c - 1, -(-c // m), g, None
     prev = elems[0]
     m = 0 if prev == 1 else 1  # 0: no step above 1 yet
     kappa = alpha = i = 0
@@ -255,7 +300,7 @@ def _invariants(elems: Elements) -> InvariantRecord:
         prev = v
     m = m or prev + 1
     c = prev + 1
-    return InvariantRecord(g, m, c, prev, -(-c // m), kappa, alpha)
+    return g, m, c, prev, -(-c // m), kappa, alpha
 
 
 class CanonicalPartition(NamedTuple):
@@ -271,21 +316,22 @@ def canonical_partition(g: Gapset) -> CanonicalPartition:
     """Split a non-empty gapset into its multiplicity-sized range blocks."""
     if g.genus == 0:
         raise EmptyPartitionError("the empty gapset has no canonical partition")
-    return _partition(g.elements, multiplicity(g))
+    m = multiplicity(g)
+    return CanonicalPartition(m, _partition(g.elements, m))
 
 
-def _partition(elems: Elements, m: int) -> CanonicalPartition:
-    """`canonical_partition` of non-empty elements whose multiplicity m the
-    caller already has: block i is the slice of the sorted elements v with
-    i*m <= v < (i+1)*m (so a multiple of m, which no gapset holds, lands in
-    the block it starts)."""
+def _partition(elems: Elements, m: int) -> tuple[Elements, ...]:
+    """The blocks of `canonical_partition` of non-empty elements whose
+    multiplicity m the caller already has: block i is the slice of the
+    sorted elements v with i*m <= v < (i+1)*m (so a multiple of m, which no
+    gapset holds, lands in the block it starts)."""
     blocks = []
     start = 0
     for i in range(1, -(-(elems[-1] + 1) // m) + 1):
         end = bisect_left(elems, i * m, start)
         blocks.append(elems[start:end])
         start = end
-    return CanonicalPartition(m, tuple(blocks))
+    return tuple(blocks)
 
 
 def is_m_set(candidate: Iterable[int], m: int) -> bool:

@@ -70,9 +70,9 @@ def widen_max_gap(g: Gapset) -> WidenImage:
     alpha and the multiplicity from one `_invariants` scan, then widens
     with `_widen` and classifies with `_classify` on the image's mask.
     """
-    rec = _invariants(g.elements)
-    image, mask = _widen(g.elements, element_mask(g.elements), rec.alpha)
-    claimed_m = rec.multiplicity + 1
+    _, m, _, _, _, _, alpha = _invariants(g.elements)
+    image, mask = _widen(g.elements, element_mask(g.elements), alpha)
+    claimed_m = m + 1
     return WidenImage(image, claimed_m, _classify(image, mask, claimed_m))
 
 
@@ -134,10 +134,10 @@ def narrow_max_gap(h: Gapset, max_gap: int) -> Gapset:
     """
     if h.genus == 0:
         raise PreconditionError("the empty gapset is not a widened image")
-    rec = _invariants(h.elements)
-    if rec.kappa != max_gap:
+    _, _, _, _, _, kappa, alpha = _invariants(h.elements)
+    if kappa != max_gap:
         raise PreconditionError(
-            f"input has maximum gap {rec.kappa}, expected {max_gap}"
+            f"input has maximum gap {kappa}, expected {max_gap}"
         )
     out_genus = h.genus - 1
     out_kappa = max_gap - 1
@@ -146,7 +146,7 @@ def narrow_max_gap(h: Gapset, max_gap: int) -> Gapset:
             f"narrowing to genus {out_genus} with maximum gap {out_kappa} "
             f"violates 2g <= 3k"
         )
-    back = _narrow(h.elements, element_mask(h.elements), rec.alpha)
+    back = _narrow(h.elements, element_mask(h.elements), alpha)
     narrowed = tuple(v for v in range(back.bit_length()) if back >> v & 1)
     result = validate_gapset(narrowed)
     if isinstance(result, Gapset):
@@ -269,28 +269,30 @@ def verify_bijection(
         raise PreconditionError(f"need 2g <= 3k, got g={genus}, k={kappa}")
     _check_genus(genus)
     _check_genus(genus + 1)
-    sources = [(e, element_mask(e)) for e, *_ in _iter_records(genus, kappa=kappa)]
-    targets = [(h, element_mask(h)) for h, *_ in _iter_records(genus + 1, kappa=kappa + 1)]
+    sources = [(e, element_mask(e)) for e, _, _, _, _ in _iter_records(genus, kappa=kappa)]
+    targets = [
+        (h, element_mask(h)) for h, _, _, _, _ in _iter_records(genus + 1, kappa=kappa + 1)
+    ]
     target_masks = {mask for _, mask in targets}
     forward = []
     membership = []
     widened = {}  # a source's mask -> its image's mask
     for e, mask in sources:
-        rec = _invariants(e)
-        image, imask = _widen(e, mask, rec.alpha)
+        _, m, _, _, _, _, alpha = _invariants(e)
+        image, imask = _widen(e, mask, alpha)
         widened[mask] = imask
         membership.append(imask in target_masks)
-        irec = _invariants(image)
+        _, _, _, _, _, ikappa, ialpha = _invariants(image)
         forward.append(
-            _classify(image, imask, rec.multiplicity + 1) == CLASS_GAPSET
-            and irec.kappa == kappa + 1
-            and _narrow(image, imask, irec.alpha) == mask
+            _classify(image, imask, m + 1) == CLASS_GAPSET
+            and ikappa == kappa + 1
+            and _narrow(image, imask, ialpha) == mask
         )
     backward = []
     for h, mask in targets:
-        rec = _invariants(h)
+        _, _, _, _, _, hkappa, halpha = _invariants(h)
         backward.append(
-            rec.kappa == kappa + 1 and widened.get(_narrow(h, mask, rec.alpha)) == mask
+            hkappa == kappa + 1 and widened.get(_narrow(h, mask, halpha)) == mask
         )
     return BijectionReport(
         genus, kappa, len(sources), len(targets), tuple(forward), tuple(backward), tuple(membership)

@@ -26,8 +26,11 @@ compares the record's last, m, kappa or alpha with that scan), splits
 the blocks with `core._partition` on that scan's m, and re-validates
 with `core._validate`, the check behind `validate_gapset`; phi scans
 each widened image once with `core._invariants`, whose kappa, depth and
-alpha every image check reads.  Both scan the bare elements: no row or
-image is wrapped in a `Gapset`.
+alpha every image check reads.  Both scan the bare elements, and no
+record object is built per row or image: `_invariants` returns a plain
+tuple and `_partition` the tuple of blocks, which the bodies unpack into
+locals, so no `Gapset`, `InvariantRecord` or `CanonicalPartition` is
+built.
 
 Set tests run on bit masks of the elements (bit v set for member v),
 each built once per row: core's feeds the shifted-gap windows (one mask
@@ -39,8 +42,9 @@ by a left inverse: `maps._narrow` shifts the image's mask back by the
 image's own alpha, and the check passes when that gives the row's mask
 (its failure detail names the gapset the image narrows back to).  The
 depth-2 witness check sets a flag when a depth-2 row's image mask equals
-the witness's.  Only the candidates of phi's small-m-set sweep are
-normalized, through `validate_gapset`.  The bijection suite reads no
+the witness's.  Phi's small-m-set sweep builds its candidates sorted, so
+it checks each with `_validate` and `_invariants` too, and no suite
+normalizes or builds a `Gapset`.  The bijection suite reads no
 rows: `maps.verify_bijection` lists each (g, k) family and the
 (g + 1, k + 1) family it should map onto with the kappa-pruned
 `_iter_records`, so `verify` never walks genus max_genus + 1 in full, and
@@ -52,7 +56,6 @@ No check reads another check's result.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 from operator import le
@@ -60,21 +63,19 @@ from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple
 
 from .core import (
     Elements,
-    Gapset,
     _invariants,
     _m_extension,
     _m_set,
     _partition,
     _validate,
     element_mask,
-    invariants,
-    validate_gapset,
 )
 from .enumeration import _check_genus, _iter_records, enumerate_gapsets
 from .maps import CLASS_GAPSET, _classify, _narrow, _widen, _widest_pair, verify_bijection
 from .tally import build_count_grid, stabilization_check
 
 if TYPE_CHECKING:
+    from .core import Gapset
     from .enumeration import KernelRecord
 
 
@@ -85,13 +86,35 @@ class Violation(NamedTuple):
     detail: str
 
 
-@dataclass(slots=True)
 class SuiteReport:
-    suite: str
-    max_genus: int
-    gapsets_covered: int = 0
-    checks_run: int = 0
-    violations: list[Violation] = field(default_factory=list)
+    """One suite's tally: the gapsets it covered, the checks it ran and the
+    violations it found.  Reports compare equal when every field does, and
+    print as their constructor call."""
+
+    __slots__ = ("suite", "max_genus", "gapsets_covered", "checks_run", "violations")
+
+    def __init__(
+        self,
+        suite: str,
+        max_genus: int,
+        gapsets_covered: int = 0,
+        checks_run: int = 0,
+        violations: list[Violation] | None = None,
+    ) -> None:
+        self.suite = suite
+        self.max_genus = max_genus
+        self.gapsets_covered = gapsets_covered
+        self.checks_run = checks_run
+        self.violations = [] if violations is None else violations
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"SuiteReport({fields})"
 
     @property
     def ok(self) -> bool:
@@ -136,35 +159,28 @@ def _windows_empty(e: Elements, mask: int, m: int, c: int) -> bool:
 def _core(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
     """Invariant bounds, element bounds, partition consistency, shifted-gap
     windows, and re-validation, for every gapset of the genus."""
-    for e, *_ in rows:
+    for e, _, _, _, _ in rows:
         report.gapsets_covered += 1
-        rec = _invariants(e)
+        _, m, c, frobenius, q, kappa, alpha = _invariants(e)
         mask = element_mask(e)
-        report.check(
-            "frobenius-is-conductor-minus-1", rec.frobenius == rec.conductor - 1, e
-        )
-        report.check(
-            "depth-is-ceil-conductor-over-multiplicity",
-            rec.depth == -(-rec.conductor // rec.multiplicity),
-            e,
-        )
+        report.check("frobenius-is-conductor-minus-1", frobenius == c - 1, e)
+        report.check("depth-is-ceil-conductor-over-multiplicity", q == -(-c // m), e)
         if genus >= 1:
             # a detail is formatted only for a failing check
-            ok = 2 <= rec.multiplicity <= genus + 1
-            report.check("multiplicity-range", ok, e, "" if ok else f"m={rec.multiplicity}")
-            ok = genus + 1 <= rec.conductor <= 2 * genus
-            report.check("conductor-range", ok, e, "" if ok else f"c={rec.conductor}")
-            ok = 1 <= rec.depth <= genus
-            report.check("depth-range", ok, e, "" if ok else f"q={rec.depth}")
+            ok = 2 <= m <= genus + 1
+            report.check("multiplicity-range", ok, e, "" if ok else f"m={m}")
+            ok = genus + 1 <= c <= 2 * genus
+            report.check("conductor-range", ok, e, "" if ok else f"c={c}")
+            ok = 1 <= q <= genus
+            report.check("depth-range", ok, e, "" if ok else f"q={q}")
             report.check(
                 "element-bounds",
                 all(map(le, range(1, genus + 1), e))
                 and all(map(le, e, range(1, 2 * genus, 2))),
                 e,
             )
-            m = rec.multiplicity
-            blocks = _partition(e, m).blocks
-            report.check("partition-block-count", len(blocks) == rec.depth, e)
+            blocks = _partition(e, m)
+            report.check("partition-block-count", len(blocks) == q, e)
             report.check(
                 "partition-first-block", blocks[0] == tuple(range(1, m)), e
             )
@@ -181,17 +197,14 @@ def _core(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
             )
             report.check(
                 "shifted-gap-windows-empty",
-                genus < 2 or _windows_empty(e, mask, m, rec.conductor),
+                genus < 2 or _windows_empty(e, mask, m, c),
                 e,
             )
-        if rec.alpha is not None:
+        if alpha is not None:
             report.check(
                 "alpha-is-last-widest",
-                e[rec.alpha] - e[rec.alpha - 1] == rec.kappa
-                and all(
-                    e[i + 1] - e[i] < rec.kappa
-                    for i in range(rec.alpha, genus - 1)
-                ),
+                e[alpha] - e[alpha - 1] == kappa
+                and all(e[i + 1] - e[i] < kappa for i in range(alpha, genus - 1)),
                 e,
             )
         report.check("revalidation-idempotent", _validate(e, mask) is None, e)
@@ -252,28 +265,28 @@ def _phi(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
         q = -(-c // m)
         mask = element_mask(e)
         ie, imask = _widen(e, mask, alpha)
-        irec = _invariants(ie)
+        _, _, _, _, iq, ikappa, ialpha = _invariants(ie)
         report.check("image-size", len(ie) == genus + 1, e)
         report.check("image-range", min(ie) >= 1 and max(ie) <= 2 * (genus + 1) - 1, e)
-        report.check("image-kappa-raised", irec.kappa == kappa + 1, e)
+        report.check("image-kappa-raised", ikappa == kappa + 1, e)
         report.check("gapset-is-m-extension", _m_extension(e, mask, m), e)
         if q == 1:
             report.check(
                 "depth1-image-gapset-of-depth-2",
-                _classify(ie, imask, m + 1) == CLASS_GAPSET and irec.depth == 2,
+                _classify(ie, imask, m + 1) == CLASS_GAPSET and iq == 2,
                 e,
             )
         elif q == 2:
             report.check(
                 "depth2-image-is-next-m-set",
-                _m_set(ie, imask, m + 1) and irec.depth == 2,
+                _m_set(ie, imask, m + 1) and iq == 2,
                 e,
             )
             report.check(
                 "depth2-image-in-next-family",
                 _classify(ie, imask, m + 1) == CLASS_GAPSET
-                and irec.depth == 2
-                and irec.kappa == kappa + 1,
+                and iq == 2
+                and ikappa == kappa + 1,
                 e,
             )
             if imask == wmask:
@@ -283,18 +296,18 @@ def _phi(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
             if not exceptional:
                 report.check(
                     "depth3-image-is-next-m-set",
-                    _m_set(ie, imask, m + 1) and irec.depth == 3,
+                    _m_set(ie, imask, m + 1) and iq == 3,
                     e,
                 )
             if 2 * genus <= 3 * kappa:
                 report.check(
                     "depth3-image-in-next-family",
                     _classify(ie, imask, m + 1) == CLASS_GAPSET
-                    and irec.depth == 3
-                    and irec.kappa == kappa + 1,
+                    and iq == 3
+                    and ikappa == kappa + 1,
                     e,
                 )
-        back = _narrow(ie, imask, irec.alpha)
+        back = _narrow(ie, imask, ialpha)
         ok = back == mask
         if not ok:  # name the gapset the image narrows back to
             back = tuple(v for v in range(back.bit_length()) if back >> v & 1)
@@ -314,11 +327,11 @@ def _small_m_sets(report: SuiteReport) -> None:
         for size in range(len(pool) + 1):
             for extra in combinations(pool, size):
                 cand = base + extra
-                checked = validate_gapset(cand)
-                ok = isinstance(checked, Gapset)
+                # sorted and below twice its length, so `_validate` reads the mask
+                ok = _validate(cand, element_mask(cand)) is None
                 if ok:
-                    rec = invariants(checked)
-                    ok = (not cand or rec.multiplicity == m) and rec.depth <= 2
+                    _, cm, _, _, q, _, _ = _invariants(cand)
+                    ok = (not cand or cm == m) and q <= 2
                 report.check("small-m-set-is-gapset", ok, cand, "" if ok else f"m={m}")
 
 

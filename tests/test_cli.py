@@ -708,6 +708,22 @@ class TestImports:
         assert "gapsets.tally" in loaded
         assert not loaded & {"dataclasses", "gapsets.core"}
 
+    def test_verify_and_map_load_no_dataclasses(self):
+        for argv in (
+            ["verify", "--max-genus", "4"],
+            ["map", "--gapset", "1,3,5", "--op", "phi"],
+            ["map", "--gapset", "1,2,4", "--op", "sigma"],
+            ["map", "--gapset", "1,2,4,7", "--op", "phi-inverse", "--kappa", "3"],
+        ):
+            code = (
+                "from gapsets.cli import main\n"
+                "sys.stdout = io.StringIO()\n"
+                f"assert main({argv!r}) == 0"
+            )
+            loaded = loaded_after(code)
+            assert "gapsets.maps" in loaded, argv
+            assert "dataclasses" not in loaded, argv
+
 
 class TestLazyExports:
     def test_every_public_name_is_its_submodules_object(self):

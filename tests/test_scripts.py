@@ -1,7 +1,11 @@
 """scripts/reproduce_tables.py checks its bounds before any walk, and its
-stdout holds no wall time."""
+stdout holds no wall time; scripts/time_cli.py reports one JSON line of
+timings, or fails with the CLI."""
 
 import importlib.util
+import json
+import subprocess
+import sys
 from itertools import count
 from pathlib import Path
 
@@ -10,6 +14,7 @@ import pytest
 from gapsets import tally
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
+TIME_CLI = SCRIPT.with_name("time_cli.py")
 spec = importlib.util.spec_from_file_location("reproduce_tables", SCRIPT)
 reproduce_tables = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(reproduce_tables)
@@ -70,3 +75,34 @@ def test_stdout_is_byte_stable(monkeypatch, capsys):
     assert runs[0].out == runs[1].out
     assert runs[0].err != runs[1].err
     assert runs[0].err == "# count grid to genus 6: 1.00s\n# diagonal sequence to w = 2: 5.00s\n"
+
+
+def time_cli(*argv):
+    return subprocess.run(
+        [sys.executable, str(TIME_CLI), *argv], capture_output=True, text=True, timeout=120
+    )
+
+
+def test_time_cli_prints_one_json_line():
+    proc = time_cli("--runs", "2", "--", "enumerate", "--genus", "3")
+    assert proc.returncode == 0, proc.stderr
+    [line] = proc.stdout.splitlines()
+    result = json.loads(line)
+    assert set(result) == {
+        "argv", "runs",
+        "wall_s_median", "wall_s_q1", "wall_s_q3",
+        "cpu_s_median", "cpu_s_q1", "cpu_s_q3",
+        "maxrss_mb_median",
+    }
+    assert result["argv"] == ["enumerate", "--genus", "3"] and result["runs"] == 2
+    for name in ("wall_s", "cpu_s"):
+        q1, median, q3 = (result[f"{name}_{q}"] for q in ("q1", "median", "q3"))
+        assert 0 < q1 <= median <= q3
+    assert result["maxrss_mb_median"] > 1
+
+
+def test_time_cli_fails_with_the_cli():
+    proc = time_cli("--runs", "2", "--", "enumerate", "--genus", "-1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert "exit status 2" in proc.stderr

@@ -278,9 +278,8 @@ def test_a_broken_map_is_reported(monkeypatch, capsys):
 
 
 def test_core_and_phi_build_no_gapset_for_a_row_or_image(monkeypatch):
-    # core scans each row, and phi each widened image, from the bare
-    # elements; the only Gapset values built are the small-m-set sweep's
-    # candidates that validate_gapset accepts, which is every one of them
+    # core scans each row, and phi each widened image and each small-m-set
+    # candidate, from the bare elements: no Gapset is built at all
     built = []
     post_init = Gapset.__post_init__
 
@@ -291,14 +290,31 @@ def test_core_and_phi_build_no_gapset_for_a_row_or_image(monkeypatch):
     monkeypatch.setattr(Gapset, "__post_init__", recording)
     reports = run_suites(["core", "phi"], 12)
     assert all(r.ok for r in reports)
-    candidates = [
-        tuple(range(1, m)) + extra
-        for m in range(1, 11)
-        for size in range(m)
-        for extra in combinations(range(m + 1, 2 * m), size)
-    ]
-    assert len(candidates) == 1023
-    assert built == candidates
+    assert built == []
+
+
+def test_suite_report_keywords_defaults_equality_and_repr():
+    violation = verification.Violation("core", "planted", (1, 4), "detail")
+    full = SuiteReport(
+        suite="core", max_genus=3, gapsets_covered=5, checks_run=7, violations=[violation]
+    )
+    assert (full.suite, full.max_genus, full.gapsets_covered, full.checks_run) == ("core", 3, 5, 7)
+    assert full.violations == [violation] and not full.ok
+    a, b = SuiteReport("phi", 2), SuiteReport(suite="phi", max_genus=2)
+    assert (a.gapsets_covered, a.checks_run, a.violations) == (0, 0, [])
+    assert a.ok and a.violations is not b.violations  # a fresh list each
+    assert a == b and not a != b
+    a.check("planted", True, ())
+    assert a != b and a.checks_run == 1
+    b.checks_run = 1
+    assert a == b
+    b.check("planted", False, (1, 4), "detail")
+    assert a != b
+    assert SuiteReport("phi", 2) != SuiteReport("core", 2) != SuiteReport("core", 3)
+    assert SuiteReport("core", 3) != ("core", 3, 0, 0, [])
+    assert repr(SuiteReport("core", 3)) == (
+        "SuiteReport(suite='core', max_genus=3, gapsets_covered=0, checks_run=0, violations=[])"
+    )
 
 
 def test_passing_checks_format_no_detail(monkeypatch):
@@ -337,12 +353,12 @@ def test_bijection_details_name_the_failing_family(monkeypatch):
 
 def test_small_m_set_detail_names_m(monkeypatch):
     # a rejected small-m-set candidate is reported with its m
-    validate_gapset = verification.validate_gapset
+    validate = verification._validate
 
-    def rejecting(cand):
-        return core.GapsetRejection(4, 2, 2) if cand == (1, 2, 4) else validate_gapset(cand)
+    def rejecting(cand, mask):
+        return core.GapsetRejection(4, 2, 2) if cand == (1, 2, 4) else validate(cand, mask)
 
-    monkeypatch.setattr(verification, "validate_gapset", rejecting)
+    monkeypatch.setattr(verification, "_validate", rejecting)
     [report] = run_suites(["phi"], 3)
     assert [(v.check, v.elements, v.detail) for v in report.violations] == [
         ("small-m-set-is-gapset", (1, 2, 4), "m=3")
@@ -372,9 +388,8 @@ def test_phi_holds_no_more_than_the_rows_of_a_genus():
 
 def test_sparse_and_phi_read_the_record_and_normalize_once(monkeypatch):
     # the two suites take m, kappa and alpha from the walk's records, so
-    # maps rescans nothing, and they hand the kernels sorted tuples, so the
-    # only normalization left is phi's small-m-set sweep through
-    # validate_gapset: 2**(m-1) candidates for each m = 1..10
+    # maps rescans nothing, and they hand the kernels sorted tuples, phi's
+    # small-m-set sweep included, so nothing is normalized
     def forbidden(name):
         def fail(*_args, **_kwargs):
             raise AssertionError(f"maps.{name} was called")
@@ -393,15 +408,15 @@ def test_sparse_and_phi_read_the_record_and_normalize_once(monkeypatch):
     monkeypatch.setattr(core, "as_candidate", counting)
     reports = run_suites(["sparse", "phi"], 12)
     assert all(r.ok for r in reports)
-    assert normalized["calls"] == sum(2 ** (m - 1) for m in range(1, 11)) == 1023
+    assert normalized["calls"] == 0
 
 
 def test_core_and_phi_build_each_mask_once(monkeypatch):
     # core builds one mask per row, which its shifted-gap windows and its
     # re-validation share; phi builds one per row, which `_widen` shifts
     # into the image's, and one per depth-2 witness (genus 1..12); the
-    # rest are the small-m-set sweep's 1023 candidates, the only ones
-    # normalized, through validate_gapset
+    # rest are the small-m-set sweep's 1023 candidates, which are built
+    # sorted, so nothing is normalized
     calls = Counter()
 
     def counting(name, fn):
@@ -419,7 +434,7 @@ def test_core_and_phi_build_each_mask_once(monkeypatch):
     assert all(r.ok for r in reports)
     rows = sum(GAPSET_COUNTS[:13])
     assert rows == 1413
-    assert calls == {"mask": 2 * rows + 12 + 1023, "normalize": 1023}
+    assert calls == Counter(mask=2 * rows + 12 + 1023, normalize=0)
 
 
 def test_injectivity_names_the_colliding_gapset():

@@ -25,7 +25,7 @@ _EXPORTS = {
         "ordinary_gapset",
         "validate_gapset",
     ),
-    "enumeration": ("brute_force_gapsets", "enumerate_gapsets"),
+    "enumeration": ("enumerate_gapsets",),
     "maps": (
         "BijectionReport",
         "WidenImage",

@@ -92,7 +92,6 @@ from __future__ import annotations
 import os
 import tempfile
 import zlib
-from itertools import combinations
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
@@ -105,7 +104,6 @@ if TYPE_CHECKING:
     KernelRecord = tuple[Label, int, int, int, Optional[int]]
 
 GENUS_CEILING = 30
-BRUTE_FORCE_MAX_GENUS = 12
 
 CACHE_FILE_TEMPLATE = "gapsets-g{genus}.txt"
 
@@ -451,31 +449,6 @@ def enumerate_gapsets(genus: int, *, workers: int = 1) -> Iterator[Gapset]:
     _check_genus(genus)
     for rec in _iter_records(genus):
         yield Gapset(rec[0])
-
-
-def brute_force_gapsets(genus: int) -> Iterator[Gapset]:
-    """Independent oracle: filter all genus-sized subsets of [1, 2g-1].
-
-    Every non-empty gapset contains 1, so 1 is fixed and the remaining
-    elements range over [2, 2g-1].  Emission order is lexicographic, the
-    same as the tree search.  Guarded: the subset count explodes past
-    genus 12, and a negative genus raises ValueError.
-    """
-    if genus < 0:
-        raise ValueError("genus must be >= 0")
-    from .core import Gapset, validate_gapset
-
-    if genus > BRUTE_FORCE_MAX_GENUS:
-        raise ResourceLimitError(
-            f"brute force is limited to genus <= {BRUTE_FORCE_MAX_GENUS}"
-        )
-    if genus == 0:
-        yield Gapset(())
-        return
-    for rest in combinations(range(2, 2 * genus), genus - 1):
-        result = validate_gapset((1,) + rest)
-        if isinstance(result, Gapset):
-            yield result
 
 
 def filter_gapsets(

@@ -7,6 +7,17 @@ structural facts the rest of the package relies on: invariant bounds and
 consistency, pure-sparse inequalities, behaviour of the gap-widening map,
 and the widening bijection with its count stabilization.
 
+Accounting: a passing check costs one inline comparison.  Each per-row
+body keeps one row tally per branch, a branch being the rows that run the
+same checks (every row, genus >= 1, alpha present, depth 2, ...), and once
+per genus hands each tally to `SuiteReport.tally` with the branch's
+module-level tuple of check names, which adds rows * len(names) to
+checks_run; gapsets_covered grows once per genus too.  A false condition
+calls `SuiteReport.fail`, the only place a violation is built, and its
+detail is formatted on that path alone.  The one-off checks (phi's depth-2
+witness and small-m-set sweep, and the bijection suite's) go through
+`SuiteReport.check`: one tally of one, and `fail` if the check failed.
+
 One walk per genus feeds every suite, and it is the only way rows reach
 a suite: `_run(names, max_genus, records)` reads genus 0..G in turn with
 `records` (for `run_suites`, one `_iter_records` walk), passes that
@@ -120,10 +131,19 @@ class SuiteReport:
     def ok(self) -> bool:
         return not self.violations
 
+    def tally(self, names: tuple[str, ...], n: int) -> None:
+        """Count n passes of every check in `names`, failed or not."""
+        self.checks_run += n * len(names)
+
+    def fail(self, name: str, elements: Elements, detail: str = "") -> None:
+        """Record one failure of the check `name`."""
+        self.violations.append(Violation(self.suite, name, elements, detail))
+
     def check(self, name: str, condition: bool, elements: Elements, detail: str = "") -> None:
-        self.checks_run += 1
+        """Count one run of a one-off check, and record it if it failed."""
+        self.tally((name,), 1)
         if not condition:
-            self.violations.append(Violation(self.suite, name, elements, detail))
+            self.fail(name, elements, detail)
 
 
 def _genus_records(g: int) -> list[KernelRecord]:
@@ -156,93 +176,131 @@ def _windows_empty(e: Elements, mask: int, m: int, c: int) -> bool:
     return True
 
 
+# the checks of each branch of a body: every row of the branch runs all of
+# them, and the body tallies the branch's rows
+_CORE = (
+    "frobenius-is-conductor-minus-1", "depth-is-ceil-conductor-over-multiplicity",
+    "revalidation-idempotent",
+)
+_CORE_GENUS = (
+    "multiplicity-range", "conductor-range", "depth-range", "element-bounds",
+    "partition-block-count", "partition-first-block", "partition-union",
+    "partition-block-ranges", "shifted-gap-windows-empty",
+)
+_CORE_ALPHA = ("alpha-is-last-widest",)
+_SPARSE = (
+    "kappa-at-most-multiplicity", "kappa-at-most-genus", "genus-plus-kappa-at-most-conductor",
+)
+_SPARSE_ALPHA = ("top-element-within-multiplicity-of-widest",)
+_SPARSE_PAIR = ("widest-pair-trichotomy",)
+_SPARSE_REGION = ("below-diagonal-depth-cap",)
+_SPARSE_REGION_GENUS = ("widest-pair-unique", "widest-start-below-twice-multiplicity")
+_PHI = (
+    "image-size", "image-range", "image-kappa-raised", "gapset-is-m-extension",
+    "injective-within-family",
+)
+_PHI_DEPTH1 = ("depth1-image-gapset-of-depth-2",)
+_PHI_DEPTH2 = ("depth2-image-is-next-m-set", "depth2-image-in-next-family")
+_PHI_DEPTH3 = ("depth3-image-is-next-m-set",)
+_PHI_DEPTH3_REGION = ("depth3-image-in-next-family",)
+
+
 def _core(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
     """Invariant bounds, element bounds, partition consistency, shifted-gap
     windows, and re-validation, for every gapset of the genus."""
+    fail = report.fail
+    with_alpha = 0
     for e, _, _, _, _ in rows:
-        report.gapsets_covered += 1
         _, m, c, frobenius, q, kappa, alpha = _invariants(e)
         mask = element_mask(e)
-        report.check("frobenius-is-conductor-minus-1", frobenius == c - 1, e)
-        report.check("depth-is-ceil-conductor-over-multiplicity", q == -(-c // m), e)
+        if frobenius != c - 1:
+            fail("frobenius-is-conductor-minus-1", e)
+        if q != -(-c // m):
+            fail("depth-is-ceil-conductor-over-multiplicity", e)
         if genus >= 1:
-            # a detail is formatted only for a failing check
-            ok = 2 <= m <= genus + 1
-            report.check("multiplicity-range", ok, e, "" if ok else f"m={m}")
-            ok = genus + 1 <= c <= 2 * genus
-            report.check("conductor-range", ok, e, "" if ok else f"c={c}")
-            ok = 1 <= q <= genus
-            report.check("depth-range", ok, e, "" if ok else f"q={q}")
-            report.check(
-                "element-bounds",
-                all(map(le, range(1, genus + 1), e))
-                and all(map(le, e, range(1, 2 * genus, 2))),
-                e,
-            )
+            if not 2 <= m <= genus + 1:
+                fail("multiplicity-range", e, f"m={m}")
+            if not genus + 1 <= c <= 2 * genus:
+                fail("conductor-range", e, f"c={c}")
+            if not 1 <= q <= genus:
+                fail("depth-range", e, f"q={q}")
+            if not (
+                all(map(le, range(1, genus + 1), e)) and all(map(le, e, range(1, 2 * genus, 2)))
+            ):
+                fail("element-bounds", e)
             blocks = _partition(e, m)
-            report.check("partition-block-count", len(blocks) == q, e)
-            report.check(
-                "partition-first-block", blocks[0] == tuple(range(1, m)), e
-            )
-            report.check("partition-union", sum(blocks, ()) == e, e)
+            if len(blocks) != q:
+                fail("partition-block-count", e)
+            if blocks[0] != tuple(range(1, m)):
+                fail("partition-first-block", e)
+            if sum(blocks, ()) != e:
+                fail("partition-union", e)
             # each block is a sorted slice: its ends bound all its members
-            report.check(
-                "partition-block-ranges",
-                all(
-                    i * m + 1 <= block[0] and block[-1] <= (i + 1) * m - 1
-                    for i, block in enumerate(blocks)
-                    if i >= 1 and block
-                ),
-                e,
-            )
-            report.check(
-                "shifted-gap-windows-empty",
-                genus < 2 or _windows_empty(e, mask, m, c),
-                e,
-            )
+            if not all(
+                i * m + 1 <= block[0] and block[-1] <= (i + 1) * m - 1
+                for i, block in enumerate(blocks)
+                if i >= 1 and block
+            ):
+                fail("partition-block-ranges", e)
+            if genus >= 2 and not _windows_empty(e, mask, m, c):
+                fail("shifted-gap-windows-empty", e)
         if alpha is not None:
-            report.check(
-                "alpha-is-last-widest",
+            with_alpha += 1
+            if not (
                 e[alpha] - e[alpha - 1] == kappa
-                and all(e[i + 1] - e[i] < kappa for i in range(alpha, genus - 1)),
-                e,
-            )
-        report.check("revalidation-idempotent", _validate(e, mask) is None, e)
+                and all(e[i + 1] - e[i] < kappa for i in range(alpha, genus - 1))
+            ):
+                fail("alpha-is-last-widest", e)
+        if _validate(e, mask) is not None:
+            fail("revalidation-idempotent", e)
+    report.gapsets_covered += len(rows)
+    report.tally(_CORE, len(rows))
+    if genus >= 1:
+        report.tally(_CORE_GENUS, len(rows))
+    report.tally(_CORE_ALPHA, with_alpha)
 
 
 def _sparse(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
     """Pure-sparse inequalities, the widest-pair block trichotomy, and the
     2g <= 3k consequences (depth cap, pair uniqueness, widest-element cap)."""
+    fail = report.fail
+    with_alpha = paired = in_region = 0
     for e, last, m, k, alpha in rows:
-        report.gapsets_covered += 1
         c = last + 1 if last else 0
         q = -(-c // m)
-        report.check("kappa-at-most-multiplicity", k <= m, e)
-        report.check("kappa-at-most-genus", k <= genus, e)
-        report.check("genus-plus-kappa-at-most-conductor", genus + k <= c, e)
+        if k > m:
+            fail("kappa-at-most-multiplicity", e)
+        if k > genus:
+            fail("kappa-at-most-genus", e)
+        if genus + k > c:
+            fail("genus-plus-kappa-at-most-conductor", e)
         if alpha is not None:
-            report.check(
-                "top-element-within-multiplicity-of-widest",
-                e[-1] <= e[alpha - 1] + m,
-                e,
-            )
+            with_alpha += 1
+            if e[-1] > e[alpha - 1] + m:
+                fail("top-element-within-multiplicity-of-widest", e)
             if q >= 2:
+                paired += 1
                 try:
                     _widest_pair(e, m, alpha, q)
-                    report.check("widest-pair-trichotomy", True, e)
                 except RuntimeError as exc:
-                    report.check("widest-pair-trichotomy", False, e, str(exc))
+                    fail("widest-pair-trichotomy", e, str(exc))
         if 2 * genus <= 3 * k:
-            report.check("below-diagonal-depth-cap", q <= 3, e)
+            in_region += 1
+            if q > 3:
+                fail("below-diagonal-depth-cap", e)
             if genus >= 2:
                 pairs = sum(1 for i in range(genus - 1) if e[i + 1] - e[i] == k)
-                ok = pairs == 1 or e == (1, 3, 5)
-                report.check("widest-pair-unique", ok, e, "" if ok else f"{pairs} widest pairs")
-                report.check(
-                    "widest-start-below-twice-multiplicity",
-                    e[alpha - 1] <= 2 * m - 1,
-                    e,
-                )
+                if pairs != 1 and e != (1, 3, 5):
+                    fail("widest-pair-unique", e, f"{pairs} widest pairs")
+                if e[alpha - 1] > 2 * m - 1:
+                    fail("widest-start-below-twice-multiplicity", e)
+    report.gapsets_covered += len(rows)
+    report.tally(_SPARSE, len(rows))
+    report.tally(_SPARSE_ALPHA, with_alpha)
+    report.tally(_SPARSE_PAIR, paired)
+    report.tally(_SPARSE_REGION, in_region)
+    if genus >= 2:
+        report.tally(_SPARSE_REGION_GENUS, in_region)
 
 
 def _phi(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
@@ -256,64 +314,63 @@ def _phi(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
     to its row, and the witness check sets a flag when a depth-2 row's
     image mask equals the witness's.
     """
+    fail = report.fail
     witness = tuple(range(1, genus + 1)) + (genus + 2,)
     wmask = element_mask(witness) if genus >= 1 else 0  # no image mask is 0
     hit = False
+    depth1 = depth2 = depth3 = depth3_region = 0
     for e, last, m, kappa, alpha in rows:
-        report.gapsets_covered += 1
         c = last + 1 if last else 0
         q = -(-c // m)
         mask = element_mask(e)
         ie, imask = _widen(e, mask, alpha)
         _, _, _, _, iq, ikappa, ialpha = _invariants(ie)
-        report.check("image-size", len(ie) == genus + 1, e)
-        report.check("image-range", min(ie) >= 1 and max(ie) <= 2 * (genus + 1) - 1, e)
-        report.check("image-kappa-raised", ikappa == kappa + 1, e)
-        report.check("gapset-is-m-extension", _m_extension(e, mask, m), e)
+        if len(ie) != genus + 1:
+            fail("image-size", e)
+        if not (min(ie) >= 1 and max(ie) <= 2 * (genus + 1) - 1):
+            fail("image-range", e)
+        if ikappa != kappa + 1:
+            fail("image-kappa-raised", e)
+        if not _m_extension(e, mask, m):
+            fail("gapset-is-m-extension", e)
         if q == 1:
-            report.check(
-                "depth1-image-gapset-of-depth-2",
-                _classify(ie, imask, m + 1) == CLASS_GAPSET and iq == 2,
-                e,
-            )
+            depth1 += 1
+            if not (_classify(ie, imask, m + 1) == CLASS_GAPSET and iq == 2):
+                fail("depth1-image-gapset-of-depth-2", e)
         elif q == 2:
-            report.check(
-                "depth2-image-is-next-m-set",
-                _m_set(ie, imask, m + 1) and iq == 2,
-                e,
-            )
-            report.check(
-                "depth2-image-in-next-family",
-                _classify(ie, imask, m + 1) == CLASS_GAPSET
-                and iq == 2
-                and ikappa == kappa + 1,
-                e,
-            )
+            depth2 += 1
+            if not (_m_set(ie, imask, m + 1) and iq == 2):
+                fail("depth2-image-is-next-m-set", e)
+            if not (
+                _classify(ie, imask, m + 1) == CLASS_GAPSET and iq == 2 and ikappa == kappa + 1
+            ):
+                fail("depth2-image-in-next-family", e)
             if imask == wmask:
                 hit = True
         elif q == 3:
             exceptional = mask >> (2 * m + 1) & 1 and e[alpha - 1] >= 2 * m + 1
             if not exceptional:
-                report.check(
-                    "depth3-image-is-next-m-set",
-                    _m_set(ie, imask, m + 1) and iq == 3,
-                    e,
-                )
+                depth3 += 1
+                if not (_m_set(ie, imask, m + 1) and iq == 3):
+                    fail("depth3-image-is-next-m-set", e)
             if 2 * genus <= 3 * kappa:
-                report.check(
-                    "depth3-image-in-next-family",
+                depth3_region += 1
+                if not (
                     _classify(ie, imask, m + 1) == CLASS_GAPSET
                     and iq == 3
-                    and ikappa == kappa + 1,
-                    e,
-                )
+                    and ikappa == kappa + 1
+                ):
+                    fail("depth3-image-in-next-family", e)
         back = _narrow(ie, imask, ialpha)
-        ok = back == mask
-        if not ok:  # name the gapset the image narrows back to
+        if back != mask:  # name the gapset the image narrows back to
             back = tuple(v for v in range(back.bit_length()) if back >> v & 1)
-        report.check(
-            "injective-within-family", ok, e, "" if ok else f"image narrows back to {back}"
-        )
+            fail("injective-within-family", e, f"image narrows back to {back}")
+    report.gapsets_covered += len(rows)
+    report.tally(_PHI, len(rows))
+    report.tally(_PHI_DEPTH1, depth1)
+    report.tally(_PHI_DEPTH2, depth2)
+    report.tally(_PHI_DEPTH3, depth3)
+    report.tally(_PHI_DEPTH3_REGION, depth3_region)
     if genus >= 1:
         report.check("depth2-witness-has-no-depth2-preimage", not hit, witness)
 

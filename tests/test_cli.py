@@ -736,6 +736,15 @@ class TestLazyExports:
         with pytest.raises(AttributeError, match="no_such_name"):
             gapsets.no_such_name
 
+    def test_brute_force_is_a_test_oracle_not_a_public_name(self):
+        # it lives in tests/oracles.py; the package neither exports it nor
+        # defines it
+        with pytest.raises(AttributeError, match="brute_force_gapsets"):
+            gapsets.brute_force_gapsets
+        assert "brute_force_gapsets" not in gapsets.__all__
+        assert not hasattr(gapsets.enumeration, "brute_force_gapsets")
+        assert not hasattr(gapsets.enumeration, "BRUTE_FORCE_MAX_GENUS")
+
     def test_submodule_import(self):
         import gapsets.enumeration as direct
         from gapsets import enumeration as via_from

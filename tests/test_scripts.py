@@ -1,9 +1,11 @@
 """scripts/reproduce_tables.py checks its bounds before any walk, and its
 stdout holds no wall time; scripts/time_cli.py reports one JSON line of
-timings, or fails with the CLI."""
+timings, or fails with the CLI; scripts/ab.py summarizes alternated pairs
+by one rule, which every committed BENCH file's summary follows."""
 
 import importlib.util
 import json
+import statistics
 import subprocess
 import sys
 from itertools import count
@@ -15,9 +17,18 @@ from gapsets import tally
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "reproduce_tables.py"
 TIME_CLI = SCRIPT.with_name("time_cli.py")
-spec = importlib.util.spec_from_file_location("reproduce_tables", SCRIPT)
-reproduce_tables = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(reproduce_tables)
+AB = SCRIPT.with_name("ab.py")
+
+
+def load(path):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+reproduce_tables = load(SCRIPT)
+ab = load(AB)
 
 
 @pytest.fixture
@@ -106,3 +117,104 @@ def test_time_cli_fails_with_the_cli():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert "exit status 2" in proc.stderr
+
+
+def paired_runs(parent, change, metric="wall_s", workload="verify"):
+    """Per-side run records of one workload, pair i holding the i-th values."""
+    return [
+        {"workload": workload, "pair": pair, "side": side, "attempted": 5, "failed": 0,
+         metric: value}
+        for pair, values in enumerate(zip(parent, change), 1)
+        for side, value in zip(("parent", "change"), values)
+    ]
+
+
+def test_ab_summary_of_odd_pairs_counts_a_tie_as_no_win():
+    runs = paired_runs([0.40, 0.41, 0.39], [0.35, 0.41, 0.36])
+    runs[-1]["failed"] = 2
+    assert ab.summarize(runs, {"wall_s": "lower"}) == {
+        "verify": {
+            "wall_s": {
+                "parent_median": 0.4,
+                "change_median": 0.36,
+                "parent_iqr": 0.01,  # inclusive quartiles 0.395 and 0.405
+                "change_better_pairs": "2 of 3",
+            },
+            "failed": {"parent": 0, "change": 2},
+        }
+    }
+
+
+def test_ab_summary_of_even_pairs_where_higher_is_better():
+    runs = paired_runs([1, 2, 3, 4], [0, 2, 5, 3], "gapsets_per_s", "grid")
+    runs += paired_runs([7], [6], "gapsets_per_s", "stream")
+    summary = ab.summarize(runs, {"gapsets_per_s": "higher"})
+    assert list(summary) == ["grid", "stream"]
+    assert summary["grid"]["gapsets_per_s"] == {
+        "parent_median": 2.5, "change_median": 2.5, "parent_iqr": 1.5,
+        "change_better_pairs": "1 of 4",
+    }
+    assert summary["stream"]["gapsets_per_s"] == {
+        "parent_median": 7, "change_median": 6, "parent_iqr": 0.0,
+        "change_better_pairs": "0 of 1",
+    }
+
+
+@pytest.mark.parametrize(
+    "parent, change, met",
+    [
+        ([0.40] * 10, [0.36] * 10, True),
+        ([0.40] * 10, [0.36] * 9 + [0.40], True),  # 9 of 10: the tie is no win
+        ([0.40] * 10, [0.36] * 8 + [0.41] * 2, False),  # 8 of 10
+        ([0.40] * 5, [0.36] * 5, False),  # fewer than 10 pairs show nothing
+        # 10 of 10, but the medians differ by less than the parent's IQR (0.04)
+        ([0.40, 0.44] * 5, [0.39, 0.43] * 5, False),
+    ],
+)
+def test_ab_claim_needs_9_of_10_pairs_and_a_gain_past_the_iqr(parent, change, met):
+    assert ab.claim_met(parent, change, "lower") is met
+    assert ab.claim_met([-x for x in parent], [-x for x in change], "higher") is met
+
+
+def committed_benches():
+    """The BENCH files whose `runs` are per-side records: BENCH_32 onward."""
+    root = SCRIPT.parent.parent
+    return sorted(p for p in root.glob("BENCH_*.json") if int(p.stem.split("_")[1]) >= 32)
+
+
+@pytest.mark.parametrize("path", committed_benches(), ids=lambda p: p.name)
+def test_committed_bench_summaries_are_the_medians_of_their_runs(path):
+    bench = json.loads(path.read_text())
+    checked = 0
+    for workload, metrics in bench["summary"].items():
+        for metric in ab.directions():
+            parent, change = ab.side_values(bench["runs"], workload, metric)
+            assert len(parent) == len(change) > 0, (workload, metric)
+            entry = metrics[metric]
+            for side, values in (("parent", parent), ("change", change)):
+                assert entry[f"{side}_median"] == pytest.approx(
+                    statistics.median(values), rel=1e-3
+                ), (workload, metric, side)
+            checked += 1
+    assert checked == 6 * len(bench["summary"])
+
+
+@pytest.mark.slow
+def test_ab_head_against_head_meets_no_claim(tmp_path, monkeypatch):
+    # one short pair of the same commit on both sides: the runner exports,
+    # runs and summarizes, and one pair is never enough for a claim; the
+    # runs last 1 s instead of the benchmark's run_seconds
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=AB.parent, capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    monkeypatch.setattr(ab, "run_seconds", lambda: 1)
+    out = tmp_path / "ab.json"
+    assert ab.main(["--parent", "HEAD", "--change", "HEAD", "--workload", "grid",
+                    "--pairs", "1", "--out", str(out)]) == 0
+    bench = json.loads(out.read_text())
+    assert bench["command"].endswith("--seconds 1 --trace 0")
+    assert bench["claim_met"] is False
+    assert bench["parent"] == bench["change"]
+    assert [(r["pair"], r["side"], r["failed"]) for r in bench["runs"]] == [
+        (1, "parent", 0), (1, "change", 0)
+    ]
+    assert set(bench["summary"]["grid"]) == set(ab.directions()) | {"failed"}

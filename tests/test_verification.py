@@ -131,20 +131,24 @@ def test_planted_non_gapset_is_reported(suite, elements):
 
 
 def test_every_check_runs_as_often_as_before(monkeypatch):
+    # every count reaches the report through `tally`, the one-off checks'
+    # `check` included
     counts = Counter()
-    check = SuiteReport.check
+    tally = SuiteReport.tally
 
-    def counting(self, name, condition, elements, detail=""):
-        counts[self.suite, name] += 1
-        check(self, name, condition, elements, detail)
+    def counting(self, names, n):
+        for name in names:
+            counts[self.suite, name] += n
+        tally(self, names, n)
 
-    monkeypatch.setattr(SuiteReport, "check", counting)
+    monkeypatch.setattr(SuiteReport, "tally", counting)
     reports = run_suites(["core", "sparse", "phi", "bijection"], 12)
     assert all(r.ok for r in reports)
     assert {
         suite: {name: n for (s, name), n in counts.items() if s == suite}
         for suite in CHECKS_AT_GENUS_12
     } == CHECKS_AT_GENUS_12
+    assert sum(counts.values()) == sum(r.checks_run for r in reports)
 
 
 def test_every_genus_is_walked_once(monkeypatch):
@@ -318,17 +322,26 @@ def test_suite_report_keywords_defaults_equality_and_repr():
 
 
 def test_passing_checks_format_no_detail(monkeypatch):
-    details = Counter()
+    # a passing check builds no violation and formats no detail: the
+    # failure helper, where a tallied check's detail is built, is never
+    # called on a clean run, and every one-off check gets an empty detail
+    failures, details = [], []
     check = SuiteReport.check
 
-    def recording(self, name, condition, elements, detail=""):
-        details[self.suite, detail] += 1
+    def recording_fail(self, name, elements, detail=""):
+        failures.append((self.suite, name, elements, detail))
+
+    def recording_check(self, name, condition, elements, detail=""):
+        details.append((self.suite, name, detail))
         check(self, name, condition, elements, detail)
 
-    monkeypatch.setattr(SuiteReport, "check", recording)
+    monkeypatch.setattr(SuiteReport, "fail", recording_fail)
+    monkeypatch.setattr(SuiteReport, "check", recording_check)
     reports = run_suites(["core", "sparse", "phi", "bijection"], 12)
     assert all(r.ok for r in reports)
-    assert details == {(r.suite, ""): r.checks_run for r in reports}
+    assert failures == []
+    assert {suite for suite, _, _ in details} == {"phi", "bijection"}
+    assert [d for d in details if d[2] != ""] == []
 
 
 def test_bijection_details_name_the_failing_family(monkeypatch):
@@ -449,3 +462,118 @@ def test_injectivity_names_the_colliding_gapset():
         ("injective-within-family", (1, 3), "image narrows back to (1, 2)"),
         ("depth2-witness-has-no-depth2-preimage", (1, 2, 4), ""),
     ]
+
+
+def scanned(elements):
+    """The walk's record (elements, last, m, kappa, alpha) from a scan."""
+    _, m, _, _, _, kappa, alpha = core._invariants(elements)
+    return elements, elements[-1] if elements else 0, m, kappa, alpha
+
+
+def scan_with(**fields):
+    """`_invariants` with the named fields of its result replaced."""
+    index = {"c": 2, "frobenius": 3, "q": 4, "kappa": 5}
+
+    def scan(elements):
+        result = list(core._invariants(elements))
+        for name, value in fields.items():
+            result[index[name]] = value
+        return tuple(result)
+
+    return scan
+
+
+class EqualToAll(int):
+    """An int that every equality test accepts, and ordering reads as is."""
+
+    __hash__ = int.__hash__
+
+    def __eq__(self, other):
+        return True
+
+    def __ne__(self, other):
+        return False
+
+
+def returning(value):
+    return lambda *_args: value
+
+
+def rejecting(*_args):
+    return core.GapsetRejection(0, 0, 0)
+
+
+EMPTY, PAIR, SPLIT = scanned(()), scanned((1, 2)), scanned((1, 2, 4))
+NOT_M_SET = returning(maps.CLASS_NOT_M_SET)
+
+
+# (check, suite body, genus, record, kernels patched in verification): one
+# input per check that the bodies tally, on which that check alone fails.
+# Planted records: gapsets fed at a genus other than their length
+# (multiplicity-range, conductor-range, image-size), a non-gapset
+# (image-range), and sparse records with a wrong last, m, kappa or alpha.
+# depth-range follows from depth-is-ceil and the two range checks before
+# it, so only a depth that every equality accepts fails it alone.
+FAILS_ALONE = [
+    ("frobenius-is-conductor-minus-1", "core", 0, EMPTY, {"_invariants": scan_with(frobenius=0)}),
+    (
+        "depth-is-ceil-conductor-over-multiplicity", "core", 0, EMPTY,
+        {"_invariants": scan_with(q=1)},
+    ),
+    ("revalidation-idempotent", "core", 2, PAIR, {"_validate": rejecting}),
+    ("multiplicity-range", "core", 2, scanned((1, 2, 3)), {}),
+    ("conductor-range", "core", 2, scanned((1, 2, 4)), {}),
+    ("depth-range", "core", 1, scanned((1,)), {"_invariants": scan_with(q=EqualToAll(2))}),
+    ("element-bounds", "core", 6, scanned((1, 2, 3, 5, 10, 11)), {"_validate": returning(None)}),
+    ("partition-block-count", "core", 3, SPLIT, {"_partition": returning(((1, 2), (4,), ()))}),
+    ("partition-first-block", "core", 3, SPLIT, {"_partition": returning(((1, 2, 4), ()))}),
+    ("partition-union", "core", 3, SPLIT, {"_partition": returning(((1, 2), (4, 5)))}),
+    (
+        "partition-block-ranges", "core", 5, scanned((1, 2, 4, 5, 7)),
+        {"_partition": returning(((1, 2), (4,), (5, 7)))},
+    ),
+    ("shifted-gap-windows-empty", "core", 2, PAIR, {"_windows_empty": returning(False)}),
+    ("alpha-is-last-widest", "core", 2, PAIR, {"_invariants": scan_with(kappa=2)}),
+    ("kappa-at-most-multiplicity", "sparse", 3, ((1, 3, 5), 5, 2, 3, 2), {}),
+    ("kappa-at-most-genus", "sparse", 0, ((), 1, 1, 1, None), {}),
+    ("genus-plus-kappa-at-most-conductor", "sparse", 1, ((1,), 0, 2, 1, None), {}),
+    ("top-element-within-multiplicity-of-widest", "sparse", 3, ((1, 2, 5), 5, 3, 3, 1), {}),
+    ("widest-pair-trichotomy", "sparse", 2, ((1, 2), 6, 3, 1, 1), {}),
+    ("below-diagonal-depth-cap", "sparse", 0, ((), 3, 1, 0, None), {}),
+    ("widest-pair-unique", "sparse", 3, ((1, 2, 5), 5, 3, 2, 2), {}),
+    ("widest-start-below-twice-multiplicity", "sparse", 6, ((1, 2, 3, 4, 8, 9), 9, 4, 4, 5), {}),
+    ("image-size", "phi", 2, scanned((1,)), {}),
+    ("image-range", "phi", 5, scanned((1, 2, 4, 7, 10)), {}),
+    ("image-kappa-raised", "phi", 1, scanned((1,)), {"_invariants": scan_with(kappa=3)}),
+    ("gapset-is-m-extension", "phi", 1, scanned((1,)), {"_m_extension": returning(False)}),
+    ("injective-within-family", "phi", 1, scanned((1,)), {"_narrow": returning(0)}),
+    ("depth1-image-gapset-of-depth-2", "phi", 1, scanned((1,)), {"_classify": NOT_M_SET}),
+    ("depth2-image-is-next-m-set", "phi", 2, scanned((1, 3)), {"_m_set": returning(False)}),
+    ("depth2-image-in-next-family", "phi", 2, scanned((1, 3)), {"_classify": NOT_M_SET}),
+    ("depth3-image-is-next-m-set", "phi", 3, scanned((1, 3, 5)), {"_m_set": returning(False)}),
+    ("depth3-image-in-next-family", "phi", 3, scanned((1, 3, 5)), {"_classify": NOT_M_SET}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, suite, genus, record, kernels", FAILS_ALONE, ids=[case[0] for case in FAILS_ALONE]
+)
+def test_each_tallied_check_fails_alone(monkeypatch, name, suite, genus, record, kernels):
+    # a check that is tallied but no longer evaluated would pass here
+    for kernel, fn in kernels.items():
+        monkeypatch.setattr(verification, kernel, fn)
+    report = SuiteReport(suite, genus)
+    verification._BODY[suite](report, genus, [record])
+    assert [v.check for v in report.violations] == [name]
+    assert report.violations[0].elements == record[0]
+
+
+def test_every_tallied_check_has_an_input_that_fails_it_alone():
+    branches = [
+        value for key, value in vars(verification).items()
+        if key.startswith(("_CORE", "_SPARSE", "_PHI")) and isinstance(value, tuple)
+    ]
+    assert len(branches) == 13
+    assert sorted(name for name, *_ in FAILS_ALONE) == sorted(
+        name for branch in branches for name in branch
+    )

@@ -158,7 +158,7 @@ def cmd_sequence(args, out) -> int:
 
 
 def cmd_map(args, out) -> int:
-    from .core import GapsetRejection, as_candidate, invariants, validate_gapset
+    from .core import GapsetRejection, invariants, validate_gapset
     from .maps import (
         PreconditionError,
         UnsupportedDepthError,
@@ -169,12 +169,10 @@ def cmd_map(args, out) -> int:
     )
 
     try:
-        values = [int(tok) for tok in args.gapset.split(",") if tok.strip()]
-        candidate = as_candidate(values)
+        checked = validate_gapset(int(tok) for tok in args.gapset.split(",") if tok.strip())
     except ValueError as exc:
         print(f"bad --gapset value: {exc}", file=sys.stderr)
         return EXIT_BAD_GAPSET
-    checked = validate_gapset(candidate)
     if isinstance(checked, GapsetRejection):
         print(f"not a gapset: witness {tuple(checked)}", file=out)
         return EXIT_BAD_GAPSET

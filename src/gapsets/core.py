@@ -20,6 +20,7 @@ plain tuple of its fields.  The private kernels `_invariants` and
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import total_ordering
 from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 Elements = tuple[int, ...]
@@ -41,14 +42,15 @@ def as_candidate(values: Iterable[int]) -> Elements:
     return elems
 
 
+@total_ordering
 class Gapset:
     """A validated gapset.  Construct via :func:`validate_gapset` or :func:`gapset`.
 
     Instances are immutable, slotted values holding only their elements: they
-    hash, compare lexicographically on elements (only with other gapsets)
-    and pickle.  `in` tests membership by iterating over the elements.
-    Nothing can change one: assigning or deleting any attribute raises
-    `AttributeError`.
+    hash, compare lexicographically on elements (only with other gapsets;
+    `total_ordering` derives <=, > and >= from < and ==) and pickle.  `in`
+    tests membership by iterating over the elements.  Nothing can change
+    one: assigning or deleting any attribute raises `AttributeError`.
     """
 
     __slots__ = ("elements",)
@@ -56,15 +58,12 @@ class Gapset:
     elements: Elements
 
     def __init__(self, elements: Elements) -> None:
-        object.__setattr__(self, "elements", elements)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         prev = 0
-        for v in self.elements:
+        for v in elements:
             if v <= prev:
                 raise ValueError("elements must be strictly increasing and >= 1")
             prev = v
+        object.__setattr__(self, "elements", elements)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to {name!r}: a Gapset is immutable")
@@ -89,21 +88,6 @@ class Gapset:
     def __lt__(self, other: Gapset) -> bool:
         if other.__class__ is self.__class__:
             return self.elements < other.elements
-        return NotImplemented
-
-    def __le__(self, other: Gapset) -> bool:
-        if other.__class__ is self.__class__:
-            return self.elements <= other.elements
-        return NotImplemented
-
-    def __gt__(self, other: Gapset) -> bool:
-        if other.__class__ is self.__class__:
-            return self.elements > other.elements
-        return NotImplemented
-
-    def __ge__(self, other: Gapset) -> bool:
-        if other.__class__ is self.__class__:
-            return self.elements >= other.elements
         return NotImplemented
 
     @property
@@ -224,19 +208,6 @@ class InvariantRecord(NamedTuple):
     alpha: Optional[int]
 
 
-def multiplicity(g: Gapset) -> int:
-    """Least positive integer not in the gapset."""
-    for i, v in enumerate(g.elements, start=1):
-        if v != i:
-            return i
-    return g.genus + 1
-
-
-def conductor(g: Gapset) -> int:
-    """Least integer c with every integer >= c outside the gapset."""
-    return g.elements[-1] + 1 if g.elements else 0
-
-
 def kappa_and_alpha(g: Gapset) -> tuple[int, Optional[int]]:
     """Maximum consecutive difference and the last index attaining it.
 
@@ -276,9 +247,9 @@ def _invariants(
     multiplicity m from the first step above 1, the step from 0 to the
     first element included: the elements before it are 1, 2, ..., m - 1.
     So m is 1 when the first element is not 1, and the largest element
-    plus 1 when no step exceeds 1, which is `multiplicity` on any such
-    tuple, gapset or not.  The first step above 1 is a new widest step, so
-    m is tested only where kappa is updated.
+    plus 1 when no step exceeds 1: the least positive integer not in any
+    such tuple, gapset or not.  The first step above 1 is a new widest
+    step, so m is tested only where kappa is updated.
     """
     g = len(elems)
     if g < 2:
@@ -316,7 +287,7 @@ def canonical_partition(g: Gapset) -> CanonicalPartition:
     """Split a non-empty gapset into its multiplicity-sized range blocks."""
     if g.genus == 0:
         raise EmptyPartitionError("the empty gapset has no canonical partition")
-    m = multiplicity(g)
+    m = _invariants(g.elements)[1]
     return CanonicalPartition(m, _partition(g.elements, m))
 
 

@@ -84,7 +84,7 @@ does not export them.  They are kept, cut to the calls the benchmark
 makes, only until the benchmark stops timing them as layers (ROADMAP
 item 5a), and then go (item 1): the cache is one checksummed file per
 genus, written whole and moved into place; the filters keep a stream of
-`Gapset` values by their maximum gap alone.
+`Gapset` values whose maximum gap is exactly kappa.
 """
 
 from __future__ import annotations
@@ -451,29 +451,22 @@ def enumerate_gapsets(genus: int, *, workers: int = 1) -> Iterator[Gapset]:
         yield Gapset(rec[0])
 
 
-def filter_gapsets(
-    stream: Iterable[Gapset], *, kappa: Optional[int] = None, pure: bool = True
-) -> Iterator[Gapset]:
-    """Keep gapsets by maximum gap: exactly kappa when pure, <= kappa
-    otherwise.  One `kappa_and_alpha` scan per gapset; kept only for the
-    benchmark's filter layer (see the module docstring)."""
-    from .core import kappa_and_alpha
-
-    for g in stream:
-        if kappa is not None:
-            k, _ = kappa_and_alpha(g)
-            if pure and k != kappa:
-                continue
-            if not pure and k > kappa:
-                continue
-        yield g
+def filter_gapsets(stream: Iterable[Gapset], *, kappa: int, pure: bool) -> Iterator[Gapset]:
+    """`filter_pure_sparse` in the benchmark's filter-layer call shape;
+    only `pure=True` is served (see the module docstring)."""
+    if not pure:
+        raise ValueError("only the pure filter (maximum gap exactly kappa) is kept")
+    return filter_pure_sparse(stream, kappa)
 
 
 def filter_pure_sparse(stream: Iterable[Gapset], kappa: int) -> Iterator[Gapset]:
-    """Keep exactly the gapsets whose maximum consecutive gap equals kappa."""
+    """Keep exactly the gapsets whose maximum consecutive gap equals kappa,
+    with one `kappa_and_alpha` scan per gapset."""
+    from .core import kappa_and_alpha
+
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    return filter_gapsets(stream, kappa=kappa, pure=True)
+    return (g for g in stream if kappa_and_alpha(g)[0] == kappa)
 
 
 def cache_path(cache_dir: str | Path, genus: int) -> Path:

@@ -256,20 +256,21 @@ def verify_bijection(
     read: it stays only because the benchmark's maps layer passes it, until
     ROADMAP item 5a.
 
-    Each gapset's `element_mask` is built once, and its m and alpha come
-    from an `_invariants` scan, not from the walk.  A source's `_widen`
-    image is a member if its mask is a target's, and round-trips if
-    `_classify` finds it a gapset of maximum gap kappa + 1 that `_narrow`
-    takes back to the source.  A target round-trips if it has maximum gap
-    kappa + 1 and `_narrow` takes it to a source whose image it is.  A
-    broken map fails flags and raises nothing; no flag reads the order of
-    either family.
+    Each gapset's `element_mask` is built once.  A source's m and alpha
+    come from its walk record, as in the phi suite, so no source is
+    scanned; each image and each target is scanned once with
+    `_invariants`, since the flags check their kappa and alpha.  A
+    source's `_widen` image is a member if its mask is a target's, and
+    round-trips if `_classify` finds it a gapset of maximum gap kappa + 1
+    that `_narrow` takes back to the source.  A target round-trips if it
+    has maximum gap kappa + 1 and `_narrow` takes it to a source whose
+    image it is.  A broken map fails flags and raises nothing; no flag
+    reads the order of either family.
     """
     if 2 * genus > 3 * kappa:
         raise PreconditionError(f"need 2g <= 3k, got g={genus}, k={kappa}")
     _check_genus(genus)
     _check_genus(genus + 1)
-    sources = [(e, element_mask(e)) for e, _, _, _, _ in _iter_records(genus, kappa=kappa)]
     targets = [
         (h, element_mask(h)) for h, _, _, _, _ in _iter_records(genus + 1, kappa=kappa + 1)
     ]
@@ -277,8 +278,8 @@ def verify_bijection(
     forward = []
     membership = []
     widened = {}  # a source's mask -> its image's mask
-    for e, mask in sources:
-        _, m, _, _, _, _, alpha = _invariants(e)
+    for e, _, m, _, alpha in _iter_records(genus, kappa=kappa):
+        mask = element_mask(e)
         image, imask = _widen(e, mask, alpha)
         widened[mask] = imask
         membership.append(imask in target_masks)
@@ -295,5 +296,5 @@ def verify_bijection(
             hkappa == kappa + 1 and widened.get(_narrow(h, mask, halpha)) == mask
         )
     return BijectionReport(
-        genus, kappa, len(sources), len(targets), tuple(forward), tuple(backward), tuple(membership)
+        genus, kappa, len(forward), len(targets), tuple(forward), tuple(backward), tuple(membership)
     )

@@ -292,7 +292,8 @@ def _sparse(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
                 pairs = sum(1 for i in range(genus - 1) if e[i + 1] - e[i] == k)
                 if pairs != 1 and e != (1, 3, 5):
                     fail("widest-pair-unique", e, f"{pairs} widest pairs")
-                if e[alpha - 1] > 2 * m - 1:
+                # a record with no alpha here is wrong, and fails the check
+                if alpha is None or e[alpha - 1] > 2 * m - 1:
                     fail("widest-start-below-twice-multiplicity", e)
     report.gapsets_covered += len(rows)
     report.tally(_SPARSE, len(rows))
@@ -348,7 +349,8 @@ def _phi(report: SuiteReport, genus: int, rows: list[KernelRecord]) -> None:
             if imask == wmask:
                 hit = True
         elif q == 3:
-            exceptional = mask >> (2 * m + 1) & 1 and e[alpha - 1] >= 2 * m + 1
+            # alpha is 1-based; with none the record is wrong, and the row is not exempt
+            exceptional = mask >> (2 * m + 1) & 1 and alpha and e[alpha - 1] >= 2 * m + 1
             if not exceptional:
                 depth3 += 1
                 if not (_m_set(ie, imask, m + 1) and iq == 3):

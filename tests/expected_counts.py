@@ -17,15 +17,34 @@ GENUS_16_TEXT and GENUS_16_CSV are the same for `--format text` and
 STREAM_DIGESTS holds (line count, sha256) for the larger `enumerate`
 commands of the benchmark's stream workload, copied from perfbench/expected.py.
 RECORDS_TO_GENUS_16_SHA256 freezes every record walk to genus 16.
+
+Each table is marked, in a "confirmed by" comment above it, with the
+algorithms whose output the tests compare with it and the genus each one
+reaches (Tier-1, and under --run-slow where that goes further).  Brute
+force is `tests/oracles.py`'s subset filter; the record walk is
+`enumeration._iter_records` (full, or kappa-pruned where said); the count
+walk is `enumeration._count_cells`.  Every value past genus 12 is
+confirmed by the tree walks and the published sequences alone.
 """
 
+# confirmed by: OEIS A007323 (every entry is the published value); brute
+# force to genus 12; the record walk to genus 16 and at genus 18, 19 and
+# 20; the count walk's row sums to genus 19
 GAPSET_COUNTS = [
     1, 1, 2, 4, 7, 12, 23, 39, 67, 118,
     204, 343, 592, 1001, 1693, 2857, 4806, 8045, 13467, 22464,
 ]
 
+# confirmed by: OEIS A007323; the count walk's row sums to genus 24, whose
+# last two rows the record walk matches at genus 19-20 (23-24 under
+# --run-slow)
 LARGE_GAPSET_COUNTS = {20: 37396, 21: 62194, 22: 103246, 23: 170963, 24: 282828}
 
+# confirmed by: brute force split by kappa_and_alpha to genus 12; the
+# record walk to genus 16 and at genus 19 and 20; the count walk to genus
+# 22; the kappa-pruned record walk on every 2g <= 3k family to genus 17;
+# row sums OEIS A007323 to genus 22 (through GAPSET_COUNTS and
+# LARGE_GAPSET_COUNTS)
 _ROWS = {
     0: [1],
     1: [1],
@@ -60,8 +79,15 @@ COUNTS_BY_KAPPA = {
     for g, row in _ROWS.items()
 }
 
+# confirmed by: OEIS A348619; the kappa-pruned record walk to w = 7
+# (genus 21; w = 10, genus 30, under --run-slow); the count walk to
+# w = 7 (w = 10 under --run-slow); the full record walk filtered by kappa
+# to w = 6; brute force to w = 4 (genus 12, through COUNTS_BY_KAPPA); and
+# the region sums t(0) + ... + t(g // 3) to genus 17 (30 under --run-slow)
 DIAGONAL_TERMS = [1, 2, 5, 12, 30, 70, 167, 395, 936, 2212, 5248]
 
+# confirmed by: the published three-decimal renderings; the exact ratios
+# of the kappa-pruned walk's terms to w = 6 (w = 10 under --run-slow)
 DIAGONAL_RATIOS = [
     "-", "2.000", "2.500", "2.400", "2.500",
     "2.333", "2.386", "2.365", "2.370", "2.363", "2.373",
@@ -72,10 +98,17 @@ DIAGONAL_CUMULATIVE = [
     "1.714", "1.719", "1.727", "1.729", "1.731", "1.730",
 ]
 
+# confirmed by: the CLI alone at genus 16 (the JSON digest is also the one
+# perfbench/expected.py records); the `Gapset` path (enumerate_gapsets,
+# invariants and json.dumps) gives the same bytes in every format to genus
+# 12
 GENUS_16_JSON = (4806, "aca4eb0872c5e17c7c4b3bcd51d8599758d59396a48f63f78b3561444d127783")
 GENUS_16_TEXT = (4806, "521329049ceb73d73b864f2d9950b1ae3385d3f1c1f324fc86f30909c36cc8aa")
 GENUS_16_CSV = (4807, "8426a41c390b4e32f8f5d21908ec0cd08e4dda8611e9a04d76babbf2858e85bd")
 
+# confirmed by: the CLI alone (the genus-21 listing under --run-slow); the
+# kappa-pruned walk behind the genus-22 commands yields the full walk's
+# records of that kappa, K = 11..13, under --run-slow
 STREAM_DIGESTS = {
     ("enumerate", "--genus", "21", "--format", "json"):
         (62194, "992960d09891b1771213ceb38b996414020b7f39b82887bc4e99327ccd85fd16"),
@@ -89,5 +122,7 @@ STREAM_DIGESTS = {
 
 # sha256 over repr of every record, in order, of `_iter_records(g, pieces,
 # K)` for g <= 16, K in (None, 0..g + 1) and pieces None or "," + str(v),
-# taken from the walk that pushed every node
+# taken from the walk that pushed every node.  Confirmed by: that earlier
+# walk; the records' elements equal brute force's to genus 12, and their
+# m, conductor, kappa and alpha equal `invariants` scans to genus 17
 RECORDS_TO_GENUS_16_SHA256 = "f5213d748ff00f84039efff5d7991bf0b662caa5c6f870f120d9fa64822fbcc1"

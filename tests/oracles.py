@@ -1,8 +1,15 @@
-"""Independent test oracles for the enumeration.
+"""Independent test oracles for the enumeration and the invariants.
 
 Brute force filters every genus-sized subset of [1, 2g - 1] with its own
 closure test, so it shares no search or validation code with the package it
 checks: only the `Gapset` wrapper of the elements it found.
+
+The scan oracles `multiplicity` and `conductor` each read one invariant off
+a `Gapset`'s elements in their own scan, apart from the package's one-loop
+`core._invariants`; with `core.kappa_and_alpha` they are the oracle that
+the one-loop scan is checked against, and the reference depth and
+partition of the map tests.  The package does not define them, and a test
+pins that.
 """
 
 from itertools import combinations
@@ -42,3 +49,16 @@ def brute_force_gapsets(genus: int) -> Iterator[Gapset]:
         elements = (1, *rest)
         if is_gapset(elements):
             yield Gapset(elements)
+
+
+def multiplicity(g: Gapset) -> int:
+    """Least positive integer not in the gapset."""
+    for i, v in enumerate(g.elements, start=1):
+        if v != i:
+            return i
+    return g.genus + 1
+
+
+def conductor(g: Gapset) -> int:
+    """Least integer c with every integer >= c outside the gapset."""
+    return g.elements[-1] + 1 if g.elements else 0

@@ -30,13 +30,12 @@ from gapsets.core import (
     _m_set,
     _partition,
     _validate,
-    conductor,
     element_mask,
-    multiplicity,
 )
 from gapsets.enumeration import _iter_records
 from gapsets.verification import _windows_empty
 
+from oracles import conductor, multiplicity
 from strategies import gapsets, small_m_sets
 from tracing import traced_peak
 
@@ -242,6 +241,23 @@ class TestValueTypes:
             Gapset((1,)) < ((2,),)
         with pytest.raises(TypeError):
             Gapset((1,)) <= (1,)
+        with pytest.raises(TypeError):
+            Gapset((1,)) > (1,)
+        with pytest.raises(TypeError):
+            Gapset((1,)) >= ((1,),)
+        with pytest.raises(TypeError):
+            (1,) >= Gapset((1,))
+
+    def test_scan_oracles_are_test_oracles_not_package_names(self):
+        # `multiplicity` and `conductor` live in tests/oracles.py
+        import gapsets as package
+        from gapsets import core
+
+        for name in ("multiplicity", "conductor"):
+            with pytest.raises(AttributeError, match=name):
+                getattr(core, name)
+            with pytest.raises(AttributeError, match=name):
+                getattr(package, name)
 
     def test_gapsets_sort_lexicographically_on_elements(self):
         values = [gapset([1, 3]), gapset([]), gapset([1, 2, 4]), gapset([1, 2]), gapset([1])]

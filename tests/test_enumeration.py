@@ -515,12 +515,16 @@ class TestFilters:
         found = [x.elements for x in filter_pure_sparse(enumerate_gapsets(g), g)]
         assert found == [tuple(range(1, g)) + (2 * g - 1,)]
 
-    def test_sparse_filter_not_pure(self):
+    def test_filter_rejects_the_non_pure_call(self):
+        # only the benchmark's call shape, pure=True, is kept
         from gapsets.enumeration import filter_gapsets
 
-        kept = list(filter_gapsets(enumerate_gapsets(5), kappa=2, pure=False))
-        # ordinary (kappa 1) stays under a non-pure bound of 2
-        assert Gapset((1, 2, 3, 4, 5)) in kept
+        with pytest.raises(ValueError, match="pure"):
+            filter_gapsets(enumerate_gapsets(5), kappa=2, pure=False)
+
+    def test_negative_kappa_raises(self):
+        with pytest.raises(ValueError, match="kappa must be >= 0"):
+            filter_pure_sparse(enumerate_gapsets(5), -1)
 
 
 class TestCache:

@@ -36,16 +36,16 @@ from gapsets.maps import (
 )
 from gapsets.core import (
     EmptyPartitionError,
+    _invariants,
     _partition,
-    conductor,
     element_mask,
     is_m_set,
-    multiplicity,
     validate_gapset,
 )
 from gapsets.enumeration import ResourceLimitError
 
 from expected_counts import COUNTS_BY_KAPPA
+from oracles import conductor, multiplicity
 from strategies import gapsets
 from tracing import traced_peak
 
@@ -402,6 +402,22 @@ class TestBijection:
         report = verify_bijection(0, 0)
         assert report.source_size == report.target_size == 1
         assert report.bijective
+
+    def test_sources_are_read_from_their_records_not_rescanned(self, monkeypatch):
+        # a source's m and alpha come from the kappa-pruned walk's record:
+        # only the images and the targets are scanned, each once
+        sources = [g.elements for g in enumerate_gapsets(9) if kappa_and_alpha(g)[0] == 6]
+        targets = [h.elements for h in enumerate_gapsets(10) if kappa_and_alpha(h)[0] == 7]
+        images = [widen_max_gap(Gapset(e)).elements for e in sources]
+        scanned = []
+
+        def recording(elems):
+            scanned.append(elems)
+            return _invariants(elems)
+
+        monkeypatch.setattr(maps, "_invariants", recording)
+        assert verify_bijection(9, 6).bijective
+        assert sorted(scanned) == sorted(images + targets)
 
     def test_precondition(self):
         with pytest.raises(PreconditionError):

@@ -1,10 +1,10 @@
 """The calls `perfbench/layers.py` makes into the package still work.
 
 `perfbench/` times some internals by name and call shape: the provider,
-the four single-suite wrappers, the `Gapset` filters, the maps layer's
-calls, `enumerate_gapsets(workers=2)` (one process walks the tree; the
-keyword is not read) and the disk cache.
-Until the benchmark times `run_suites` and the CLI replay instead, these
+the four single-suite wrappers, the `Gapset` filters (both keep the
+gapsets whose maximum gap is exactly kappa), the maps layer's calls,
+`enumerate_gapsets(workers=2)` (one process walks the tree; the keyword
+is not read) and the disk cache.  Until the benchmark times `run_suites` and the CLI replay instead, these
 must keep running; ROADMAP item 5a, which changes the harness, updates
 this guard with it.  Under --run-slow the benchmark's own self-check runs
 too.

@@ -8,10 +8,11 @@ from itertools import combinations
 import pytest
 
 from gapsets import Gapset, cli, core, enumeration, maps, verification
-from gapsets.core import kappa_and_alpha, multiplicity
+from gapsets.core import kappa_and_alpha
 from gapsets.verification import SuiteReport, core_suite, phi_suite, run_suites, sparse_suite
 
 from expected_counts import GAPSET_COUNTS
+from oracles import multiplicity
 from tracing import traced_peak
 
 # (suite, elements) -> (checks run, violations as (check, detail)), when
@@ -249,20 +250,20 @@ def test_bodies_read_the_walks_own_records(monkeypatch):
 
 
 def test_sparse_builds_no_gapset(monkeypatch):
-    def forbidden(self):
-        raise AssertionError(f"Gapset{self.elements} was built")
+    def forbidden(self, elements):
+        raise AssertionError(f"Gapset{elements} was built")
 
-    monkeypatch.setattr(Gapset, "__post_init__", forbidden)
+    monkeypatch.setattr(Gapset, "__init__", forbidden)
     assert run_suites(["sparse"], 12)[0].ok
     with pytest.raises(AssertionError, match="was built"):
         Gapset((1,))
 
 
 def test_bijection_builds_no_gapset(monkeypatch):
-    def forbidden(self):
-        raise AssertionError(f"Gapset{self.elements} was built")
+    def forbidden(self, elements):
+        raise AssertionError(f"Gapset{elements} was built")
 
-    monkeypatch.setattr(Gapset, "__post_init__", forbidden)
+    monkeypatch.setattr(Gapset, "__init__", forbidden)
     assert run_suites(["bijection"], 12)[0].ok
 
 
@@ -285,13 +286,13 @@ def test_core_and_phi_build_no_gapset_for_a_row_or_image(monkeypatch):
     # core scans each row, and phi each widened image and each small-m-set
     # candidate, from the bare elements: no Gapset is built at all
     built = []
-    post_init = Gapset.__post_init__
+    init = Gapset.__init__
 
-    def recording(self):
-        built.append(self.elements)
-        post_init(self)
+    def recording(self, elements):
+        built.append(elements)
+        init(self, elements)
 
-    monkeypatch.setattr(Gapset, "__post_init__", recording)
+    monkeypatch.setattr(Gapset, "__init__", recording)
     reports = run_suites(["core", "phi"], 12)
     assert all(r.ok for r in reports)
     assert built == []
@@ -462,6 +463,24 @@ def test_injectivity_names_the_colliding_gapset():
         ("injective-within-family", (1, 3), "image narrows back to (1, 2)"),
         ("depth2-witness-has-no-depth2-preimage", (1, 2, 4), ""),
     ]
+
+
+@pytest.mark.parametrize(
+    "suite, record, failed",
+    [
+        # region row: alpha is read for the widest pair's start
+        ("sparse", ((1, 2, 5), 5, 3, 3, None), "widest-start-below-twice-multiplicity"),
+        # depth-3 row with 2m + 1 present: alpha is read for the exception
+        ("phi", ((1, 3, 5), 5, 2, 2, None), "depth3-image-is-next-m-set"),
+    ],
+)
+def test_a_record_that_lost_alpha_is_reported(suite, record, failed):
+    # genus >= 2 always has alpha, so a record without it is wrong: the row
+    # fails the check that reads alpha, as a violation, and nothing raises
+    genus = len(record[0])
+    [report] = verification._run([suite], genus, lambda g: [record] if g == genus else [])
+    assert failed in [v.check for v in report.violations]
+    assert all(v.elements == record[0] for v in report.violations)
 
 
 def scanned(elements):

@@ -10,10 +10,12 @@ PYTHONDONTWRITEBYTECODE=1 so that no side compiles for the other; the
 parent runs first when i is odd.  The results file holds one record per
 side per pair (`runs`), and per workload and end-to-end metric of
 BENCHMARK.json the two medians, the parent's IQR (quartiles by
-statistics.quantiles(method='inclusive')) and how many pairs the change
-won.  The claim, on the first workload's wall_s, is met when the change
-is better in at least 9 of 10 pairs (and at least 10 pairs ran), and its
-median is better than the parent's by more than the parent's IQR.
+statistics.quantiles(method='inclusive')), how many pairs the change
+won and `gain_met`: whether the change is better in at least 9 of 10
+pairs (and at least 10 pairs ran), and its median is better than the
+parent's by more than the parent's IQR.  `claim_met` is that rule on the
+first workload's wall_s; a change that claims another metric cites that
+metric's `gain_met`.
 
 Usage: python3 scripts/ab.py --parent REV [--change REV] --workload W
     [--workload W ...] --pairs N --out FILE [--what TEXT]
@@ -89,8 +91,8 @@ def side_values(runs: list[dict], workload: str, metric: str) -> tuple[list, lis
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     """Per workload, in order of first appearance: for each metric the two
-    medians, the parent's IQR and the change's wins, and each side's failed
-    commands."""
+    medians, the parent's IQR, the change's wins and whether they meet the
+    gain rule of `claim_met`, and each side's failed commands."""
     summary = {}
     for workload in dict.fromkeys(run["workload"] for run in runs):
         entry = {}
@@ -101,6 +103,7 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 "change_median": round(median(change), 4),
                 "parent_iqr": round(iqr(parent), 4),
                 "change_better_pairs": f"{wins(parent, change, way)} of {len(parent)}",
+                "gain_met": claim_met(parent, change, way),
             }
         entry["failed"] = {
             side: sum(r["failed"] for r in runs if r["workload"] == workload and r["side"] == side)

@@ -61,7 +61,7 @@ def main(argv=None) -> int:
     seq_time = perf_counter() - t0
     print(f"# diagonal sequence to w = {args.max_w}: {seq_time:.2f}s", file=sys.stderr)
     print(f"\n# diagonal sequence through w = {args.max_w}")
-    for line in sequence_lines(seq):
+    for line in sequence_lines(seq.terms):
         print(line)
     return 0 if stab.ok else 1
 

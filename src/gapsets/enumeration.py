@@ -32,15 +32,15 @@ alpha) with no Gapset built and no second pass over its elements.  A label
 grows by one table entry per edge: by default the entry for x is (x,), so
 the label is the elements tuple; the CLI passes sep + str(x), so the label
 is already the gapset's text.  Like the count walk below, it pushes no
-childless node, and a node two levels above the leaves finishes its
-children in place, yielding their children, the leaves, as it finds
-them.  `enumerate_gapsets` wraps the same walk's elements in Gapset
-values.  Given a maximum gap K, the walk yields only
-the gapsets with maximum gap exactly K, which `enumerate --pure` lists and
-`tally` counts for the diagonal terms t(w) (genus 3w, K = 2w), and visits
-only the nodes that can still end there.  It starts at the chain [1..K-1],
-since every gapset has K <= m; it drops a child x with x - last > K; and
-while the running maximum gap stays below K it drops x > g - K + j + 1 (x
+childless node; a node two levels above the leaves finishes its children
+in place, yielding their children, the leaves, as it finds them.
+`enumerate_gapsets` wraps the same walk's elements in Gapset values.
+Given a maximum gap K, the walk yields only the gapsets with maximum gap
+exactly K, which `enumerate --pure` lists and `tally` counts for the
+diagonal terms t(w) (genus 3w, K = 2w), and visits only the nodes that
+can still end there.  It starts at the chain [1..K-1], since every
+gapset has K <= m; it drops a child x with x - last > K; and while the
+running maximum gap stays below K it drops x > g - K + j + 1 (x
 the element at level j + 1, g the genus).  That reach bound holds because
 a later pair (e_i, e_{i+1}) with j + 1 <= i <= g - 1 must make the gap K:
 each prefix is a gapset, so e_{i+1} <= 2i + 1, and e_i >= x + i - j - 1,
@@ -69,12 +69,13 @@ which reads element indices, not sums.
 Aggregates come from one count-only walk (`_count_cells`), which
 `tally.build_count_grid` reads: one pass to the largest genus counts every
 smaller genus by maximum gap, building no tuples.  It pushes no childless
-node, and a node two levels above the leaves finishes its children in
-place: for each child x it reads the children above x off the bits of the
-children mask still left, and counts x's own children, the leaves, with
-no loop: every leaf y <= x + max_gap falls in x's cell, so that cell gets
-a popcount of x's children mask.  No walk imports `core`: only the
-functions that build or read `Gapset` values import it, when called.
+node and no node of the last four levels: a node four levels above the
+leaves finishes each child's subtree in place, in three nested loops.  The
+innermost reads the children above x off the bits of the children mask
+still left, and counts x's own children, the leaves, with no loop: every
+leaf y <= x + max_gap falls in x's cell, so that cell gets a popcount of
+x's children mask.  No walk imports `core`: only the functions that
+build or read `Gapset` values import it, when called.
 
 Every walk checks its genus against one ceiling, `GENUS_CEILING`.  No
 command and no other module reaches the disk cache (`cache_path`,
@@ -172,12 +173,12 @@ def _iter_records(
     K = genus, is yielded before the walk.
 
     A node pushes only the children that have children of their own.  A
-    node at level genus - 2 pushes none: as `_count_cells` does, it walks
-    `visit` lowest-first, so the bits still left are the children above
-    x (on the full walk; given K, ch above x), split-tests only x's new
-    candidates, building x's masks only when there are any, and yields
-    x's children, the leaves, upwards, looking up x's label piece only
-    when x has one.
+    node at level genus - 2 pushes none: as `_count_cells` does at that
+    level, it walks `visit` lowest-first, so the bits still left are the
+    children above x (on the full walk; given K, ch above x), split-tests
+    only x's new candidates, building x's masks only when there are any,
+    and yields x's children, the leaves, upwards, looking up x's label
+    piece only when x has one.
 
     With `kappa` set, a node visits only the children that can still end
     with maximum gap K.  Then the walk starts at the chain [1..K-1], whose
@@ -357,62 +358,38 @@ def _count_cells(max_genus: int) -> list[list[int]]:
     Stack entries are (level, last, max_gap, sm, sr, ch), with the masks,
     split test and inherited children masks of `_iter_records`.  A popped
     node counts each child in its cell as it finds it and pushes only the
-    children that have children of their own, so no node of the last two
-    levels is pushed.  A node at level max_genus - 2 finishes its children
-    in place: it walks ch lowest-first, so the children above x are the
-    bits of ch still left, and it split-tests only x's new candidates,
-    building the child's masks only when there are any.  The child's own
-    children (the leaves) are added to the last row without a visit: every
-    one at most x + max_gap falls in the child's cell max_gap, which gets
-    the popcount of those, and only the wider ones go one by one to cell
-    y - x.  Root child 1 gets max_gap 1 - 0 = 1; genus 0 and 1 are
-    returned before the walk, as the root is at or past that level there.
-    A negative genus raises ValueError.
+    children at level max_genus - 4 or above that have children of their
+    own.  A child x at level max_genus - 3 has its subtree finished in
+    place, with one nested loop per level instead of stack entries: x's
+    children are walked highest-first, each inheriting the children above
+    it from the `rest1` mask as the popped node's children do from `rest`;
+    their children are walked lowest-first, so the children above x2 are
+    the bits still left, and only x2's new candidates are split-tested,
+    building x2's masks only when there are any.  x2's own children (the
+    leaves) are added to the last row without a visit: every one at most
+    x2 + max_gap falls in x2's cell max_gap, which gets the popcount of
+    those, and only the wider ones go one by one to cell y - x2.  Root
+    child 1 gets max_gap 1 - 0 = 1; a genus below 4, whose root is past
+    level max_genus - 4, returns its frozen rows before the walk.  A
+    negative genus raises ValueError.
     """
     if max_genus < 0:
         raise ValueError("genus must be >= 0")
+    if max_genus < 4:
+        return [[1], [0, 1], [0, 1, 1], [0, 1, 2, 1]][: max_genus + 1]
     cells = [[0] * (g + 1) for g in range(max_genus + 1)]
     cells[0][0] = 1
-    if max_genus < 2:
-        if max_genus:
-            cells[1][1] = 1
-        return cells
     cap = 2 * max_genus + 1
     below = [(1 << i) - 1 for i in range(3 * max_genus + 2)]
     rclear = [~(1 << (cap - v)) for v in range(cap + 1)]
-    leaves = cells[max_genus]
+    row1, row2, leaves = cells[max_genus - 2 :]
+    window1 = below[2 * max_genus - 2]  # the candidates for x1's children
+    window2 = below[2 * max_genus]  # and for x2's, the leaves
     stack = [(0, 0, 0, below[cap + 1] ^ 1, below[cap], 2)]
     while stack:
         j, last, mg, sm, sr, ch = stack.pop()
         row = cells[j + 1]
         window = below[2 * j + 4]
-        if j + 2 == max_genus:  # finish the last two levels in place
-            while ch:
-                b = ch & -ch
-                ch ^= b  # now the children above x
-                x = b.bit_length() - 1
-                d = x - last
-                k = d if d > mg else mg
-                row[k] += 1
-                kids = ch
-                new = (sm << x) & window & ~ch
-                if new:
-                    sm2 = sm ^ b
-                    sr2 = sr & rclear[x]
-                    while new:
-                        yb = new & -new
-                        new ^= yb
-                        if sm2 & (sr2 >> (cap + 1 - yb.bit_length())) == 0:
-                            kids |= yb
-                if kids:
-                    narrow = kids & below[x + k + 1]
-                    leaves[k] += narrow.bit_count()
-                    wide = (kids ^ narrow) >> x  # bit d: the child x + d
-                    while wide:
-                        yb = wide & -wide
-                        wide ^= yb
-                        leaves[yb.bit_length() - 1] += 1
-            continue
         rest = 0  # the children above x
         while ch:
             x = ch.bit_length() - 1
@@ -430,9 +407,54 @@ def _count_cells(max_genus: int) -> list[list[int]]:
                 new ^= yb
                 if sm2 & (sr2 >> (cap + 1 - yb.bit_length())) == 0:
                     kids |= yb
-            if kids:
-                stack.append((j + 1, x, k, sm2, sr2, kids))
             rest |= b
+            if j + 4 < max_genus:
+                if kids:
+                    stack.append((j + 1, x, k, sm2, sr2, kids))
+                continue
+            rest1 = 0  # finish x's subtree in place
+            while kids:
+                x1 = kids.bit_length() - 1
+                b1 = 1 << x1
+                kids ^= b1
+                d = x1 - x
+                k1 = d if d > k else k
+                row1[k1] += 1
+                sm3 = sm2 ^ b1
+                sr3 = sr2 & rclear[x1]
+                kids1 = rest1
+                new = (sm2 << x1) & window1 & ~rest1
+                while new:
+                    yb = new & -new
+                    new ^= yb
+                    if sm3 & (sr3 >> (cap + 1 - yb.bit_length())) == 0:
+                        kids1 |= yb
+                rest1 |= b1
+                while kids1:
+                    b2 = kids1 & -kids1
+                    kids1 ^= b2  # now the children above x2
+                    x2 = b2.bit_length() - 1
+                    d = x2 - x1
+                    k2 = d if d > k1 else k1
+                    row2[k2] += 1
+                    kids2 = kids1
+                    new = (sm3 << x2) & window2 & ~kids1
+                    if new:
+                        sm4 = sm3 ^ b2
+                        sr4 = sr3 & rclear[x2]
+                        while new:
+                            yb = new & -new
+                            new ^= yb
+                            if sm4 & (sr4 >> (cap + 1 - yb.bit_length())) == 0:
+                                kids2 |= yb
+                    if kids2:
+                        narrow = kids2 & below[x2 + k2 + 1]
+                        leaves[k2] += narrow.bit_count()
+                        wide = (kids2 ^ narrow) >> x2  # bit d: the child x2 + d
+                        while wide:
+                            yb = wide & -wide
+                            wide ^= yb
+                            leaves[yb.bit_length() - 1] += 1
     return cells
 
 

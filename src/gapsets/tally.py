@@ -12,12 +12,14 @@ t(w) counts the records of its own kappa-pruned record walk
 (`enumeration._iter_records(3w, kappa=2w)`, the walk `enumerate --pure`
 lists), which visits only the gapsets that can end with maximum gap 2w.  No
 `Gapset` objects are built, and the result types are named tuples, so
-this module loads nothing beyond `enumeration`.
+this module loads nothing beyond `enumeration`.  The `sequence gw` rows
+are formatted from the integer terms, so only `diagonal_sequence`'s exact
+ratios load `fractions`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
 
 from .enumeration import _check_genus, _count_cells, _iter_records
 
@@ -64,18 +66,23 @@ def build_count_grid(max_genus: int) -> CountGrid:
     return CountGrid(max_genus, cells, row_sums, marks)
 
 
-def diagonal_sequence(max_w: int) -> DiagonalSequence:
+def diagonal_terms(max_w: int) -> list[int]:
     """Diagonal terms for w = 0..max_w, each counted from its own
     kappa-pruned walk to genus 3w; the bounds (genus 3 * max_w) are checked
     before any walk starts."""
-    from fractions import Fraction
-
     _check_genus(3 * max_w)
     # empty label pieces: the walk's labels are never read, only counted
-    terms = [
+    return [
         sum(1 for _ in _iter_records(3 * w, pieces=[""] * (6 * w + 2), kappa=2 * w))
         for w in range(max_w + 1)
     ]
+
+
+def diagonal_sequence(max_w: int) -> DiagonalSequence:
+    """`diagonal_terms` with their exact step and cumulative ratios."""
+    from fractions import Fraction
+
+    terms = diagonal_terms(max_w)
     ratios: list[Optional[Fraction]] = [None]
     ratios += [Fraction(terms[w], terms[w - 1]) for w in range(1, len(terms))]
     running = 0
@@ -106,17 +113,19 @@ def stabilization_check(grid: CountGrid) -> StabilizationReport:
     return StabilizationReport(pairs, tuple(violations))
 
 
-def _round_half_up_thousandths(value: Fraction) -> int:
-    scaled = value * 1000
-    return (scaled.numerator * 2 + scaled.denominator) // (2 * scaled.denominator)
+def _decimal(a: int, b: int, trim: bool = False) -> str:
+    """a/b (a >= 0, b > 0) to three places, rounded half-up; with `trim`, a
+    value exact in thousandths drops its trailing zeros ('1', '1.5')."""
+    n = (2000 * a + b) // (2 * b)
+    text = f"{n // 1000}.{n % 1000:03d}"
+    return text.rstrip("0").rstrip(".") if trim and 1000 * a % b == 0 else text
 
 
 def format_ratio(value: Optional[Fraction]) -> str:
     """Fixed three-decimal rendering with half-up rounding; '-' when undefined."""
     if value is None:
         return RATIO_PLACEHOLDER
-    n = _round_half_up_thousandths(value)
-    return f"{n // 1000}.{n % 1000:03d}"
+    return _decimal(value.numerator, value.denominator)
 
 
 def format_cumulative(value: Fraction) -> str:
@@ -125,15 +134,16 @@ def format_cumulative(value: Fraction) -> str:
     An exact value drops `format_ratio`'s trailing zeros ('1', '1.5',
     '1.125'); everything else rounds to three places ('1.667').
     """
-    text = format_ratio(value)
-    return text.rstrip("0").rstrip(".") if (value * 1000).denominator == 1 else text
+    return _decimal(value.numerator, value.denominator, trim=True)
 
 
-def sequence_lines(seq: DiagonalSequence) -> Iterator[str]:
-    """The `w,g_w,ratio,cumulative` block: its header, then one row per term."""
+def sequence_lines(terms: Sequence[int]) -> Iterator[str]:
+    """The `w,g_w,ratio,cumulative` block of the diagonal terms: its
+    header, then one row per term, with the ratios `format_ratio` and
+    `format_cumulative` give, computed from the integers."""
     yield "w,g_w,ratio,cumulative"
-    for w, term in enumerate(seq.terms):
-        yield (
-            f"{w},{term},{format_ratio(seq.ratios[w])},"
-            f"{format_cumulative(seq.cumulative_ratios[w])}"
-        )
+    running = 0
+    for w, term in enumerate(terms):
+        running += term
+        ratio = _decimal(term, terms[w - 1]) if w else RATIO_PLACEHOLDER
+        yield f"{w},{term},{ratio},{_decimal(running, term, trim=True)}"

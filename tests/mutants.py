@@ -69,4 +69,29 @@ MUTANTS = (
         "if False and not _windows_empty(e, mask, m, c):",
         ("tests/test_verification.py::test_each_tallied_check_fails_alone",),
     ),
+    # the count walk tallies a child two levels below x at x's own gap
+    Mutant(
+        "count-walk-level-g-2-row-at-parent-gap",
+        "enumeration.py",
+        "row1[k1] += 1",
+        "row1[k] += 1",
+        ("tests/test_enumeration.py::TestCountWalk",),
+    ),
+    # the in-place level G - 2 never records its siblings, so each of its
+    # nodes loses the children it inherits from the siblings above it
+    Mutant(
+        "count-walk-rest1-never-updated",
+        "enumeration.py",
+        "rest1 |= b1",
+        "rest1 |= 0",
+        ("tests/test_enumeration.py::TestCountWalk",),
+    ),
+    # the count walk pushes a node of level G - 3 and finishes the wrong levels in place
+    Mutant(
+        "count-walk-pushes-level-g-3",
+        "enumeration.py",
+        "if j + 4 < max_genus:",
+        "if j + 4 <= max_genus:",
+        ("tests/test_enumeration.py::TestCountWalk",),
+    ),
 )

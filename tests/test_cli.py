@@ -706,7 +706,7 @@ class TestImports:
         )
         loaded = loaded_after(code)
         assert "gapsets.tally" in loaded
-        assert not loaded & {"dataclasses", "gapsets.core"}
+        assert not loaded & {"dataclasses", "fractions", "gapsets.core"}
 
     def test_verify_and_map_load_no_dataclasses(self):
         for argv in (

@@ -139,6 +139,7 @@ def test_ab_summary_of_odd_pairs_counts_a_tie_as_no_win():
                 "change_median": 0.36,
                 "parent_iqr": 0.01,  # inclusive quartiles 0.395 and 0.405
                 "change_better_pairs": "2 of 3",
+                "gain_met": False,
             },
             "failed": {"parent": 0, "change": 2},
         }
@@ -152,12 +153,30 @@ def test_ab_summary_of_even_pairs_where_higher_is_better():
     assert list(summary) == ["grid", "stream"]
     assert summary["grid"]["gapsets_per_s"] == {
         "parent_median": 2.5, "change_median": 2.5, "parent_iqr": 1.5,
-        "change_better_pairs": "1 of 4",
+        "change_better_pairs": "1 of 4", "gain_met": False,
     }
     assert summary["stream"]["gapsets_per_s"] == {
         "parent_median": 7, "change_median": 6, "parent_iqr": 0.0,
-        "change_better_pairs": "0 of 1",
+        "change_better_pairs": "0 of 1", "gain_met": False,
     }
+
+
+def test_ab_summary_meets_the_gain_rule_on_each_metric_and_workload():
+    # the rule of claim_met, per workload and metric, not only the first
+    # workload's wall_s: here only grid's first_line_s gains
+    runs = paired_runs([0.40] * 10, [0.40] * 10, "wall_s", "grid")
+    for run, value in zip(runs, [0.18, 0.16] * 9 + [0.18, 0.18]):
+        run["first_line_s"] = value
+    runs += paired_runs([0.30] * 10, [0.30] * 10, "wall_s", "stream")
+    for run in runs[20:]:
+        run["first_line_s"] = 0.1
+    summary = ab.summarize(runs, {"wall_s": "lower", "first_line_s": "lower"})
+    assert summary["grid"]["first_line_s"] == {
+        "parent_median": 0.18, "change_median": 0.16, "parent_iqr": 0.0,
+        "change_better_pairs": "9 of 10", "gain_met": True,
+    }
+    assert [summary[w][m]["gain_met"] for w in ("grid", "stream")
+            for m in ("wall_s", "first_line_s")] == [False, True, False, False]
 
 
 @pytest.mark.parametrize(
@@ -195,6 +214,10 @@ def test_committed_bench_summaries_are_the_medians_of_their_runs(path):
                 assert entry[f"{side}_median"] == pytest.approx(
                     statistics.median(values), rel=1e-3
                 ), (workload, metric, side)
+            if "gain_met" in entry:  # summaries written before the flag have none
+                assert entry["gain_met"] is ab.claim_met(
+                    parent, change, ab.directions()[metric]
+                ), (workload, metric)
             checked += 1
     assert checked == 6 * len(bench["summary"])
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gapsets import build_count_grid, diagonal_sequence, stabilization_check
-from gapsets.tally import format_cumulative, format_ratio
+from gapsets.tally import format_cumulative, format_ratio, sequence_lines
 
 from expected_counts import (
     COUNTS_BY_KAPPA,
@@ -40,6 +40,25 @@ def test_diagonal_terms_and_ratios():
     assert seq.cumulative_ratios[0] == Fraction(1)
     assert [format_ratio(r) for r in seq.ratios] == DIAGONAL_RATIOS[:7]
     assert [format_cumulative(c) for c in seq.cumulative_ratios] == DIAGONAL_CUMULATIVE[:7]
+    # the `sequence gw` rows, formatted from the integer terms alone
+    assert list(sequence_lines(seq.terms)) == ["w,g_w,ratio,cumulative"] + [
+        f"{w},{t},{format_ratio(r)},{format_cumulative(c)}"
+        for w, (t, r, c) in enumerate(zip(seq.terms, seq.ratios, seq.cumulative_ratios))
+    ]
+
+
+def test_integer_formatting_rounds_half_up_like_the_fraction():
+    # a/b for every b <= 40 across ties (k/2000) and exact thousandths
+    for b in range(1, 41):
+        for a in range(0, 8 * b + 1):
+            scaled = Fraction(a, b) * 1000
+            n = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
+            text = f"{n // 1000}.{n % 1000:03d}"
+            assert format_ratio(Fraction(a, b)) == text, (a, b)
+            short = text.rstrip("0").rstrip(".") if scaled.denominator == 1 else text
+            assert format_cumulative(Fraction(a, b)) == short, (a, b)
+    assert format_ratio(Fraction(1, 2000)) == "0.001"
+    assert format_ratio(Fraction(2001, 2000)) == "1.001"
 
 
 @pytest.mark.slow

@@ -15,7 +15,9 @@ won and `gain_met`: whether the change is better in at least 9 of 10
 pairs (and at least 10 pairs ran), and its median is better than the
 parent's by more than the parent's IQR.  `claim_met` is that rule on the
 first workload's wall_s; a change that claims another metric cites that
-metric's `gain_met`.
+metric's `gain_met`.  `digests` ties each side to the code it ran: a
+sha256 over the relative paths, sizes and bytes of its export's `src/`,
+`perfbench/` and `BENCHMARK.json`, taken before any run.
 
 Usage: python3 scripts/ab.py --parent REV [--change REV] --workload W
     [--workload W ...] --pairs N --out FILE [--what TEXT]
@@ -31,6 +33,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from hashlib import sha256
 from pathlib import Path
 from statistics import median, quantiles
 
@@ -38,6 +41,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 MIN_PAIRS = 10  # a claim needs at least 9 of 10 pairs
 CLAIM = "wall_s"
+DIGESTED = ("src", "perfbench", "BENCHMARK.json")
 COMMAND = "python3 perfbench/run.py --workload W --seed S --seconds {seconds} --trace 0"
 
 
@@ -134,6 +138,20 @@ def export(rev: str | None, dest: Path) -> None:
         raise RuntimeError(f"git archive {rev} failed")
 
 
+def tree_digest(copy: Path) -> str:
+    """sha256 over the relative path, size and bytes of every file of
+    DIGESTED in the exported copy, in sorted path order."""
+    digest = sha256()
+    for top in DIGESTED:
+        path = copy / top
+        for file in sorted(path.rglob("*")) if path.is_dir() else [path]:
+            if file.is_file():
+                data = file.read_bytes()
+                digest.update(f"{file.relative_to(copy).as_posix()}\0{len(data)}\0".encode())
+                digest.update(data)
+    return digest.hexdigest()
+
+
 def bench(copy: Path, workload: str, seed: int, seconds: float) -> dict:
     """One run of the copy's perfbench/run.py; its last stdout line."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -184,6 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         for side, copy in copies.items():
             copy.mkdir()
             export(revs[side], copy)
+        result["digests"] = {side: tree_digest(copy) for side, copy in copies.items()}
         for workload in args.workload:
             for pair in range(1, args.pairs + 1):
                 for side in SIDES if pair % 2 else SIDES[::-1]:

@@ -15,6 +15,9 @@ Values are a slotted `Gapset` and named-tuple records (`GapsetRejection`,
 `InvariantRecord`, `CanonicalPartition`); a record compares equal to the
 plain tuple of its fields.  The private kernels `_invariants` and
 `_partition` return those plain tuples, which the public functions wrap.
+`_invariants` is the one scan of the elements: `invariants`,
+`kappa_and_alpha` and `canonical_partition` read their invariants from it,
+as the maps and the verify suites do.
 """
 
 from __future__ import annotations
@@ -213,23 +216,10 @@ def kappa_and_alpha(g: Gapset) -> tuple[int, Optional[int]]:
 
     kappa is 0 for the empty gapset and 1 for {1} (no pair exists, so alpha
     is absent in both cases).  For genus >= 2, alpha is 1-based and lies in
-    [1, genus - 1].
+    [1, genus - 1].  A view of the one scan `_invariants`, kept for the
+    public API and the benchmark's core layer.
     """
-    elems = g.elements
-    if len(elems) == 0:
-        return 0, None
-    if len(elems) == 1:
-        return 1, None
-    kappa = alpha = i = 0
-    prev = elems[0]
-    for v in elems[1:]:
-        i += 1
-        d = v - prev
-        if d >= kappa:
-            kappa = d
-            alpha = i
-        prev = v
-    return kappa, alpha
+    return _invariants(g.elements)[5:]
 
 
 def invariants(g: Gapset) -> InvariantRecord:
@@ -243,13 +233,15 @@ def _invariants(
     """`invariants` of strictly increasing positive elements, in one loop,
     as a plain tuple in `InvariantRecord` field order.
 
-    The loop takes kappa and alpha as `kappa_and_alpha` does, and the
-    multiplicity m from the first step above 1, the step from 0 to the
-    first element included: the elements before it are 1, 2, ..., m - 1.
-    So m is 1 when the first element is not 1, and the largest element
-    plus 1 when no step exceeds 1: the least positive integer not in any
-    such tuple, gapset or not.  The first step above 1 is a new widest
-    step, so m is tested only where kappa is updated.
+    The loop takes kappa as the widest step between consecutive elements
+    and alpha as the 1-based index of the last step that wide (a later
+    step as wide as the widest so far moves alpha), and the multiplicity
+    m from the first step above 1, the step from 0 to the first element
+    included: the elements before it are 1, 2, ..., m - 1.  So m is 1
+    when the first element is not 1, and the largest element plus 1 when
+    no step exceeds 1: the least positive integer not in any such tuple,
+    gapset or not.  The first step above 1 is a new widest step, so m is
+    tested only where kappa is updated.
     """
     g = len(elems)
     if g < 2:

@@ -130,7 +130,8 @@ def narrow_max_gap(h: Gapset, max_gap: int) -> Gapset:
     a mismatch is reported instead of silently reinterpreted).  Requires
     2g <= 3*kappa for the output's genus g and maximum gap kappa; narrowing
     is only guaranteed to land on a gapset in that regime.  The shift is
-    `_narrow` on the input's mask, with alpha from one `_invariants` scan.
+    `_narrow` on the input's mask, with alpha from one `_invariants` scan,
+    and the shifted mask is the one `_validate` checks the image on.
     """
     if h.genus == 0:
         raise PreconditionError("the empty gapset is not a widened image")
@@ -148,12 +149,12 @@ def narrow_max_gap(h: Gapset, max_gap: int) -> Gapset:
         )
     back = _narrow(h.elements, element_mask(h.elements), alpha)
     narrowed = tuple(v for v in range(back.bit_length()) if back >> v & 1)
-    result = validate_gapset(narrowed)
-    if isinstance(result, Gapset):
-        return result
+    rejection = _validate(narrowed, back)
+    if rejection is None:
+        return Gapset(narrowed)
     raise RuntimeError(
         f"narrowed image {narrowed} is not a gapset "
-        f"(split {tuple(result)}); this should be impossible"
+        f"(split {tuple(rejection)}); this should be impossible"
     )
 
 

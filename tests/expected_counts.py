@@ -40,11 +40,11 @@ GAPSET_COUNTS = [
 # --run-slow)
 LARGE_GAPSET_COUNTS = {20: 37396, 21: 62194, 22: 103246, 23: 170963, 24: 282828}
 
-# confirmed by: brute force split by kappa_and_alpha to genus 12; the
-# record walk to genus 16 and at genus 19 and 20; the count walk to genus
-# 22; the kappa-pruned record walk on every 2g <= 3k family to genus 17;
-# row sums OEIS A007323 to genus 22 (through GAPSET_COUNTS and
-# LARGE_GAPSET_COUNTS)
+# confirmed by: brute force split by the oracles' kappa_and_alpha scan to
+# genus 12; the record walk to genus 16 and at genus 19 and 20; the count
+# walk to genus 22; the kappa-pruned record walk on every 2g <= 3k family
+# to genus 17; row sums OEIS A007323 to genus 22 (through GAPSET_COUNTS
+# and LARGE_GAPSET_COUNTS)
 _ROWS = {
     0: [1],
     1: [1],

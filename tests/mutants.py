@@ -94,4 +94,53 @@ MUTANTS = (
         "if j + 4 <= max_genus:",
         ("tests/test_enumeration.py::TestCountWalk",),
     ),
+    # the one scan keeps the first widest step as alpha instead of the last
+    Mutant(
+        "scan-alpha-first-widest",
+        "core.py",
+        "if d >= kappa:",
+        "if d > kappa:",
+        ("tests/test_core.py::TestOneScanKernel",),
+    ),
+    # the one scan misses a multiplicity whose step is exactly 2
+    Mutant(
+        "scan-multiplicity-skips-step-2",
+        "core.py",
+        "if d > 1 and not m:",
+        "if d > 2 and not m:",
+        ("tests/test_core.py::TestOneScanKernel",),
+    ),
+    # with no step above 1, the multiplicity is taken as the last element
+    Mutant(
+        "scan-multiplicity-of-ordinary-one-low",
+        "core.py",
+        "m = m or prev + 1",
+        "m = m or prev",
+        ("tests/test_core.py::TestOneScanKernel",),
+    ),
+    # the kappa walk's reach bound cuts one value too low
+    Mutant(
+        "pure-walk-reach-bound-one-low",
+        "enumeration.py",
+        "below[genus - K + j + 2]",
+        "below[genus - K + j + 1]",
+        ("tests/test_enumeration.py::TestPureWalk",),
+    ),
+    # the fast accept tries only the holes below half the top member, not
+    # the one at half
+    Mutant(
+        "validate-skips-the-middle-hole",
+        "core.py",
+        "(2 << (top // 2))",
+        "(1 << (top // 2))",
+        ("tests/test_core.py::TestValidate",),
+    ),
+    # the window check skips every other multiple of m
+    Mutant(
+        "windows-skip-every-other-shift",
+        "verification.py",
+        "        s += m",
+        "        s += 2 * m",
+        ("tests/test_core.py::TestShiftedGapWindows",),
+    ),
 )

@@ -35,7 +35,7 @@ from gapsets.core import (
 from gapsets.enumeration import _iter_records
 from gapsets.verification import _windows_empty
 
-from oracles import conductor, multiplicity
+import oracles
 from strategies import gapsets, small_m_sets
 from tracing import traced_peak
 
@@ -50,16 +50,11 @@ ALL_SUBSETS = [c for size in range(15) for c in combinations(range(1, 15), size)
 
 
 def reference_validate(values):
-    """The member-by-member split loop, without the bit-mask fast accept."""
+    """The oracles' member-by-member split loop, without the bit-mask fast
+    accept."""
     elems = as_candidate(values)
-    mask = 0
-    for v in elems:
-        mask |= 1 << v
-    for z in elems:
-        for x in range(1, z // 2 + 1):
-            if not (mask >> x) & 1 and not (mask >> (z - x)) & 1:
-                return GapsetRejection(z, x, z - x)
-    return Gapset(elems)
+    witness = oracles.split_witness(elems)
+    return Gapset(elems) if witness is None else GapsetRejection(*witness)
 
 
 def reference_is_m_set(values, m):
@@ -351,20 +346,12 @@ class TestInvariants:
                 shift += rec.multiplicity
 
 
-def three_call_invariants(e):
-    """The invariants of a strictly increasing positive tuple from the three
-    separate scans, the oracle for `_invariants`' one loop."""
-    g = Gapset(e)
-    c, m = conductor(g), multiplicity(g)
-    return (len(e), m, c, c - 1, -(-c // m), *kappa_and_alpha(g))
-
-
 class TestOneScanKernel:
     @pytest.mark.parametrize(
         "e", [(), (1,), (2,), (2, 3), (1, 3, 6), (1, 2, 3)], ids=str
     )
     def test_small_cases(self, e):
-        assert _invariants(e) == three_call_invariants(e)
+        assert _invariants(e) == oracles.invariants(e)
 
     @pytest.mark.parametrize(
         "max_genus", [12, pytest.param(20, marks=pytest.mark.slow)]
@@ -372,7 +359,7 @@ class TestOneScanKernel:
     def test_every_gapset(self, max_genus):
         for genus in range(max_genus + 1):
             for e, *_ in _iter_records(genus):
-                assert _invariants(e) == three_call_invariants(e), e
+                assert _invariants(e) == oracles.invariants(e), e
 
     def test_kernels_return_plain_tuples_the_public_functions_wrap(self):
         # no record object per call: `_invariants` gives the plain 7-tuple in
@@ -393,7 +380,7 @@ class TestOneScanKernel:
     # mostly not gapsets: the kernel needs only increasing positive elements
     @given(st.sets(st.integers(1, 40), max_size=20).map(sorted).map(tuple))
     def test_increasing_tuples(self, e):
-        assert _invariants(e) == three_call_invariants(e)
+        assert _invariants(e) == oracles.invariants(e)
 
 
 class TestShiftedGapWindows:

@@ -12,8 +12,6 @@ from gapsets import (
     Gapset,
     build_count_grid,
     enumerate_gapsets,
-    invariants,
-    kappa_and_alpha,
     validate_gapset,
 )
 from gapsets import enumeration, tally
@@ -38,7 +36,8 @@ from expected_counts import (
     LARGE_GAPSET_COUNTS,
     RECORDS_TO_GENUS_16_SHA256,
 )
-from oracles import BRUTE_FORCE_MAX_GENUS, brute_force_gapsets
+import oracles
+from oracles import BRUTE_FORCE_MAX_GENUS, brute_force_gapsets, kappa_and_alpha
 
 
 def test_counts_match_published_sequence():
@@ -439,14 +438,13 @@ class TestRecordWalk:
         # these records; `verify --max-genus 16` reads every genus up to 17
         for g in range(18):
             for elems, last, m, k, a in _iter_records(g):
-                rec = invariants(Gapset(elems))
+                _, rm, rc, _, rq, rk, ra = oracles.invariants(elems)
                 c = last + 1 if elems else 0
-                assert (m, c, -(-c // m), k, a) == (
-                    rec.multiplicity, rec.conductor, rec.depth, rec.kappa, rec.alpha
-                ), elems
+                assert (m, c, -(-c // m), k, a) == (rm, rc, rq, rk, ra), elems
 
     def test_elements_match_brute_force(self, brute):
-        # the kappa-pruned mode too, against the oracle split by kappa_and_alpha
+        # the kappa-pruned mode too, against brute force split by the
+        # oracles' kappa_and_alpha
         for g, oracle in enumerate(brute):
             walk = [rec[0] for rec in _iter_records(g)]
             assert walk == [x.elements for x in oracle], g

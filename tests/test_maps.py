@@ -10,7 +10,6 @@ from gapsets import (
     enumerate_gapsets,
     gapset,
     invariants,
-    kappa_and_alpha,
     narrow_max_gap,
     ordinary_gapset,
     shift_blocks,
@@ -45,7 +44,8 @@ from gapsets.core import (
 from gapsets.enumeration import ResourceLimitError
 
 from expected_counts import COUNTS_BY_KAPPA
-from oracles import conductor, multiplicity
+import oracles
+from oracles import kappa_and_alpha
 from strategies import gapsets
 from tracing import traced_peak
 
@@ -97,19 +97,17 @@ class TestWiden:
 
     def test_gapset_image_beyond_the_guaranteed_regime(self):
         g = gapset([1, 2, 4, 5, 7])
-        rec = invariants(g)
-        assert 2 * rec.genus > 3 * rec.kappa
+        assert 2 * g.genus > 3 * kappa_and_alpha(g)[0]
         result = widen_max_gap(g)
         assert result.elements == (1, 2, 3, 5, 6, 9)
         assert result.classification == CLASS_GAPSET
 
     @given(gapsets())
     def test_image_shape(self, g):
-        rec = invariants(g)
         image = widen_max_gap(g)
-        assert len(image.elements) == rec.genus + 1
-        assert all(1 <= v <= 2 * rec.genus + 1 for v in image.elements)
-        assert kappa_and_alpha(Gapset(image.elements))[0] == rec.kappa + 1
+        assert len(image.elements) == g.genus + 1
+        assert all(1 <= v <= 2 * g.genus + 1 for v in image.elements)
+        assert kappa_and_alpha(Gapset(image.elements))[0] == kappa_and_alpha(g)[0] + 1
 
 
 class TestClassifyImage:
@@ -203,10 +201,10 @@ class TestNarrow:
 
     @pytest.mark.parametrize("source,image", DEPTH2_CASES + DEPTH3_CASES)
     def test_round_trip_on_worked_cases(self, source, image):
-        rec = invariants(gapset(source))
-        if 2 * rec.genus > 3 * rec.kappa:
+        kappa, _ = kappa_and_alpha(gapset(source))
+        if 2 * len(source) > 3 * kappa:
             return  # narrowing is only defined inside the regime
-        assert narrow_max_gap(gapset(image), rec.kappa + 1).elements == source
+        assert narrow_max_gap(gapset(image), kappa + 1).elements == source
 
     def test_matches_the_tuple_shift_on_every_region_target(self):
         # every target of every (g, k) family with 2g <= 3k, to genus 16
@@ -253,18 +251,13 @@ class TestShiftBlocks:
             assert isinstance(validate_gapset(shift_blocks(g)), Gapset)
 
 
-def reference_depth(g):
-    """ceil(c / m) from its own scans of the conductor and multiplicity,
-    apart from the partition under test."""
-    return -(-conductor(g) // multiplicity(g))
-
-
 def reference_partition(g):
-    """The canonical partition with its block count from `reference_depth`."""
+    """The canonical partition with its multiplicity and block count from
+    the oracles' own scans, apart from the partition under test."""
     if g.genus == 0:
         raise EmptyPartitionError("the empty gapset has no canonical partition")
-    m = multiplicity(g)
-    blocks = [[] for _ in range(reference_depth(g))]
+    _, m, _, _, depth, _, _ = oracles.invariants(g.elements)
+    blocks = [[] for _ in range(depth)]
     for v in g.elements:
         blocks[v // m].append(v)
     return CanonicalPartition(m, tuple(tuple(b) for b in blocks))
@@ -272,9 +265,9 @@ def reference_partition(g):
 
 def reference_shift_blocks(g):
     """The blockwise shift with its depth check ahead of the partition."""
-    if reference_depth(g) > 3:
+    _, m, _, _, depth, _, _ = oracles.invariants(g.elements)
+    if depth > 3:
         raise UnsupportedDepthError("blockwise shift needs depth <= 3")
-    m = multiplicity(g)
     if g.genus == 0:
         return (1,)
     blocks = list(reference_partition(g).blocks) + [(), ()]
@@ -316,7 +309,7 @@ class TestRecordKernels:
                 g = Gapset(e)
                 image, mask = _widen(e, element_mask(e), alpha)
                 assert mask == element_mask(image)
-                assert _narrow(image, mask, invariants(Gapset(image)).alpha) == element_mask(e)
+                assert _narrow(image, mask, kappa_and_alpha(Gapset(image))[1]) == element_mask(e)
                 assert widen_max_gap(g) == (image, m + 1, _classify(image, mask, m + 1))
                 if genus == 0:
                     continue
@@ -460,15 +453,15 @@ class TestWidenedFamilies:
     @pytest.mark.parametrize("genus", range(0, 10))
     def test_depth2_images_are_gapsets_in_the_next_family(self, genus):
         for g in enumerate_gapsets(genus):
-            rec = invariants(g)
-            if rec.depth != 2:
+            _, _, _, _, depth, kappa, _ = oracles.invariants(g.elements)
+            if depth != 2:
                 continue
             image = widen_max_gap(g)
             assert image.classification == CLASS_GAPSET
-            irec = invariants(Gapset(image.elements))
-            assert (irec.depth, irec.kappa, irec.genus) == (
+            igenus, _, _, _, idepth, ikappa, _ = oracles.invariants(image.elements)
+            assert (idepth, ikappa, igenus) == (
                 2,
-                rec.kappa + 1,
+                kappa + 1,
                 genus + 1,
             )
 

@@ -222,6 +222,29 @@ def test_committed_bench_summaries_are_the_medians_of_their_runs(path):
     assert checked == 6 * len(bench["summary"])
 
 
+def test_ab_digest_ties_an_export_to_its_files(tmp_path, monkeypatch):
+    # two exports of one working tree hash alike, a file outside src/,
+    # perfbench/ and BENCHMARK.json is not hashed, and a one-byte edit under
+    # src/ changes the hash
+    tree = tmp_path / "tree"
+    for name, text in (("src/pkg/a.py", "x = 1\n"), ("src/pkg/__pycache__/a.pyc", "junk"),
+                       ("perfbench/run.py", "pass\n"), ("BENCHMARK.json", "{}\n"),
+                       ("README.md", "notes\n")):
+        (tree / name).parent.mkdir(parents=True, exist_ok=True)
+        (tree / name).write_text(text)
+    monkeypatch.setattr(ab, "ROOT", tree)
+    digests = []
+    for name in ("one", "two"):
+        (tmp_path / name).mkdir()
+        ab.export(None, tmp_path / name)
+        digests.append(ab.tree_digest(tmp_path / name))
+    assert digests[0] == digests[1] and len(digests[0]) == 64
+    (tmp_path / "one" / "README.md").write_text("other notes\n")
+    assert ab.tree_digest(tmp_path / "one") == digests[0]
+    (tmp_path / "two" / "src" / "pkg" / "a.py").write_text("x = 2\n")
+    assert ab.tree_digest(tmp_path / "two") != digests[0]
+
+
 @pytest.mark.slow
 def test_ab_head_against_head_meets_no_claim(tmp_path, monkeypatch):
     # one short pair of the same commit on both sides: the runner exports,
@@ -237,6 +260,7 @@ def test_ab_head_against_head_meets_no_claim(tmp_path, monkeypatch):
     assert bench["command"].endswith("--seconds 1 --trace 0")
     assert bench["claim_met"] is False
     assert bench["parent"] == bench["change"]
+    assert bench["digests"]["parent"] == bench["digests"]["change"]
     assert [(r["pair"], r["side"], r["failed"]) for r in bench["runs"]] == [
         (1, "parent", 0), (1, "change", 0)
     ]

@@ -3,21 +3,19 @@ which planted non-gapsets it flags."""
 
 import weakref
 from collections import Counter
-from itertools import combinations
 
 import pytest
 
 from gapsets import Gapset, cli, core, enumeration, maps, verification
-from gapsets.core import kappa_and_alpha
 from gapsets.verification import SuiteReport, core_suite, phi_suite, run_suites, sparse_suite
 
 from expected_counts import GAPSET_COUNTS
-from oracles import multiplicity
+import oracles
 from tracing import traced_peak
 
 # (suite, elements) -> (checks run, violations as (check, detail)), when
 # `_run` feeds the suite only the record (elements, last, multiplicity,
-# kappa, alpha) that a scan of the elements gives, at their genus.
+# kappa, alpha) that the oracles' scans of the elements give, at their genus.
 # Gapset() checks only that the elements increase, so these are not
 # gapsets.
 PLANTED = {
@@ -116,12 +114,18 @@ CHECKS_AT_GENUS_12 = {
 }
 
 
+def scanned(elements):
+    """The walk's record (elements, last, m, kappa, alpha) from the oracles'
+    scans."""
+    _, m, _, _, _, kappa, alpha = oracles.invariants(elements)
+    return elements, elements[-1] if elements else 0, m, kappa, alpha
+
+
 @pytest.mark.parametrize(
     "suite, elements", PLANTED, ids=lambda x: getattr(x, "__name__", str(x))
 )
 def test_planted_non_gapset_is_reported(suite, elements):
-    planted = Gapset(elements)
-    record = (elements, elements[-1], multiplicity(planted), *kappa_and_alpha(planted))
+    record = scanned(elements)
     name = suite.__name__.removesuffix("_suite")
     genus = len(elements)
     [report] = verification._run([name], genus, lambda g: [record] if g == genus else [])
@@ -481,12 +485,6 @@ def test_a_record_that_lost_alpha_is_reported(suite, record, failed):
     [report] = verification._run([suite], genus, lambda g: [record] if g == genus else [])
     assert failed in [v.check for v in report.violations]
     assert all(v.elements == record[0] for v in report.violations)
-
-
-def scanned(elements):
-    """The walk's record (elements, last, m, kappa, alpha) from a scan."""
-    _, m, _, _, _, kappa, alpha = core._invariants(elements)
-    return elements, elements[-1] if elements else 0, m, kappa, alpha
 
 
 def scan_with(**fields):

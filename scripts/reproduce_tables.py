@@ -23,7 +23,7 @@ from time import perf_counter
 from gapsets import build_count_grid, stabilization_check
 from gapsets.cli import EXIT_RESOURCE, render_grid
 from gapsets.enumeration import ResourceLimitError, _check_genus
-from gapsets.tally import diagonal_terms, sequence_lines
+from gapsets.tally import diagonal_sequence, sequence_lines
 
 
 def main(argv=None) -> int:
@@ -57,7 +57,7 @@ def main(argv=None) -> int:
         print(f"  {cell}: {a} != {b}")
 
     t0 = perf_counter()
-    terms = diagonal_terms(args.max_w)
+    terms = diagonal_sequence(args.max_w).terms
     seq_time = perf_counter() - t0
     print(f"# diagonal sequence to w = {args.max_w}: {seq_time:.2f}s", file=sys.stderr)
     print(f"\n# diagonal sequence through w = {args.max_w}")

@@ -150,9 +150,9 @@ def cmd_sequence(args, out) -> int:
         row_sums = build_count_grid(args.max_genus).row_sums
         print(",".join(map(str, row_sums.values())), file=out)
         return EXIT_OK
-    from .tally import diagonal_terms, sequence_lines
+    from .tally import diagonal_sequence, sequence_lines
 
-    for line in sequence_lines(diagonal_terms(args.max_w)):
+    for line in sequence_lines(diagonal_sequence(args.max_w).terms):
         print(line, file=out)
     return EXIT_OK
 

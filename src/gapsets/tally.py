@@ -12,19 +12,14 @@ t(w) counts the records of its own kappa-pruned record walk
 (`enumeration._iter_records(3w, kappa=2w)`, the walk `enumerate --pure`
 lists), which visits only the gapsets that can end with maximum gap 2w.  No
 `Gapset` objects are built, and the result types are named tuples, so
-this module loads nothing beyond `enumeration`.  The `sequence gw` rows
-are formatted from the integer terms, so only `diagonal_sequence`'s exact
-ratios load `fractions`.
+this module loads nothing beyond `enumeration`.  `sequence_lines` renders
+the `sequence gw` rows, ratio columns included, from the integer terms
+with integer arithmetic alone.
 """
 
-from __future__ import annotations
-
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .enumeration import _check_genus, _count_cells, _iter_records
-
-if TYPE_CHECKING:
-    from fractions import Fraction
 
 RATIO_PLACEHOLDER = "-"
 
@@ -37,13 +32,10 @@ class CountGrid(NamedTuple):
 
 
 class DiagonalSequence(NamedTuple):
-    """Terms t[w] = #{pure 2w-sparse gapsets of genus 3w}, with the
-    step ratios t[w]/t[w-1] (None at w=0) and the cumulative ratios
-    sum(t[0..w]) / t[w], all kept exact."""
+    """Terms t[w] = #{pure 2w-sparse gapsets of genus 3w}; `sequence_lines`
+    renders their ratio columns."""
 
     terms: tuple[int, ...]
-    ratios: tuple[Optional[Fraction], ...]
-    cumulative_ratios: tuple[Fraction, ...]
 
 
 class StabilizationReport(NamedTuple):
@@ -66,31 +58,16 @@ def build_count_grid(max_genus: int) -> CountGrid:
     return CountGrid(max_genus, cells, row_sums, marks)
 
 
-def diagonal_terms(max_w: int) -> list[int]:
-    """Diagonal terms for w = 0..max_w, each counted from its own
+def diagonal_sequence(max_w: int) -> DiagonalSequence:
+    """The diagonal terms t(0)..t(max_w), each counted from its own
     kappa-pruned walk to genus 3w; the bounds (genus 3 * max_w) are checked
-    before any walk starts."""
+    before any walk starts.  `sequence_lines` renders their rows."""
     _check_genus(3 * max_w)
     # empty label pieces: the walk's labels are never read, only counted
-    return [
+    return DiagonalSequence(tuple(
         sum(1 for _ in _iter_records(3 * w, pieces=[""] * (6 * w + 2), kappa=2 * w))
         for w in range(max_w + 1)
-    ]
-
-
-def diagonal_sequence(max_w: int) -> DiagonalSequence:
-    """`diagonal_terms` with their exact step and cumulative ratios."""
-    from fractions import Fraction
-
-    terms = diagonal_terms(max_w)
-    ratios: list[Optional[Fraction]] = [None]
-    ratios += [Fraction(terms[w], terms[w - 1]) for w in range(1, len(terms))]
-    running = 0
-    cumulative = []
-    for t in terms:
-        running += t
-        cumulative.append(Fraction(running, t))
-    return DiagonalSequence(tuple(terms), tuple(ratios), tuple(cumulative))
+    ))
 
 
 def stabilization_check(grid: CountGrid) -> StabilizationReport:
@@ -121,26 +98,11 @@ def _decimal(a: int, b: int, trim: bool = False) -> str:
     return text.rstrip("0").rstrip(".") if trim and 1000 * a % b == 0 else text
 
 
-def format_ratio(value: Optional[Fraction]) -> str:
-    """Fixed three-decimal rendering with half-up rounding; '-' when undefined."""
-    if value is None:
-        return RATIO_PLACEHOLDER
-    return _decimal(value.numerator, value.denominator)
-
-
-def format_cumulative(value: Fraction) -> str:
-    """Shortest exact decimal up to three places, else three-decimal half-up.
-
-    An exact value drops `format_ratio`'s trailing zeros ('1', '1.5',
-    '1.125'); everything else rounds to three places ('1.667').
-    """
-    return _decimal(value.numerator, value.denominator, trim=True)
-
-
 def sequence_lines(terms: Sequence[int]) -> Iterator[str]:
     """The `w,g_w,ratio,cumulative` block of the diagonal terms: its
-    header, then one row per term, with the ratios `format_ratio` and
-    `format_cumulative` give, computed from the integers."""
+    header, then one row per term.  The step ratio t[w]/t[w-1] ('-' at
+    w = 0) has three places; the cumulative ratio sum(t[0..w]) / t[w]
+    drops trailing zeros when exact in thousandths."""
     yield "w,g_w,ratio,cumulative"
     running = 0
     for w, term in enumerate(terms):

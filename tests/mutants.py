@@ -143,4 +143,44 @@ MUTANTS = (
         "        s += 2 * m",
         ("tests/test_core.py::TestShiftedGapWindows",),
     ),
+    # the kappa walk's sumset shortcut cuts the children one above x + K in S + S
+    Mutant(
+        "pure-walk-sumset-shortcut-shifted",
+        "enumeration.py",
+        "visit &= ~(sums >> K) | 1 << top",
+        "visit &= ~(sums >> K - 1) | 1 << top",
+        ("tests/test_enumeration.py::TestPureWalk",),
+    ),
+    # the kappa walk's leaf cut reads one split of x + K too many
+    Mutant(
+        "pure-walk-leaf-cut-one-split-wide",
+        "enumeration.py",
+        "if (sm & below[x]) >> K + 1 & below[d - 1]:",
+        "if (sm & below[x]) >> K + 1 & below[d]:",
+        ("tests/test_enumeration.py::TestPureWalk",),
+    ),
+    # the phi suite's depth-2 branch tally counts one row too many
+    Mutant(
+        "phi-depth2-tally-off-by-one",
+        "verification.py",
+        "report.tally(_PHI_DEPTH2, depth2)",
+        "report.tally(_PHI_DEPTH2, depth2 + 1)",
+        ("tests/test_verification.py::test_every_check_runs_as_often_as_before",),
+    ),
+    # the ratio columns truncate instead of rounding half-up
+    Mutant(
+        "ratio-truncates",
+        "tally.py",
+        "n = (2000 * a + b) // (2 * b)",
+        "n = (2000 * a) // (2 * b)",
+        ("tests/test_tally.py::test_integer_formatting_rounds_half_up_like_the_fraction",),
+    ),
+    # the core suite's alpha branch tally counts one row too many
+    Mutant(
+        "core-alpha-tally-off-by-one",
+        "verification.py",
+        "report.tally(_CORE_ALPHA, with_alpha)",
+        "report.tally(_CORE_ALPHA, with_alpha + 1)",
+        ("tests/test_verification.py::test_every_check_runs_as_often_as_before",),
+    ),
 )

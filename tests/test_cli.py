@@ -533,6 +533,20 @@ class TestMap:
         assert code == 4
         assert "(4, 2, 2)" in out
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0,1", "candidate elements must be >= 1, got 0"),
+            ("x", "invalid literal for int() with base 10: 'x'"),
+        ],
+    )
+    def test_unreadable_gapset_exits_4_on_stderr(self, capsys, value, message):
+        code = main(["map", "--gapset", value])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err == f"bad --gapset value: {message}\n"
+
     def test_huge_element_exits_4_without_a_mask_of_its_size(self, capsys):
         code, out = run(capsys, "map", "--gapset", "1,1000000000000")
         assert code == 4
@@ -707,6 +721,18 @@ class TestImports:
         loaded = loaded_after(code)
         assert "gapsets.tally" in loaded
         assert not loaded & {"dataclasses", "fractions", "gapsets.core"}
+
+    def test_no_module_and_no_diagonal_loads_fractions(self):
+        # the ratio columns are integer arithmetic, so nothing needs Fraction
+        code = (
+            "import gapsets, importlib, pkgutil\n"
+            "for mod in pkgutil.iter_modules(gapsets.__path__):\n"
+            "    importlib.import_module(f'gapsets.{mod.name}')\n"
+            "assert gapsets.diagonal_sequence(3).terms == (1, 2, 5, 12)"
+        )
+        loaded = loaded_after(code)
+        assert {"gapsets.maps", "gapsets.tally", "gapsets.verification"} <= loaded
+        assert "fractions" not in loaded
 
     def test_verify_and_map_load_no_dataclasses(self):
         for argv in (

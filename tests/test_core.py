@@ -207,6 +207,7 @@ class TestValueTypes:
         for value in values:
             copy = pickle.loads(pickle.dumps(value))
             assert type(copy) is type(value) and copy == value, value
+        assert len(g) == g.genus == 4 and len(Gapset(())) == 0
 
     def test_gapset_cannot_be_changed(self):
         # assigning or deleting a field or any other name raises AttributeError

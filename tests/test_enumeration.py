@@ -4,6 +4,7 @@ import subprocess
 import sys
 from collections import Counter
 from hashlib import sha256
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -380,6 +381,16 @@ def refined_counts(g, k, shift=0):
     )
 
 
+def defect_cells(b, g):
+    """The border defect of band 2g = 3k + b cell by cell: the (g + 1, k + 1)
+    family's count minus the (g, k) family's with m raised by 1, keyed by
+    (m - k', depth) with k' = k + 1; cells that agree are left out."""
+    k = (2 * g - b) // 3
+    target, source = refined_counts(g + 1, k + 1, k + 1), refined_counts(g, k, k)
+    cells = target | source
+    return {c: target[c] - source[c] for c in cells if target[c] != source[c]}
+
+
 class TestRefinedCountForm:
     """Computed data, not a theorem: in the theorem's region the count form
     holds multiplicity by multiplicity and depth by depth, with m raised by
@@ -419,6 +430,27 @@ class TestBorderBands:
         defects = list(border_defects(max_genus))
         assert Counter(b for b, _, _ in defects) == cells
         assert [(b, g, d) for b, g, d in defects if d != expected_border_defect(b, g)] == []
+
+    @pytest.mark.parametrize(
+        "max_genus", [23, pytest.param(29, marks=pytest.mark.slow)]
+    )
+    def test_defect_cells_on_bands_2_and_5(self, max_genus):
+        # the whole defect sits at m' = k' and k' + 1, depth 3 and 4; the
+        # band-5 cells below genus 10 are frozen as they are
+        cells = {(b, g): defect_cells(b, g) for b in (2, 5) for g in range(4, max_genus, 3)}
+        for (b, g), defect in cells.items():
+            n = (g - 4) // 3
+            if b == 2:
+                expected = {(0, 3): 2 ** n, (0, 4): -(2 ** n)}
+            elif g >= 10:
+                expected = {(0, 3): comb(n, 2) * 2 ** (n - 2), (0, 4): 2 ** (n - 2), (1, 3): 2 ** n}
+            else:
+                expected = {
+                    4: {(0, 5): 1, (1, 3): 1, (2, 2): 2, (3, 2): 1, (4, 1): -1},
+                    7: {(0, 4): 3, (0, 5): -1, (1, 3): 2, (3, 2): 1},
+                }[g]
+            assert defect == expected, (b, g)
+            assert sum(defect.values()) == expected_border_defect(b, g), (b, g)
 
     def test_widening_on_the_first_two_bands(self):
         rows = list(border_widening(22))

@@ -2,7 +2,7 @@
 selection.  Under --run-slow every mutant is applied to a temporary copy of
 `src/` and its selection runs in a pytest subprocess against that copy;
 the unmutated copy must pass every selection, so a caught mutant fails
-because of its edit (about 20 s in all)."""
+because of its edit (about 30 s in all)."""
 
 import os
 import shutil

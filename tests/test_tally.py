@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from gapsets import build_count_grid, diagonal_sequence, stabilization_check
-from gapsets.tally import format_cumulative, format_ratio, sequence_lines
+from gapsets.tally import _decimal, sequence_lines
 
 from expected_counts import (
     COUNTS_BY_KAPPA,
@@ -32,19 +32,22 @@ def test_grid_shape():
     assert (2, 3) not in grid.cells and (5, 0) not in grid.cells
 
 
+def ratio_columns(terms):
+    """The ratio and cumulative columns of the `sequence gw` rows."""
+    rows = [line.split(",") for line in sequence_lines(terms)]
+    assert rows[0] == ["w", "g_w", "ratio", "cumulative"]
+    assert [(int(w), int(t)) for w, t, _, _ in rows[1:]] == list(enumerate(terms))
+    return [r for _, _, r, _ in rows[1:]], [c for _, _, _, c in rows[1:]]
+
+
 def test_diagonal_terms_and_ratios():
     seq = diagonal_sequence(6)
     assert list(seq.terms) == DIAGONAL_TERMS[:7]
-    assert seq.ratios[0] is None
-    assert seq.ratios[1] == Fraction(2)
-    assert seq.cumulative_ratios[0] == Fraction(1)
-    assert [format_ratio(r) for r in seq.ratios] == DIAGONAL_RATIOS[:7]
-    assert [format_cumulative(c) for c in seq.cumulative_ratios] == DIAGONAL_CUMULATIVE[:7]
-    # the `sequence gw` rows, formatted from the integer terms alone
-    assert list(sequence_lines(seq.terms)) == ["w,g_w,ratio,cumulative"] + [
-        f"{w},{t},{format_ratio(r)},{format_cumulative(c)}"
-        for w, (t, r, c) in enumerate(zip(seq.terms, seq.ratios, seq.cumulative_ratios))
-    ]
+    ratios, cumulative = ratio_columns(seq.terms)
+    assert ratios[:2] == ["-", "2.000"]
+    assert cumulative[0] == "1"
+    assert ratios == DIAGONAL_RATIOS[:7]
+    assert cumulative == DIAGONAL_CUMULATIVE[:7]
 
 
 def test_integer_formatting_rounds_half_up_like_the_fraction():
@@ -54,11 +57,11 @@ def test_integer_formatting_rounds_half_up_like_the_fraction():
             scaled = Fraction(a, b) * 1000
             n = (2 * scaled.numerator + scaled.denominator) // (2 * scaled.denominator)
             text = f"{n // 1000}.{n % 1000:03d}"
-            assert format_ratio(Fraction(a, b)) == text, (a, b)
+            assert _decimal(a, b) == text, (a, b)
             short = text.rstrip("0").rstrip(".") if scaled.denominator == 1 else text
-            assert format_cumulative(Fraction(a, b)) == short, (a, b)
-    assert format_ratio(Fraction(1, 2000)) == "0.001"
-    assert format_ratio(Fraction(2001, 2000)) == "1.001"
+            assert _decimal(a, b, trim=True) == short, (a, b)
+    assert _decimal(1, 2000) == "0.001"
+    assert _decimal(2001, 2000) == "1.001"
 
 
 @pytest.mark.slow
@@ -66,8 +69,7 @@ def test_diagonal_through_w_10():
     # w = 10 is the last term under the genus-30 ceiling; its walk reaches genus 30
     seq = diagonal_sequence(10)
     assert list(seq.terms) == DIAGONAL_TERMS
-    assert [format_ratio(r) for r in seq.ratios] == DIAGONAL_RATIOS
-    assert [format_cumulative(c) for c in seq.cumulative_ratios] == DIAGONAL_CUMULATIVE
+    assert ratio_columns(seq.terms) == (DIAGONAL_RATIOS, DIAGONAL_CUMULATIVE)
 
 
 def test_diagonal_matches_grid_marks():
@@ -108,12 +110,17 @@ def test_stabilization_reports_a_planted_violation():
 
 
 def test_ratio_rendering():
-    assert format_ratio(None) == "-"
-    assert format_ratio(Fraction(12, 5)) == "2.400"
-    assert format_ratio(Fraction(7, 3)) == "2.333"
-    assert format_ratio(Fraction(167, 70)) == "2.386"
-    assert format_cumulative(Fraction(1)) == "1"
-    assert format_cumulative(Fraction(3, 2)) == "1.5"
-    assert format_cumulative(Fraction(8, 5)) == "1.6"
-    assert format_cumulative(Fraction(5, 3)) == "1.667"
-    assert format_cumulative(Fraction(12, 7)) == "1.714"
+    assert ratio_columns([1, 2, 5, 12, 30, 70, 167]) == (
+        ["-", "2.000", "2.500", "2.400", "2.500", "2.333", "2.386"],
+        ["1", "1.5", "1.6", "1.667", "1.667", "1.714", "1.719"],
+    )
+    assert ratio_columns([5]) == (["-"], ["1"])
+    assert list(sequence_lines([])) == ["w,g_w,ratio,cumulative"]
+    assert _decimal(12, 5) == "2.400"
+    assert _decimal(7, 3) == "2.333"
+    assert _decimal(167, 70) == "2.386"
+    assert _decimal(1, 1, trim=True) == "1"
+    assert _decimal(3, 2, trim=True) == "1.5"
+    assert _decimal(8, 5, trim=True) == "1.6"
+    assert _decimal(5, 3, trim=True) == "1.667"
+    assert _decimal(12, 7, trim=True) == "1.714"

@@ -220,6 +220,17 @@ def test_each_genus_is_dropped_before_the_next_walk(monkeypatch):
     assert held == []
 
 
+def test_unknown_suite_raises_before_any_walk(monkeypatch):
+    def no_walk(genus):
+        raise AssertionError(f"walk of genus {genus} started")
+
+    monkeypatch.setattr(verification, "_genus_records", no_walk)
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suites(["nope"], 3)
+    with pytest.raises(ValueError, match="unknown suite 'nope'"):
+        run_suites(["core", "nope"], 3)
+
+
 def test_bodies_read_the_walks_own_records(monkeypatch):
     # the rows `_run` hands each suite body are the very tuples the walk
     # yielded, not copies of them
